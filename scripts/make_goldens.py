@@ -4,11 +4,19 @@
 CI regenerates every figure config and diff-checks the bytes against these
 files, so rerun this script (and commit the result) whenever a config or the
 simulation itself changes intentionally.
+
+``--check`` regenerates into a temporary directory instead and compares:
+it prints every figure whose bytes differ with its max |dP| and exits 1 if
+any does.  It never writes to goldens/.
 """
 from __future__ import annotations
 
+import argparse
+import csv
 import pathlib
 import sys
+import tempfile
+from typing import List, Tuple
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
@@ -16,14 +24,61 @@ sys.path.insert(0, str(REPO / "src"))
 from pulselab.cli import main  # noqa: E402
 
 
-def run() -> None:
+def regenerate(outdir: pathlib.Path) -> List[pathlib.Path]:
+    """Run every figure config, writing figN.csv into ``outdir``."""
+    written = []
     for cfg in sorted((REPO / "configs").glob("fig*.cfg")):
-        out = REPO / "goldens" / (cfg.stem + ".csv")
+        out = outdir / (cfg.stem + ".csv")
         code = main(["sweep", "--config", str(cfg), "--output", str(out)])
         if code != 0:
             raise SystemExit(f"sweep failed for {cfg} (exit {code})")
-        print(f"wrote {out}")
+        written.append(out)
+    return written
+
+
+def _rows(path: pathlib.Path) -> List[List[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def max_dp(new: pathlib.Path, golden: pathlib.Path) -> float:
+    """Largest |P difference| between two result CSVs; inf if their grids differ."""
+    a, b = _rows(new), _rows(golden)
+    if len(a) != len(b) or a[0] != b[0] or any(x[:-1] != y[:-1] for x, y in zip(a[1:], b[1:])):
+        return float("inf")
+    return max((abs(float(x[-1]) - float(y[-1])) for x, y in zip(a[1:], b[1:])), default=0.0)
+
+
+def differing(new_files: List[pathlib.Path], golden_dir: pathlib.Path) -> List[Tuple[str, float]]:
+    """(figure, max |dP|) for every regenerated file whose bytes differ from its golden."""
+    out = []
+    for new in new_files:
+        golden = golden_dir / new.name
+        if not golden.exists():
+            out.append((new.stem, float("inf")))
+        elif new.read_bytes() != golden.read_bytes():
+            out.append((new.stem, max_dp(new, golden)))
+    return out
+
+
+def run(argv: List[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true", help="compare with goldens/ instead of overwriting it"
+    )
+    args = parser.parse_args(argv)
+    if not args.check:
+        for out in regenerate(REPO / "goldens"):
+            print(f"wrote {out}")
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        diffs = differing(regenerate(pathlib.Path(tmp)), REPO / "goldens")
+    for name, dp in diffs:
+        print(f"{name}: differs from goldens/{name}.csv, max |dP| = {dp:.3e}")
+    if not diffs:
+        print("all goldens regenerate byte-identically")
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":
-    run()
+    raise SystemExit(run())

@@ -13,7 +13,6 @@ from .channels import ErrorVector, apply_errors, area_preservation_check
 from .core import (
     CKPropagator,
     PulseSequence,
-    TimeGrid,
     Waveform,
     compose,
     phase_shifted,
@@ -41,7 +40,6 @@ __all__ = [
     "CKPropagator",
     "Waveform",
     "PulseSequence",
-    "TimeGrid",
     "transition_probability",
     "compose",
     "phase_shifted",

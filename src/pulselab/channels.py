@@ -29,7 +29,7 @@ from typing import Tuple
 import numpy as np
 
 from .core import InvalidParameter, PulseSequence, pulse_area
-from .protocols import ProtocolSpec, build_sequence
+from .protocols import ProtocolSpec, ShapeMemo, build_sequence
 
 __all__ = ["LengthMismatch", "ErrorVector", "apply_errors", "area_preservation_check"]
 
@@ -68,11 +68,14 @@ class ErrorVector:
         object.__setattr__(self, "phase_offsets", tuple(float(p) for p in self.phase_offsets))
 
 
-def apply_errors(spec: ProtocolSpec, err: ErrorVector = ErrorVector()) -> PulseSequence:
+def apply_errors(
+    spec: ProtocolSpec, err: ErrorVector = ErrorVector(), shapes: ShapeMemo | None = None
+) -> PulseSequence:
     """Build the sequence of ``spec`` with the error channels of ``err`` applied.
 
     The default vector reproduces the nominal build exactly (identical control
-    values at every time sample).
+    values at every time sample).  ``shapes`` is the open memo of a sweep, see
+    :class:`pulselab.protocols.ShapeMemo`; it changes no value.
     """
     if err.phase_offsets and len(err.phase_offsets) != spec.pulse_count:
         raise LengthMismatch(
@@ -88,6 +91,7 @@ def apply_errors(spec: ProtocolSpec, err: ErrorVector = ErrorVector()) -> PulseS
         phase_offsets=err.phase_offsets,
         centering=err.centering,
         sta_alpha_scales_shortcut=err.sta_alpha_scales_shortcut,
+        shapes=shapes,
     )
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "IDENTITY",
     "Waveform",
     "PulseSequence",
-    "TimeGrid",
     "transition_probability",
     "compose",
     "phase_shifted",
@@ -150,29 +149,6 @@ class PulseSequence:
     @property
     def span(self) -> Tuple[float, float]:
         return (self.pulses[0].window[0], self.pulses[-1].window[1])
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform grid of sub-intervals on [t_start, t_end]."""
-
-    t_start: float
-    t_end: float
-    steps: int
-
-    def __post_init__(self) -> None:
-        if self.steps < 2:
-            raise InvalidParameter(f"time grid needs steps >= 2, got {self.steps}")
-        if not self.t_start < self.t_end:
-            raise InvalidParameter("time grid needs t_start < t_end")
-
-    @property
-    def spacing(self) -> float:
-        return (self.t_end - self.t_start) / self.steps
-
-    def midpoints(self) -> np.ndarray:
-        h = self.spacing
-        return self.t_start + (np.arange(self.steps) + 0.5) * h
 
 
 def _sample(fn: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from .core import (
     InvalidParameter,
     InvalidWaveform,
     PulseSequence,
-    TimeGrid,
     Waveform,
     compose,
     renormalized,
@@ -77,9 +76,9 @@ DEFAULT_CONFIG = IntegratorConfig()
 
 def _step_pairs(w: Waveform, steps: int) -> Tuple[np.ndarray, np.ndarray]:
     """Per-step CK pairs for the midpoint-sampled exact exponential."""
-    grid = TimeGrid(w.window[0], w.window[1], steps)
-    h = grid.spacing
-    tm = grid.midpoints()
+    t0, t1 = w.window
+    h = (t1 - t0) / steps
+    tm = t0 + (np.arange(steps) + 0.5) * h
     W = np.asarray(_sample(w.rabi, tm), dtype=complex) * np.exp(1j * w.phase)
     D = np.asarray(_sample(w.detuning, tm), dtype=float)
     if not (np.all(np.isfinite(W.real)) and np.all(np.isfinite(W.imag)) and np.all(np.isfinite(D))):

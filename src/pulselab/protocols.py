@@ -21,7 +21,7 @@ re-centered on its own pulse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 from scipy.special import erf
@@ -37,6 +37,7 @@ __all__ = [
     "A7_COEFFS",
     "WINDOW_HALF_WIDTH",
     "nominal_spec",
+    "shape_key",
     "build_sequence",
     "build_re",
     "build_af",
@@ -225,6 +226,118 @@ def _validate_sp_controls(
         )
 
 
+class ShapeMemo:
+    """Sampled nominal pulse parts, held for one shape key at a time.
+
+    A sweep opens one around a run of grid points and passes it to
+    :func:`build_sequence`, which switches it to the point's
+    :func:`shape_key`.  Switching to another key drops everything held for
+    the previous one, so the memo never holds more than one shape: per pulse,
+    one copy of each distinct time array and the parts sampled on it.  A part
+    is reused only for the same key, the same pulse and a bitwise-equal time
+    array.  Leaving the ``with`` block empties it.
+    """
+
+    def __init__(self) -> None:
+        self.key: tuple | None = None
+        self.shared: Dict[str, object] = {}
+        self.samples: Dict[tuple, Tuple[np.ndarray, Dict[str, np.ndarray]]] = {}
+
+    def __enter__(self) -> "ShapeMemo":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.switch(None)
+
+    def switch(self, key: tuple | None) -> None:
+        if key != self.key:
+            self.shared.clear()
+            self.samples.clear()
+            self.key = key
+
+    def once(self, name: str, make: Callable[[], object]) -> object:
+        """``make()`` evaluated at most once while the current key holds."""
+        if name not in self.shared:
+            self.shared[name] = make()
+        return self.shared[name]
+
+    def parts(self, key: tuple, pulse: tuple, t: np.ndarray) -> Dict[str, np.ndarray] | None:
+        """Parts of ``pulse`` sampled at ``t`` so far; None when ``key`` is not current."""
+        if key != self.key:
+            return None
+        held = self.samples.get((pulse, t.shape))
+        if held is None or not np.array_equal(held[0].view(np.uint64), t.view(np.uint64)):
+            held = self.samples[(pulse, t.shape)] = (t.copy(), {})
+        return held[1]
+
+
+def shape_key(spec: ProtocolSpec, duration_factor: float, centering: str) -> tuple:
+    """Hashable parameters that fix the nominal part of every pulse's controls.
+
+    The other channels (alpha, delta, eta, sigma) and the drive phases act on
+    top of that part without changing it.
+    """
+    return (
+        spec.kind,
+        spec.omega0,
+        spec.beta,
+        duration_factor * spec.T,
+        spec.sp_coeffs,
+        spec.sta_nominal,
+        spec.pulse_count,
+        centering,
+    )
+
+
+def _nominal_parts(
+    spec: ProtocolSpec, T_live: float, c: float, ce: float, sp: Tuple[Callable, Callable] | None
+) -> Dict[str, Callable[[np.ndarray], np.ndarray]]:
+    """Error-free parts of one pulse's controls, each a function of time.
+
+    ``envelope`` and ``detuning`` are the nominal shape of a pulse centered on
+    ``c``; ``tanh`` is the shape-distortion profile around ``ce``; STA adds
+    its frozen counterdiabatic ``shortcut`` (already times 1j).
+    """
+    parts: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
+        "tanh": lambda t: np.tanh((t - ce) / T_live)
+    }
+    if spec.kind == "SP":
+        sp_env, sp_det = sp
+        parts["envelope"] = lambda t: sp_env(t - c)
+        parts["detuning"] = lambda t: sp_det(t - c)
+        return parts
+    b = spec.beta if spec.kind in _CHIRPED else 0.0
+    parts["envelope"] = lambda t: np.exp(-(((t - c) / T_live) ** 2))
+    parts["detuning"] = lambda t: b * (t - c) / T_live
+    if spec.kind == "STA":
+        om_a, beta_a, T_a = spec.sta_nominal
+        parts["shortcut"] = lambda t: 1j * (2.0 * mixing_angle_rate(t - c, om_a, beta_a, T_a))
+    return parts
+
+
+def _sampler(
+    parts: Dict[str, Callable[[np.ndarray], np.ndarray]],
+    shapes: ShapeMemo | None,
+    key: tuple,
+    pulse: tuple,
+) -> Callable[[np.ndarray, str], np.ndarray]:
+    """``sample(t, name)``: one part at ``t``, from ``shapes`` when it holds it.
+
+    Callers use the result inline, so that without a memo numpy can reuse
+    the fresh array for the arithmetic on top, as it did before the split.
+    """
+
+    def sample(t: np.ndarray, name: str) -> np.ndarray:
+        held = shapes.parts(key, pulse, t) if shapes is not None else None
+        if held is None:
+            return parts[name](t)
+        if name not in held:
+            held[name] = parts[name](t)
+        return held[name]
+
+    return sample
+
+
 def build_sequence(
     spec: ProtocolSpec,
     *,
@@ -236,6 +349,7 @@ def build_sequence(
     phase_offsets: Tuple[float, ...] = (),
     centering: str = "per_pulse",
     sta_alpha_scales_shortcut: bool = True,
+    shapes: ShapeMemo | None = None,
 ) -> PulseSequence:
     """Build the pulse sequence of a technique, optionally perturbed.
 
@@ -243,57 +357,55 @@ def build_sequence(
     reproduce the nominal sequence exactly (same code path, so nominal and
     zero-error builds agree bitwise at every sample).  See
     :func:`pulselab.channels.apply_errors` for the channel semantics.
+
+    Each control is the channel arithmetic on top of a nominal part that
+    depends on :func:`shape_key` alone.  With an open ``shapes`` memo the
+    nominal parts are sampled once per shape and time array; the values are
+    bitwise the same as without it.
     """
     n = spec.pulse_count
     T_live = duration_factor * spec.T
     offsets = tuple(phase_offsets) if phase_offsets else (0.0,) * n
     half = WINDOW_HALF_WIDTH * T_live
+    key = shape_key(spec, duration_factor, centering)
+    if shapes is not None:
+        shapes.switch(key)
 
+    sp = None
     if spec.kind == "SP":
-        sp_env, sp_det = _sp_shape_functions(T_live, spec.sp_coeffs)
-        _validate_sp_controls(sp_env, sp_det, half)
+        def validated_sp():
+            env, det = _sp_shape_functions(T_live, spec.sp_coeffs)
+            _validate_sp_controls(env, det, half)
+            return env, det
+
+        sp = shapes.once("sp", validated_sp) if shapes is not None else validated_sp()
 
     pulses = []
     for k in range(n):
         center = half * (2 * k + 1 - n)
         c_err = 0.0 if centering == "global" else center
         phase = (spec.phases[k] if spec.phases else 0.0) + offsets[k]
+        sample = _sampler(_nominal_parts(spec, T_live, center, c_err, sp), shapes, key, (center, c_err))
 
-        if spec.kind == "SP":
-            def rabi(t, c=center, ce=c_err):
-                base = sp_env(t - c)
-                return alpha * base * (1.0 + sigma * np.tanh((t - ce) / T_live))
-
-            def detuning(t, c=center, ce=c_err):
-                return sp_det(t - c) + delta + eta * (t - ce)
-
-        elif spec.kind == "STA":
-            om_a, beta_a, T_a = spec.sta_nominal
-
-            def rabi(t, c=center, ce=c_err):
+        if spec.kind == "STA":
+            def rabi(t, sample=sample):
                 t = np.asarray(t, dtype=float)
-                main = spec.omega0 * np.exp(-(((t - c) / T_live) ** 2))
-                main = main * (1.0 + sigma * np.tanh((t - ce) / T_live))
-                shortcut = 2.0 * mixing_angle_rate(t - c, om_a, beta_a, T_a)
+                main = spec.omega0 * sample(t, "envelope")
+                main = main * (1.0 + sigma * sample(t, "tanh"))
                 if sta_alpha_scales_shortcut:
-                    return alpha * (main + 1j * shortcut)
-                return alpha * main + 1j * shortcut
+                    return alpha * (main + sample(t, "shortcut"))
+                return alpha * main + sample(t, "shortcut")
 
-            def detuning(t, c=center, ce=c_err):
+        else:  # RE, AF, CAP, UCP scale omega0 times a Gaussian; SP its own envelope
+            scale = alpha if spec.kind == "SP" else alpha * spec.omega0
+
+            def rabi(t, sample=sample, scale=scale):
                 t = np.asarray(t, dtype=float)
-                return spec.beta * (t - c) / T_live + delta + eta * (t - ce)
+                return scale * sample(t, "envelope") * (1.0 + sigma * sample(t, "tanh"))
 
-        else:  # RE, AF, CAP, UCP: Gaussian envelope, optional linear chirp
-            beta_live = spec.beta if spec.kind in _CHIRPED else 0.0
-
-            def rabi(t, c=center, ce=c_err):
-                t = np.asarray(t, dtype=float)
-                base = alpha * spec.omega0 * np.exp(-(((t - c) / T_live) ** 2))
-                return base * (1.0 + sigma * np.tanh((t - ce) / T_live))
-
-            def detuning(t, c=center, ce=c_err, b=beta_live):
-                t = np.asarray(t, dtype=float)
-                return b * (t - c) / T_live + delta + eta * (t - ce)
+        def detuning(t, sample=sample, ce=c_err):
+            t = np.asarray(t, dtype=float)
+            return sample(t, "detuning") + delta + eta * (t - ce)
 
         pulses.append(
             Waveform(rabi=rabi, detuning=detuning, phase=phase, window=(center - half, center + half))

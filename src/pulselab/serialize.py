@@ -75,12 +75,15 @@ def _spec_doc(spec: ProtocolSpec) -> Dict[str, object]:
     return doc
 
 
-def read_result(data: bytes | str, fmt: str = "json") -> SweepResult:
+def read_result(
+    data: bytes | str, fmt: str = "json", *, protocol: ProtocolSpec | None = None
+) -> SweepResult:
     """Rebuild a sweep result from its serialized form.
 
     JSON restores the full object.  CSV restores axes from the value columns
     (bounds and point counts are recovered from the written grid) and is
-    intended for round-trip checks and plotting, not archival metadata.
+    intended for round-trip checks and plotting, not archival metadata.  A
+    CSV does not record its technique, so the caller names it in ``protocol``.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     if fmt == "json":
@@ -101,6 +104,8 @@ def read_result(data: bytes | str, fmt: str = "json") -> SweepResult:
         )
         return SweepResult(axes, spec, tuple(float(v) for v in doc["values"]), dict(doc["meta"]))
     if fmt == "csv":
+        if protocol is None:
+            raise ValueError("a CSV result does not record its protocol; pass protocol=")
         reader = csv.reader(io.StringIO(text))
         header = next(reader)
         channels, rows = header[:-1], [tuple(float(x) for x in r) for r in reader if r]
@@ -113,10 +118,8 @@ def read_result(data: bytes | str, fmt: str = "json") -> SweepResult:
                 if len(uniq) > 1
                 else SweepAxis(channel, uniq[0], uniq[0], 1)
             )
-        from .protocols import nominal_spec
-
         values = tuple(r[-1] for r in rows)
-        return SweepResult(tuple(axes), nominal_spec("RE"), values, {"source": "csv"})
+        return SweepResult(tuple(axes), protocol, values, {"source": "csv"})
     raise ValueError(f"unknown format {fmt!r}")
 
 

@@ -3,13 +3,24 @@
 Grid points are independent, pure computations, so they can be farmed out to
 a process pool; results are placed by grid index and are identical for any
 worker count.  The environment variable ``PULSE_WORKERS`` overrides the
-requested worker count (it can change the runtime, never the values).
+requested worker count (it can change the runtime, never the values); the
+count actually used is at most the number of grid points and of CPUs, and is
+recorded in the result's ``meta.workers``.
+
+Most points of a grid share one nominal pulse shape: only ``duration_factor``
+and ``centering`` change it, while alpha, delta, eta and sigma act on top of
+it.  A grid is therefore evaluated grouped by :func:`~pulselab.protocols.shape_key`
+(first appearance first, grid order within a group), and each in-process run
+or pool chunk opens one :class:`~pulselab.protocols.ShapeMemo`, so every
+shape is built, validated and sampled once per group instead of once per
+point.  The memo holds one shape at a time and is emptied when the run ends,
+also on an exception; nothing outside a sweep uses it.
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -19,7 +30,7 @@ from . import __version__
 from .channels import ErrorVector, apply_errors
 from .core import InvalidParameter
 from .integrator import DEFAULT_CONFIG, IntegratorConfig, propagate_sequence
-from .protocols import ProtocolSpec
+from .protocols import ProtocolSpec, ShapeMemo, shape_key
 
 __all__ = [
     "SWEEP_CHANNELS",
@@ -109,18 +120,25 @@ class SweepResult:
         return np.asarray(self.values).reshape(shape)
 
 
-def evaluate_point(spec: ProtocolSpec, err: ErrorVector, cfg: IntegratorConfig) -> float:
+def evaluate_point(
+    spec: ProtocolSpec, err: ErrorVector, cfg: IntegratorConfig, shapes: ShapeMemo | None = None
+) -> float:
     """Transition probability of one protocol under one error vector."""
-    u = propagate_sequence(apply_errors(spec, err), cfg)
+    u = propagate_sequence(apply_errors(spec, err, shapes), cfg)
     p = abs(u.b) ** 2
     return float(min(max(p, 0.0), 1.0))
 
 
-def _eval_task(task: Tuple[ProtocolSpec, ErrorVector, IntegratorConfig]) -> float:
-    return evaluate_point(*task)
+_Task = Tuple[ProtocolSpec, ErrorVector, IntegratorConfig]
 
 
-def _resolve_workers(workers: int) -> int:
+def _eval_chunk(tasks: List[_Task]) -> List[float]:
+    with ShapeMemo() as shapes:
+        return [evaluate_point(spec, err, cfg, shapes) for spec, err, cfg in tasks]
+
+
+def _resolve_workers(workers: int, tasks: int) -> int:
+    """Worker count to use: ``PULSE_WORKERS`` or ``workers``, at most one per task and CPU."""
     env = os.environ.get("PULSE_WORKERS")
     if env is not None:
         try:
@@ -129,38 +147,38 @@ def _resolve_workers(workers: int) -> int:
             raise InvalidParameter(f"PULSE_WORKERS must be an integer, got {env!r}") from exc
     if workers < 1:
         raise InvalidParameter(f"worker count must be >= 1, got {workers}")
-    return workers
+    return max(1, min(workers, tasks, os.cpu_count() or 1))
 
 
-def _run_grid(
-    tasks: List[Tuple[ProtocolSpec, ErrorVector, IntegratorConfig]], workers: int
-) -> List[float]:
-    workers = _resolve_workers(workers)
-    if workers == 1 or len(tasks) <= 1:
-        return [_eval_task(t) for t in tasks]
-    chunk = max(1, len(tasks) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_eval_task, tasks, chunksize=chunk))
+def _run_grid(tasks: List[_Task], workers: int) -> Tuple[List[float], int]:
+    """Values of ``tasks`` in task order, and the worker count used."""
+    workers = _resolve_workers(workers, len(tasks))
+    first: Dict[tuple, int] = {}
+    keys = [shape_key(spec, err.duration_factor, err.centering) for spec, err, _ in tasks]
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    order = sorted(range(len(tasks)), key=lambda i: first[keys[i]])
+    grouped = [tasks[i] for i in order]
+    if workers == 1:
+        results = _eval_chunk(grouped)
+    else:
+        size = max(1, len(tasks) // (workers * 4))
+        chunks = [grouped[i : i + size] for i in range(0, len(grouped), size)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = [p for chunk in pool.map(_eval_chunk, chunks) for p in chunk]
+    values = [0.0] * len(tasks)
+    for i, p in zip(order, results):
+        values[i] = p
+    return values, workers
 
 
-def _meta(cfg: IntegratorConfig, base_err: ErrorVector) -> Dict[str, object]:
+def _meta(cfg: IntegratorConfig, base_err: ErrorVector, workers: int) -> Dict[str, object]:
     return {
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "integrator": {
-            "steps_per_pulse": cfg.steps_per_pulse,
-            "unitarity_tol": cfg.unitarity_tol,
-            "renormalize": cfg.renormalize,
-        },
-        "base_errors": {
-            "alpha": base_err.alpha,
-            "duration_factor": base_err.duration_factor,
-            "delta": base_err.delta,
-            "eta": base_err.eta,
-            "sigma": base_err.sigma,
-            "phase_offsets": list(base_err.phase_offsets),
-            "centering": base_err.centering,
-        },
+        "workers": workers,
+        "integrator": asdict(cfg),
+        "base_errors": asdict(base_err),
     }
 
 
@@ -175,8 +193,8 @@ def sweep1d(
     tasks = [
         (spec, replace(base_err, **{axis.channel: float(v)}), cfg) for v in axis.values()
     ]
-    values = _run_grid(tasks, workers)
-    return SweepResult((axis,), spec, tuple(values), _meta(cfg, base_err))
+    values, used = _run_grid(tasks, workers)
+    return SweepResult((axis,), spec, tuple(values), _meta(cfg, base_err, used))
 
 
 def sweep2d(
@@ -195,8 +213,8 @@ def sweep2d(
         for va in axis_a.values()
         for vb in axis_b.values()
     ]
-    values = _run_grid(tasks, workers)
-    return SweepResult((axis_a, axis_b), spec, tuple(values), _meta(cfg, base_err))
+    values, used = _run_grid(tasks, workers)
+    return SweepResult((axis_a, axis_b), spec, tuple(values), _meta(cfg, base_err, used))
 
 
 def half_width(

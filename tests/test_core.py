@@ -10,7 +10,6 @@ from pulselab.core import (
     InvalidParameter,
     InvalidWaveform,
     PulseSequence,
-    TimeGrid,
     Waveform,
     compose,
     inverse,
@@ -111,16 +110,6 @@ def test_pulse_sequence_rejects_overlap():
         PulseSequence((w1, w2))
     w3 = Waveform(rabi=lambda t: t, detuning=lambda t: t, window=(1.0, 2.0))
     assert len(PulseSequence((w1, w3))) == 2
-
-
-def test_time_grid_invariants():
-    g = TimeGrid(-1.0, 1.0, 4)
-    assert g.spacing == pytest.approx(0.5)
-    assert g.midpoints() == pytest.approx([-0.75, -0.25, 0.25, 0.75])
-    with pytest.raises(InvalidParameter):
-        TimeGrid(0.0, 1.0, 1)
-    with pytest.raises(InvalidParameter):
-        TimeGrid(1.0, 0.0, 10)
 
 
 # ---------------------------------------------------------------- pulse area

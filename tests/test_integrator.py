@@ -8,6 +8,7 @@ from pulselab.integrator import (
     IntegratorConfig,
     NonConvergent,
     UnitarityViolation,
+    _step_pairs,
     convergence_check,
     propagate,
     propagate_sequence,
@@ -214,11 +215,27 @@ def test_nonconvergent_raises():
         propagate(gaussian_chirped(5 * SQRT_PI, 4.0), cfg)
 
 
+def test_step_pairs_midpoints_and_spacing():
+    seen = []
+    w = Waveform(
+        rabi=lambda t: seen.append(t.copy()) or 0.0 * t,
+        detuning=lambda t: 2.0 + 0.0 * t,
+        window=(-1.0, 1.0),
+    )
+    a, b = _step_pairs(w, 4)
+    assert seen[0] == pytest.approx([-0.75, -0.25, 0.25, 0.75])
+    # spacing h = 0.5: a pure-detuning step is exp(i*h*D/2)
+    assert a == pytest.approx(np.full(4, np.exp(0.5j * 0.5 * 2.0)), abs=1e-15)
+    assert np.all(b == 0)
+
+
 def test_integrator_config_invariants():
     from pulselab.core import InvalidParameter
 
     with pytest.raises(InvalidParameter):
         IntegratorConfig(steps_per_pulse=50)
+    with pytest.raises(InvalidParameter):
+        IntegratorConfig(steps_per_pulse=1)
     with pytest.raises(InvalidParameter):
         IntegratorConfig(unitarity_tol=0.0)
 

@@ -1,8 +1,12 @@
 """CSV/JSON serialization: shape, determinism, round trips."""
 import json
+from dataclasses import fields
 
 import pytest
 
+from pulselab.channels import ErrorVector
+from pulselab.config import build_config
+from pulselab.integrator import IntegratorConfig
 from pulselab.protocols import nominal_spec
 from pulselab.serialize import IoError, read_result, write_result, write_result_file, write_table
 from pulselab.sweep import RobustnessRow, SweepAxis, SweepResult, sweep1d, sweep2d
@@ -42,10 +46,15 @@ def test_json_round_trip_is_exact(fast_cfg):
 
 
 def test_csv_round_trip_values_exact(fast_cfg):
-    res = sweep1d(RE, SweepAxis("alpha", 0.0, 2.0, 7), cfg=fast_cfg)
-    back = read_result(write_result(res, "csv"), "csv")
+    ucp = nominal_spec("UCP")
+    res = sweep1d(ucp, SweepAxis("alpha", 0.0, 2.0, 7), cfg=fast_cfg)
+    data = write_result(res, "csv")
+    back = read_result(data, "csv", protocol=ucp)
     assert back.values == res.values
-    assert back.axes[0].points == 7
+    assert back.axes == res.axes
+    assert back.protocol == ucp
+    with pytest.raises(ValueError, match="protocol"):
+        read_result(data, "csv")
 
 
 def test_identical_runs_serialize_identically(fast_cfg):
@@ -81,3 +90,35 @@ def test_write_table_csv_and_json():
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
         write_result(small_result(), "parquet")
+
+
+def _config_text(value):
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, list):
+        return ",".join(repr(v) for v in value)
+    return str(value)
+
+
+def test_json_meta_replays_through_build_config():
+    cfg = IntegratorConfig(steps_per_pulse=400, unitarity_tol=1e-9, renormalize=False, convergence_tol=0.5)
+    err = ErrorVector(
+        alpha=0.9,
+        duration_factor=1.1,
+        delta=0.1,
+        eta=-0.2,
+        sigma=0.3,
+        phase_offsets=(0.1,),
+        centering="global",
+        sta_alpha_scales_shortcut=False,
+    )
+    spec = nominal_spec("STA")
+    res = sweep1d(spec, SweepAxis("delta", -0.1, 0.1, 2), err, cfg)
+    meta = json.loads(write_result(res, "json"))["meta"]
+    assert set(meta["integrator"]) == {f.name for f in fields(IntegratorConfig)}
+    assert set(meta["base_errors"]) == {f.name for f in fields(ErrorVector)}
+    raw = {"protocol": "STA", "workers": str(meta["workers"])}
+    for section in ("integrator", "base_errors"):
+        raw.update({key: _config_text(value) for key, value in meta[section].items()})
+    replayed = build_config(raw)
+    assert (replayed.integrator, replayed.errors, replayed.workers) == (cfg, err, meta["workers"])
