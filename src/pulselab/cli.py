@@ -65,9 +65,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         f"total_area_over_pi = {sequence_area(seq) / np.pi:.6f}",
         f"unitarity_defect = {unitarity_defect(u):.3e}",
     ]
-    first = seq.pulses[0]
-    env = np.asarray(first.rabi(np.linspace(*first.window, 257)))
-    if np.iscomplexobj(env) and np.max(np.abs(env.imag)) > 0.0:
+    if cfg.protocol.kind == "STA":
         from .core import pulse_area
 
         main = sum(
@@ -79,7 +77,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         lines.append(f"main_area_over_pi = {main / np.pi:.6f}")
         lines.append(f"shortcut_area_over_pi = {shortcut / np.pi:.6f}")
     else:
-        lines.append(f"adiabaticity_margin = {adiabaticity_margin(first):.6f}")
+        lines.append(f"adiabaticity_margin = {adiabaticity_margin(seq.pulses[0]):.6f}")
     out = "\n".join(lines) + "\n"
     if cfg.output and cfg.output != "-":
         try:

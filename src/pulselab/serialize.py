@@ -11,7 +11,7 @@ import io
 import json
 from typing import Dict, List, Tuple
 
-from .protocols import ProtocolSpec
+from .protocols import A7_COEFFS, ProtocolSpec
 from .sweep import SweepAxis, SweepResult
 
 __all__ = ["IoError", "write_result", "read_result", "write_result_file", "write_table"]
@@ -99,7 +99,7 @@ def read_result(
             float(p["T"]),
             beta=float(p.get("beta", 0.0)),
             phases=tuple(p.get("phases", ())),
-            sp_coeffs=tuple(p.get("sp_coeffs", (-3.46, -1.365, -0.5))),
+            sp_coeffs=tuple(p.get("sp_coeffs", A7_COEFFS)),
             sta_nominal=tuple(p["sta_nominal"]) if "sta_nominal" in p else None,
         )
         return SweepResult(axes, spec, tuple(float(v) for v in doc["values"]), dict(doc["meta"]))

@@ -15,6 +15,12 @@ or pool chunk opens one :class:`~pulselab.protocols.ShapeMemo`, so every
 shape is built, validated and sampled once per group instead of once per
 point.  The memo holds one shape at a time and is emptied when the run ends,
 also on an exception; nothing outside a sweep uses it.
+
+:func:`comparison_table` evaluates all of its (technique, channel) sweeps as
+one grid: one task list, one call of the grid runner and so at most one pool,
+with the values sliced back per sweep.  Its shape groups therefore span the
+sweeps of a technique: the alpha, delta, eta and sigma points share the
+nominal shape.
 """
 from __future__ import annotations
 
@@ -162,7 +168,9 @@ def _run_grid(tasks: List[_Task], workers: int) -> Tuple[List[float], int]:
     if workers == 1:
         results = _eval_chunk(grouped)
     else:
-        size = max(1, len(tasks) // (workers * 4))
+        # Many small chunks per worker: a composite point costs several times a
+        # single-pulse one, so a few large chunks leave one worker idle at the end.
+        size = max(1, len(tasks) // (workers * 16))
         chunks = [grouped[i : i + size] for i in range(0, len(grouped), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = [p for chunk in pool.map(_eval_chunk, chunks) for p in chunk]
@@ -182,6 +190,12 @@ def _meta(cfg: IntegratorConfig, base_err: ErrorVector, workers: int) -> Dict[st
     }
 
 
+def _line_tasks(
+    spec: ProtocolSpec, axis: SweepAxis, base_err: ErrorVector, cfg: IntegratorConfig
+) -> List[_Task]:
+    return [(spec, replace(base_err, **{axis.channel: float(v)}), cfg) for v in axis.values()]
+
+
 def sweep1d(
     spec: ProtocolSpec,
     axis: SweepAxis,
@@ -190,10 +204,7 @@ def sweep1d(
     workers: int = 1,
 ) -> SweepResult:
     """Scan one channel; the other channels are held at ``base_err``."""
-    tasks = [
-        (spec, replace(base_err, **{axis.channel: float(v)}), cfg) for v in axis.values()
-    ]
-    values, used = _run_grid(tasks, workers)
+    values, used = _run_grid(_line_tasks(spec, axis, base_err, cfg), workers)
     return SweepResult((axis,), spec, tuple(values), _meta(cfg, base_err, used))
 
 
@@ -283,20 +294,23 @@ def comparison_table(
     and threshold with the most robust protocol first.
     """
     probes = dict(DEFAULT_PROBES if probes is None else probes)
-    rows: List[RobustnessRow] = []
-    sweeps: Dict[Tuple[str, str], SweepResult] = {}
     specs = list(specs)
-    for spec in specs:
+    tasks: List[_Task] = []
+    start: Dict[Tuple[int, str], int] = {}
+    for i, spec in enumerate(specs):
         for channel, axis in probes.items():
-            sweeps[(spec.kind, channel)] = sweep1d(spec, axis, base_err, cfg, workers)
+            start[(i, channel)] = len(tasks)
+            tasks += _line_tasks(spec, axis, base_err, cfg)
+    values, _ = _run_grid(tasks, workers)
+    rows: List[RobustnessRow] = []
     for channel, axis in probes.items():
         nominal = CHANNEL_NOMINALS[channel]
         grid = axis.values()
         for threshold in thresholds:
             batch = []
-            for spec in specs:
-                res = sweeps[(spec.kind, channel)]
-                hw, lo, hi = half_width(grid, res.values, nominal, threshold)
+            for i, spec in enumerate(specs):
+                k = start[(i, channel)]
+                hw, lo, hi = half_width(grid, values[k : k + axis.points], nominal, threshold)
                 censored = lo is not None and (lo == grid[0] or hi == grid[-1])
                 batch.append(
                     RobustnessRow(channel, spec.kind, threshold, hw, lo, hi, censored)

@@ -131,6 +131,21 @@ def test_simulate_writes_output_file(tmp_path):
     assert "main_area_over_pi = 1.000000" in text
 
 
+@pytest.mark.parametrize("alpha, area", (("1", "1.000000"), ("0", "0.000000")))
+def test_simulate_diagnostics_follow_the_technique(alpha, area, capsys):
+    # STA reports its two areas even when the field is zero; the others a margin
+    argv = ["simulate", "--alpha", alpha, "--steps-per-pulse", "4000"]
+    assert main(argv + ["--protocol", "STA"]) == 0
+    out = capsys.readouterr().out
+    assert f"main_area_over_pi = {area}" in out
+    assert f"shortcut_area_over_pi = {area}" in out
+    assert "adiabaticity_margin" not in out
+    assert main(argv + ["--protocol", "RE"]) == 0
+    out = capsys.readouterr().out
+    assert "adiabaticity_margin = " in out
+    assert "main_area_over_pi" not in out
+
+
 def test_check_suite_passes(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out

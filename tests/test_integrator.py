@@ -215,6 +215,32 @@ def test_nonconvergent_raises():
         propagate(gaussian_chirped(5 * SQRT_PI, 4.0), cfg)
 
 
+def test_certified_propagate_runs_base_and_doubled_resolution_once(monkeypatch):
+    from pulselab import integrator
+
+    steps, estimates = [], []
+    raw, check = integrator._propagate_raw, integrator.convergence_check
+
+    def counted_raw(w, n):
+        steps.append(n)
+        return raw(w, n)
+
+    def recorded_check(*args, **kwargs):
+        estimates.append(check(*args, **kwargs))
+        return estimates[-1]
+
+    monkeypatch.setattr(integrator, "_propagate_raw", counted_raw)
+    monkeypatch.setattr(integrator, "convergence_check", recorded_check)
+    cfg = IntegratorConfig(steps_per_pulse=4000, convergence_tol=1e-3)
+    seq = build_ucp(SQRT_PI, 1.0)
+    propagate_sequence(seq, cfg)
+    assert steps == [4000, 8000] * len(seq)
+    steps.clear()
+    alone = [check(w, cfg) for w in seq.pulses]
+    assert steps == [4000, 8000] * len(seq)
+    assert estimates == alone
+
+
 def test_step_pairs_midpoints_and_spacing():
     seen = []
     w = Waveform(

@@ -7,7 +7,7 @@ import pytest
 from pulselab.channels import ErrorVector
 from pulselab.config import build_config
 from pulselab.integrator import IntegratorConfig
-from pulselab.protocols import nominal_spec
+from pulselab.protocols import PROTOCOL_KINDS, nominal_spec
 from pulselab.serialize import IoError, read_result, write_result, write_result_file, write_table
 from pulselab.sweep import RobustnessRow, SweepAxis, SweepResult, sweep1d, sweep2d
 
@@ -43,6 +43,13 @@ def test_json_round_trip_is_exact(fast_cfg):
     assert back.values == res.values
     assert back.axes == res.axes
     assert back.protocol == res.protocol
+
+
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+def test_json_round_trip_restores_every_nominal_spec(kind):
+    spec = nominal_spec(kind)
+    res = SweepResult((SweepAxis("alpha", 1.0, 1.0, 1),), spec, (1.0,), {})
+    assert read_result(write_result(res, "json"), "json").protocol == spec
 
 
 def test_csv_round_trip_values_exact(fast_cfg):

@@ -13,7 +13,9 @@ from pulselab.core import InvalidParameter
 from pulselab.integrator import IntegratorConfig
 from pulselab.protocols import SQRT_PI, ProtocolSpec, ShapeMemo, SingularControl, nominal_spec
 from pulselab.sweep import (
+    CHANNEL_NOMINALS,
     DEFAULT_PROBES,
+    RobustnessRow,
     SweepAxis,
     SweepResult,
     comparison_table,
@@ -181,6 +183,42 @@ def test_comparison_table_ordering(fast_cfg):
     ucp = nominal_spec("UCP")
     rows = comparison_table([RE, ucp], probes=probes, thresholds=(0.99,), cfg=fast_cfg)
     assert [r.protocol for r in rows] == ["UCP", "RE"]  # most robust first
+
+
+def test_comparison_table_is_one_grid_on_one_pool(fast_cfg, monkeypatch):
+    monkeypatch.delenv("PULSE_WORKERS", raising=False)
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+    pools = []
+
+    class CountedPool(sweep_module.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", CountedPool)
+    specs = [nominal_spec(kind) for kind in ("RE", "STA", "SP", "UCP")]
+    probes = {
+        "alpha": SweepAxis("alpha", 0.5, 1.5, 21),
+        "duration_factor": SweepAxis("duration_factor", 0.5, 1.5, 21),
+    }
+    thresholds = (0.99, 0.9999)
+    rows = comparison_table(specs, probes, thresholds, cfg=fast_cfg, workers=2)
+    assert len(pools) == 1
+    assert rows == comparison_table(specs, probes, thresholds, cfg=fast_cfg, workers=1)
+    assert len(pools) == 1
+
+    reference = []
+    for channel, axis in probes.items():
+        grid = axis.values()
+        sweeps = {spec.kind: sweep1d(spec, axis, cfg=fast_cfg).values for spec in specs}
+        for threshold in thresholds:
+            batch = []
+            for spec in specs:
+                hw, lo, hi = half_width(grid, sweeps[spec.kind], CHANNEL_NOMINALS[channel], threshold)
+                censored = lo is not None and (lo == grid[0] or hi == grid[-1])
+                batch.append(RobustnessRow(channel, spec.kind, threshold, hw, lo, hi, censored))
+            reference += sorted(batch, key=lambda r: -r.half_width)
+    assert rows == reference
 
 
 def test_default_probes_cover_all_channels():
