@@ -7,6 +7,7 @@ step-halving convergence certificate.  Runs in a few seconds.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable, List
 
@@ -146,11 +147,13 @@ _CHECKS: List[Callable[[], CheckResult]] = [
 
 
 def run_checks(verbose: bool = True) -> List[CheckResult]:
-    """Run the oracle suite; prints one PASS/FAIL line per check."""
+    """Run the oracle suite; prints one PASS/FAIL line per check with its wall time."""
     results = []
     for fn in _CHECKS:
+        start = time.perf_counter()
         res = fn()
+        elapsed = time.perf_counter() - start
         results.append(res)
         if verbose:
-            print(f"{'PASS' if res.ok else 'FAIL'}  {res.name}: {res.detail}")
+            print(f"{'PASS' if res.ok else 'FAIL'}  {res.name}: {res.detail} [{elapsed:.3f} s]")
     return results

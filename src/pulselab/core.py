@@ -11,7 +11,7 @@ The transition probability between the two bare states is P = |b|^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Hashable, Tuple
 
 import numpy as np
 from scipy.integrate import simpson
@@ -26,7 +26,6 @@ __all__ = [
     "transition_probability",
     "compose",
     "phase_shifted",
-    "inverse",
     "unitarity_defect",
     "renormalized",
     "pulse_area",
@@ -92,11 +91,6 @@ def phase_shifted(u: CKPropagator, phi: float) -> CKPropagator:
     return CKPropagator(u.a, u.b * np.exp(1j * phi))
 
 
-def inverse(u: CKPropagator) -> CKPropagator:
-    """Unitary inverse (conj(a), -b)."""
-    return CKPropagator(np.conj(u.a), -u.b)
-
-
 @dataclass(frozen=True)
 class Waveform:
     """One pulse: complex Rabi envelope, real detuning, constant drive phase.
@@ -106,12 +100,17 @@ class Waveform:
     treated as zero.  A complex ``rabi`` value W(t) enters the Hamiltonian as
     the upper off-diagonal element W(t) * exp(i*phase); real-envelope drives
     are the special case of zero imaginary part.
+
+    Pulses of one sequence that carry the same non-None ``shape_tag`` are
+    equal up to a time translation and their drive phase, so
+    :func:`pulselab.integrator.propagate_sequence` certifies that shape once.
     """
 
     rabi: Callable[[np.ndarray], np.ndarray]
     detuning: Callable[[np.ndarray], np.ndarray]
     phase: float = 0.0
     window: Tuple[float, float] = (-6.0, 6.0)
+    shape_tag: Hashable | None = None
 
     def __post_init__(self) -> None:
         t0, t1 = self.window

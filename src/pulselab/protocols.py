@@ -196,22 +196,35 @@ def _sp_shape_functions(
             -4.0 * ns[:, None] ** 2 * cs[:, None] * np.sin(2.0 * np.outer(ns, th)), axis=0
         )
 
-    def envelope(t: np.ndarray) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        th = theta(t)
-        x = np.sin(th) * g(th)
-        return theta_dot(t) * np.sqrt(1.0 + x * x)
+    # The control not yet asked for, with a copy of the times it was sampled
+    # at: held from the first control's call until the second one takes it.
+    held: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
-    def detuning(t: np.ndarray) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+    def controls(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         th = theta(t)
         gg = g(th)
-        x = np.sin(th) * gg
+        sin_th, cos_th = np.sin(th), np.cos(th)
+        x = sin_th * gg
+        q = 1.0 + x * x
         td = theta_dot(t)
-        phi_dot = -td * (np.cos(th) * gg + np.sin(th) * g_prime(th)) / (1.0 + x * x)
-        return phi_dot - td * gg * np.cos(th)
+        phi_dot = -td * (cos_th * gg + sin_th * g_prime(th)) / q
+        return td * np.sqrt(q), phi_dot - td * gg * cos_th
 
-    return envelope, detuning
+    def sampled(name: str, other: str) -> Callable[[np.ndarray], np.ndarray]:
+        def control(t: np.ndarray) -> np.ndarray:
+            t = np.atleast_1d(np.asarray(t, dtype=float))
+            mine = held.pop(name, None)
+            if mine is not None and np.array_equal(mine[0].view(np.uint64), t.view(np.uint64)):
+                return mine[1]
+            held.clear()
+            env, det = controls(t)
+            out, rest = (env, det) if name == "envelope" else (det, env)
+            held[other] = (t.copy(), rest)
+            return out
+
+        return control
+
+    return sampled("envelope", "detuning"), sampled("detuning", "envelope")
 
 
 def _validate_sp_controls(
@@ -362,6 +375,10 @@ def build_sequence(
     depends on :func:`shape_key` alone.  With an open ``shapes`` memo the
     nominal parts are sampled once per shape and time array; the values are
     bitwise the same as without it.
+
+    The pulses of a per-pulse-centred composite sequence share one fresh
+    ``shape_tag``: each is the same shape translated in time, with its own
+    drive phase.  Single pulses and global centering stay untagged.
     """
     n = spec.pulse_count
     T_live = duration_factor * spec.T
@@ -370,6 +387,7 @@ def build_sequence(
     key = shape_key(spec, duration_factor, centering)
     if shapes is not None:
         shapes.switch(key)
+    tag = object() if n > 1 and centering != "global" else None
 
     sp = None
     if spec.kind == "SP":
@@ -408,7 +426,13 @@ def build_sequence(
             return sample(t, "detuning") + delta + eta * (t - ce)
 
         pulses.append(
-            Waveform(rabi=rabi, detuning=detuning, phase=phase, window=(center - half, center + half))
+            Waveform(
+                rabi=rabi,
+                detuning=detuning,
+                phase=phase,
+                window=(center - half, center + half),
+                shape_tag=tag,
+            )
         )
     return PulseSequence(tuple(pulses))
 

@@ -153,6 +153,22 @@ def test_check_suite_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_check_lines_report_wall_time(capsys, monkeypatch):
+    from pulselab import checks
+
+    def failing():
+        return checks.CheckResult("always_fails", False, "detail")
+
+    monkeypatch.setattr(checks, "_CHECKS", [checks._check_unitarity_algebra, failing])
+    assert main(["check"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  ", 1)[0] for line in lines] == ["PASS", "FAIL"]
+    assert lines[1].startswith("FAIL  always_fails: detail [")
+    for line in lines:
+        seconds = line.rsplit("[", 1)[1]
+        assert seconds.endswith(" s]") and float(seconds[:-3]) >= 0.0
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

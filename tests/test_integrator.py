@@ -1,8 +1,11 @@
 """Integrator oracles: closed-form Rabi physics and convergence behavior."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import solve_ivp_ck
+from pulselab.channels import ErrorVector, apply_errors
 from pulselab.core import InvalidWaveform, Waveform, transition_probability, unitarity_defect
 from pulselab.integrator import (
     IntegratorConfig,
@@ -13,7 +16,7 @@ from pulselab.integrator import (
     propagate,
     propagate_sequence,
 )
-from pulselab.protocols import SQRT_PI, build_af, build_sp, build_sta, build_ucp
+from pulselab.protocols import SQRT_PI, build_af, build_sp, build_sta, build_ucp, nominal_spec
 
 # analytic value of the detuned-Rabi oracle at Omega = delta = 1/T, tau = pi*T:
 # P = (Omega^2/(Omega^2+delta^2)) * sin^2(sqrt(Omega^2+delta^2)*tau/2)
@@ -215,7 +218,8 @@ def test_nonconvergent_raises():
         propagate(gaussian_chirped(5 * SQRT_PI, 4.0), cfg)
 
 
-def test_certified_propagate_runs_base_and_doubled_resolution_once(monkeypatch):
+def _record_certificates(monkeypatch):
+    """Steps of every raw run and every step-halving estimate, in call order."""
     from pulselab import integrator
 
     steps, estimates = [], []
@@ -231,14 +235,75 @@ def test_certified_propagate_runs_base_and_doubled_resolution_once(monkeypatch):
 
     monkeypatch.setattr(integrator, "_propagate_raw", counted_raw)
     monkeypatch.setattr(integrator, "convergence_check", recorded_check)
+    return steps, estimates
+
+
+def test_certified_propagate_runs_base_and_doubled_resolution_once(monkeypatch):
+    steps, estimates = _record_certificates(monkeypatch)
     cfg = IntegratorConfig(steps_per_pulse=4000, convergence_tol=1e-3)
+    # per-pulse centering: one shape, checked on its first pulse only
     seq = build_ucp(SQRT_PI, 1.0)
     propagate_sequence(seq, cfg)
-    assert steps == [4000, 8000] * len(seq)
+    assert steps == [4000, 8000, 4000, 4000, 4000, 4000]
     steps.clear()
-    alone = [check(w, cfg) for w in seq.pulses]
-    assert steps == [4000, 8000] * len(seq)
-    assert estimates == alone
+    alone = convergence_check(seq.pulses[0], cfg)
+    assert steps == [4000, 8000]
+    assert estimates == [alone]
+    # global centering: every pulse is its own shape
+    steps.clear()
+    estimates.clear()
+    seq = apply_errors(nominal_spec("UCP"), ErrorVector(centering="global"))
+    propagate_sequence(seq, cfg)
+    assert steps == [4000, 8000] * 5
+    steps.clear()
+    assert estimates == [convergence_check(w, cfg) for w in seq.pulses]
+
+
+def _composite_error_vectors(count=12, seed=20140722):
+    """Seeded CAP/UCP error vectors over both centerings, with phase offsets."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        kind = ("CAP", "UCP")[i % 2]
+        n = nominal_spec(kind).pulse_count
+        err = ErrorVector(
+            alpha=rng.uniform(0.8, 1.2),
+            duration_factor=rng.uniform(0.8, 1.2),
+            delta=rng.uniform(-0.5, 0.5),
+            eta=rng.uniform(-0.2, 0.2),
+            sigma=rng.uniform(-0.3, 0.3),
+            phase_offsets=tuple(rng.uniform(-0.3, 0.3, n)),
+            centering=("per_pulse", "global")[(i // 2) % 2],
+        )
+        cases.append((kind, err))
+    return cases
+
+
+@pytest.mark.parametrize("steps", [1000, 4000])
+@pytest.mark.parametrize("kind, err", _composite_error_vectors())
+def test_shared_certificate_agrees_with_per_pulse_certificates(monkeypatch, kind, err, steps):
+    seq = apply_errors(nominal_spec(kind), err)
+    plain = IntegratorConfig(steps_per_pulse=steps)
+    alone = [convergence_check(w, plain) for w in seq.pulses]
+    want = propagate_sequence(seq, plain)
+    _, estimates = _record_certificates(monkeypatch)
+
+    got = propagate_sequence(seq, replace(plain, convergence_tol=1.0))
+    assert np.array([got.a, got.b]).tobytes() == np.array([want.a, want.b]).tobytes()
+    if err.centering == "global":
+        assert estimates == alone
+    else:
+        assert len(estimates) == 1
+        assert max(abs(estimates[0] - e) for e in alone) <= 1e-14
+
+    for est in (min(alone), max(alone)):
+        for tol in (est * (1 - 1e-6), est * (1 + 1e-6)):
+            cfg = replace(plain, convergence_tol=tol)
+            if max(alone) > tol:
+                with pytest.raises(NonConvergent):
+                    propagate_sequence(seq, cfg)
+            else:
+                propagate_sequence(seq, cfg)
 
 
 def test_step_pairs_midpoints_and_spacing():

@@ -166,6 +166,78 @@ def test_sp_controls_finite_and_continuous_on_closed_window():
     assert np.max(np.abs(np.asarray(w.rabi(t)))) < 1e-12
 
 
+def _sp_controls_one_at_a_time(T, coeffs):
+    """The shaped-pulse formulas as each control evaluated them on its own."""
+    from scipy.special import erf
+
+    cs = np.asarray(coeffs, dtype=float)
+    ns = np.arange(1, len(cs) + 1, dtype=float)
+
+    def schedule(t):
+        th = np.clip(0.5 * np.pi * (erf(t / T) + 1.0), 0.0, np.pi)
+        g = 2.0 + np.sum(2.0 * ns[:, None] * cs[:, None] * np.cos(2.0 * np.outer(ns, th)), axis=0)
+        return th, g, (SQRT_PI / T) * np.exp(-((t / T) ** 2))
+
+    def envelope(t):
+        th, g, td = schedule(t)
+        x = np.sin(th) * g
+        return td * np.sqrt(1.0 + x * x)
+
+    def detuning(t):
+        th, g, td = schedule(t)
+        x = np.sin(th) * g
+        gp = np.sum(-4.0 * ns[:, None] ** 2 * cs[:, None] * np.sin(2.0 * np.outer(ns, th)), axis=0)
+        phi_dot = -td * (np.cos(th) * g + np.sin(th) * gp) / (1.0 + x * x)
+        return phi_dot - td * g * np.cos(th)
+
+    return envelope, detuning
+
+
+def test_sp_controls_share_one_schedule_per_time_array(monkeypatch):
+    from pulselab import protocols
+
+    erf_sizes = []
+    erf = protocols.erf
+    monkeypatch.setattr(protocols, "erf", lambda x: erf_sizes.append(x.size) or erf(x))
+    T = 0.93
+    env, det = protocols._sp_shape_functions(T, A7_COEFFS)
+    ref_env, ref_det = _sp_controls_one_at_a_time(T, A7_COEFFS)
+    for n in (7, 4000, 250_000):
+        t = np.linspace(-6.0 * T, 6.0 * T, n) + 0.013
+        # either control may be asked for first; the second reuses the schedule
+        orders = ((env, det, ref_env, ref_det), (det, env, ref_det, ref_env))
+        for first, second, ref_first, ref_second in orders:
+            erf_sizes.clear()
+            a, b = first(t), second(t.copy())
+            assert erf_sizes == [n]
+            assert a.tobytes() == ref_first(t).tobytes()
+            assert b.tobytes() == ref_second(t).tobytes()
+    # a different time array is sampled afresh
+    erf_sizes.clear()
+    env(t)
+    assert det(t[::2]).tobytes() == ref_det(t[::2]).tobytes()
+    assert env(t).tobytes() == ref_env(t).tobytes()
+    assert erf_sizes == [t.size, t[::2].size, t.size]
+
+
+def test_sp_controls_hold_nothing_once_both_are_taken():
+    import tracemalloc
+
+    from pulselab.protocols import _sp_shape_functions
+
+    env, det = _sp_shape_functions(1.0, A7_COEFFS)
+    t = np.linspace(-6.0, 6.0, 100_000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for first, second in ((env, det), (det, env)):
+            a, b = first(t), second(t)
+            del a, b
+            assert tracemalloc.get_traced_memory()[0] - base < t.nbytes // 2
+    finally:
+        tracemalloc.stop()
+
+
 def test_sp_zero_coefficients_are_regular(fast_cfg):
     seq = build_sp(1.0, sp_coeffs=())
     t = np.linspace(-6.0, 6.0, 10001)
