@@ -9,7 +9,7 @@ transition probability over error-parameter grids.
 
 __version__ = "0.1.0"
 
-from .channels import ErrorVector, apply_errors, area_preservation_check
+from .channels import ErrorVector, apply_errors
 from .core import (
     CKPropagator,
     PulseSequence,
@@ -24,12 +24,6 @@ from .integrator import IntegratorConfig, convergence_check, propagate, propagat
 from .protocols import (
     ProtocolSpec,
     adiabaticity_margin,
-    build_af,
-    build_cap,
-    build_re,
-    build_sp,
-    build_sta,
-    build_ucp,
     mixing_angle_rate,
     nominal_spec,
 )
@@ -51,17 +45,10 @@ __all__ = [
     "convergence_check",
     "ProtocolSpec",
     "nominal_spec",
-    "build_re",
-    "build_af",
-    "build_sta",
-    "build_sp",
-    "build_cap",
-    "build_ucp",
     "mixing_angle_rate",
     "adiabaticity_margin",
     "ErrorVector",
     "apply_errors",
-    "area_preservation_check",
     "SweepAxis",
     "SweepResult",
     "sweep1d",

@@ -1,5 +1,8 @@
 """Experimental error channels applied to a technique before propagation.
 
+:func:`apply_errors` is the one place they act: it builds every pulse
+sequence from the nominal shapes of :mod:`pulselab.protocols`.
+
 Channels and their action on every constituent pulse (t_k is the pulse
 center, T' the rescaled width):
 
@@ -28,10 +31,10 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import InvalidParameter, PulseSequence, pulse_area
-from .protocols import ProtocolSpec, ShapeMemo, build_sequence
+from .core import InvalidParameter, PulseSequence, Waveform
+from .protocols import ProtocolSpec, ShapeMemo, nominal_pulses
 
-__all__ = ["LengthMismatch", "ErrorVector", "apply_errors", "area_preservation_check"]
+__all__ = ["LengthMismatch", "ErrorVector", "apply_errors"]
 
 CENTERINGS = ("per_pulse", "global")
 
@@ -54,10 +57,10 @@ class ErrorVector:
     sta_alpha_scales_shortcut: bool = True
 
     def __post_init__(self) -> None:
-        if not self.alpha >= 0:
-            raise InvalidParameter(f"alpha must be >= 0, got {self.alpha}")
-        if not self.duration_factor > 0:
-            raise InvalidParameter(f"duration_factor must be positive, got {self.duration_factor}")
+        if not 0 <= self.alpha < np.inf:
+            raise InvalidParameter(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not 0 < self.duration_factor < np.inf:
+            raise InvalidParameter(f"duration_factor must be positive and finite, got {self.duration_factor}")
         if not -1.0 < self.sigma < 1.0:
             raise InvalidParameter(f"sigma must lie in (-1, 1), got {self.sigma}")
         for name in ("delta", "eta"):
@@ -73,38 +76,40 @@ def apply_errors(
 ) -> PulseSequence:
     """Build the sequence of ``spec`` with the error channels of ``err`` applied.
 
-    The default vector reproduces the nominal build exactly (identical control
-    values at every time sample).  ``shapes`` is the open memo of a sweep, see
+    This is the one place the channels act: every pulse of
+    :func:`pulselab.protocols.nominal_pulses` gets its controls from the
+    channel arithmetic on top of its nominal parts.  The default vector
+    reproduces the nominal build exactly (identical control values at every
+    time sample).  ``shapes`` is the open memo of a sweep, see
     :class:`pulselab.protocols.ShapeMemo`; it changes no value.
     """
     if err.phase_offsets and len(err.phase_offsets) != spec.pulse_count:
         raise LengthMismatch(
             f"{len(err.phase_offsets)} phase offsets for a {spec.pulse_count}-pulse sequence"
         )
-    return build_sequence(
-        spec,
-        alpha=err.alpha,
-        duration_factor=err.duration_factor,
-        delta=err.delta,
-        eta=err.eta,
-        sigma=err.sigma,
-        phase_offsets=err.phase_offsets,
-        centering=err.centering,
-        sta_alpha_scales_shortcut=err.sta_alpha_scales_shortcut,
-        shapes=shapes,
-    )
+    alpha, sigma, delta, eta = err.alpha, err.sigma, err.delta, err.eta
+    sta = spec.kind == "STA"
+    scales_shortcut = err.sta_alpha_scales_shortcut
+    # STA scales its main field by alpha only together with the shortcut, SP
+    # has no omega0, the others scale omega0 times a Gaussian
+    gain = spec.omega0 if sta else alpha if spec.kind == "SP" else alpha * spec.omega0
+    offsets = err.phase_offsets or (0.0,) * spec.pulse_count
+    pulses = []
+    for (sample, ce, phase, window, tag), offset in zip(
+        nominal_pulses(spec, err.duration_factor, err.centering, shapes), offsets
+    ):
+        def rabi(t, sample=sample):
+            t = np.asarray(t, dtype=float)
+            field = gain * sample(t, "envelope") * (1.0 + sigma * sample(t, "tanh"))
+            if not sta:
+                return field
+            if scales_shortcut:
+                return alpha * (field + sample(t, "shortcut"))
+            return alpha * field + sample(t, "shortcut")
 
+        def detuning(t, sample=sample, ce=ce):
+            t = np.asarray(t, dtype=float)
+            return sample(t, "detuning") + delta + eta * (t - ce)
 
-def area_preservation_check(spec: ProtocolSpec, sigma: float) -> float:
-    """Relative change of the total envelope area under the shape distortion.
-
-    The tanh factor is odd about each pulse center, so for the real, symmetric
-    envelopes used here the area change is zero up to quadrature error.
-    """
-    if spec.kind == "STA":
-        raise InvalidParameter("area preservation is defined for real-envelope techniques")
-    base = apply_errors(spec, ErrorVector())
-    distorted = apply_errors(spec, ErrorVector(sigma=sigma))
-    a0 = sum(pulse_area(p.rabi, p.window) for p in base.pulses)
-    a1 = sum(pulse_area(p.rabi, p.window) for p in distorted.pulses)
-    return abs(a1 - a0) / a0
+        pulses.append(Waveform(rabi, detuning, phase + offset, window, tag))
+    return PulseSequence(tuple(pulses))

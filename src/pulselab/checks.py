@@ -2,8 +2,9 @@
 
 Every check compares the integrator or the builders against an independent
 reference: closed-form resonant and detuned Rabi formulas, quadrature
-identities of the counterdiabatic term, the shaped-pulse area, and the
-step-halving convergence certificate.  Runs in a few seconds.
+identities of the counterdiabatic term, the shaped-pulse area, the area
+left unchanged by the shape distortion, and the step-halving convergence
+certificate.  Runs in a few seconds.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from typing import Callable, List
 
 import numpy as np
 
+from .channels import ErrorVector, apply_errors
 from .core import (
     CKPropagator,
     Waveform,
@@ -23,16 +25,7 @@ from .core import (
     unitarity_defect,
 )
 from .integrator import IntegratorConfig, convergence_check, propagate, propagate_sequence
-from .protocols import (
-    SQRT_PI,
-    build_af,
-    build_cap,
-    build_re,
-    build_sp,
-    build_sta,
-    build_ucp,
-    mixing_angle_rate,
-)
+from .protocols import SQRT_PI, ProtocolSpec, mixing_angle_rate, nominal_spec
 
 __all__ = ["CheckResult", "run_checks", "AF_NOMINAL_P"]
 
@@ -57,7 +50,7 @@ def _rect(omega: float, delta: float, tau: float) -> Waveform:
 def _check_resonant_area_law() -> CheckResult:
     worst = 0.0
     for area in (np.pi / 2, np.pi, 2 * np.pi, 5 * np.pi):
-        seq = build_re(area / SQRT_PI, 1.0)
+        seq = apply_errors(ProtocolSpec("RE", area / SQRT_PI, 1.0))
         p = transition_probability(propagate_sequence(seq, _FAST))
         worst = max(worst, abs(p - np.sin(area / 2) ** 2))
         p = transition_probability(propagate(_rect(area / 3.0, 0.0, 3.0), _FAST))
@@ -78,7 +71,7 @@ def _check_detuned_rabi() -> CheckResult:
 
 
 def _check_convergence_order() -> CheckResult:
-    w = build_af(SQRT_PI, 1.0, 4.0).pulses[0]
+    w = apply_errors(ProtocolSpec("AF", SQRT_PI, 1.0, beta=4.0)).pulses[0]
     e1 = convergence_check(w, IntegratorConfig(steps_per_pulse=1000))
     e2 = convergence_check(w, IntegratorConfig(steps_per_pulse=2000))
     ratio = e1 / e2
@@ -98,26 +91,32 @@ def _check_shortcut_identities() -> CheckResult:
 
 
 def _check_sp_area() -> CheckResult:
-    seq = build_sp(1.0)
-    area = sequence_area(seq)
+    area = sequence_area(apply_errors(nominal_spec("SP")))
     rel = abs(area - 3.86 * np.pi) / (3.86 * np.pi)
     return CheckResult("shaped_pulse_area", rel < 0.01, f"area = {area / np.pi:.4f} pi, rel dev = {rel:.2e}")
+
+
+def _check_area_preservation() -> CheckResult:
+    # the tanh distortion is odd about each pulse center, so it leaves the
+    # area of every real, symmetric envelope unchanged
+    worst = 0.0
+    for kind in ("RE", "SP", "UCP"):
+        spec = nominal_spec(kind)
+        a0 = sequence_area(apply_errors(spec))
+        for sigma in (0.5, 0.9):
+            a1 = sequence_area(apply_errors(spec, ErrorVector(sigma=sigma)))
+            worst = max(worst, abs(a1 - a0) / a0)
+    return CheckResult("shape_error_area_preservation", worst < 1e-8, f"max relative area change = {worst:.2e}")
 
 
 def _check_nominal_transfer() -> CheckResult:
     details = []
     ok = True
-    for kind, builder, bound in (
-        ("RE", lambda: build_re(SQRT_PI, 1.0), 1e-6),
-        ("STA", lambda: build_sta(SQRT_PI, 1.0, 4.0), 1e-6),
-        ("UCP", lambda: build_ucp(SQRT_PI, 1.0), 1e-6),
-        ("CAP", lambda: build_cap(SQRT_PI, 1.0, 1.0), 1e-6),
-        ("SP", lambda: build_sp(1.0), 1e-4),
-    ):
-        p = transition_probability(propagate_sequence(builder(), _FAST))
+    for kind, bound in (("RE", 1e-6), ("STA", 1e-6), ("UCP", 1e-6), ("CAP", 1e-6), ("SP", 1e-4)):
+        p = transition_probability(propagate_sequence(apply_errors(nominal_spec(kind)), _FAST))
         ok = ok and (1.0 - p) <= bound
         details.append(f"{kind} 1-P={1 - p:.1e}")
-    p_af = transition_probability(propagate_sequence(build_af(5 * SQRT_PI, 1.0, 4.0), _FAST))
+    p_af = transition_probability(propagate_sequence(apply_errors(nominal_spec("AF")), _FAST))
     ok = ok and abs(p_af - AF_NOMINAL_P) < 2e-6
     details.append(f"AF P={p_af:.7f} (ref {AF_NOMINAL_P})")
     return CheckResult("nominal_transfer", ok, ", ".join(details))
@@ -141,6 +140,7 @@ _CHECKS: List[Callable[[], CheckResult]] = [
     _check_convergence_order,
     _check_shortcut_identities,
     _check_sp_area,
+    _check_area_preservation,
     _check_nominal_transfer,
     _check_unitarity_algebra,
 ]

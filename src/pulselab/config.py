@@ -154,8 +154,8 @@ def build_config(raw: Dict[str, str]) -> RunConfig:
             raise ValidationError(f"key {key!r} is not a parameter of the {kind} technique")
 
     T = float(values.get("T", 1.0))
-    if not T > 0:
-        raise ValidationError(f"T must be positive, got {T}")
+    if not 0 < T < float("inf"):
+        raise ValidationError(f"T must be positive and finite, got {T}")
     base = nominal_spec(kind, T)
     omega0 = float(values.get("omega0", base.omega0))
     beta = float(values.get("beta", base.beta))

@@ -51,12 +51,6 @@ class CKPropagator:
     a: complex
     b: complex
 
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.a, self.b], [-np.conj(self.b), np.conj(self.a)]],
-            dtype=complex,
-        )
-
 
 IDENTITY = CKPropagator(1.0 + 0.0j, 0.0 + 0.0j)
 

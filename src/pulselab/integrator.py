@@ -117,7 +117,7 @@ def propagate(w: Waveform, cfg: IntegratorConfig = DEFAULT_CONFIG) -> CKPropagat
     """Propagator of one waveform over its window, as a CK pair."""
     raw = u = _propagate_raw(w, cfg.steps_per_pulse)
     defect = unitarity_defect(u)
-    if defect > cfg.unitarity_tol:
+    if not defect <= cfg.unitarity_tol:  # a NaN defect fails too
         raise UnitarityViolation(
             f"unitarity defect {defect:.3e} exceeds tolerance {cfg.unitarity_tol:.3e}"
         )
@@ -125,7 +125,7 @@ def propagate(w: Waveform, cfg: IntegratorConfig = DEFAULT_CONFIG) -> CKPropagat
         u = renormalized(u)
     if cfg.convergence_tol is not None:
         est = convergence_check(w, cfg, coarse=raw)
-        if est > cfg.convergence_tol:
+        if not est <= cfg.convergence_tol:
             raise NonConvergent(
                 f"step-halving estimate {est:.3e} exceeds tolerance {cfg.convergence_tol:.3e}"
             )

@@ -1,4 +1,8 @@
-"""Constructors for the six coherent-control techniques.
+"""Nominal physics of the six coherent-control techniques.
+
+This module knows each technique's error-free pulse shapes;
+:func:`pulselab.channels.apply_errors` applies the error channels on top
+and builds every pulse sequence.
 
 Techniques and their canonical parameters (in units of the pulse width T):
 
@@ -21,12 +25,12 @@ re-centered on its own pulse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 from scipy.special import erf
 
-from .core import InvalidParameter, PulseSequence, Waveform
+from .core import InvalidParameter, Waveform
 
 __all__ = [
     "SingularControl",
@@ -38,13 +42,7 @@ __all__ = [
     "WINDOW_HALF_WIDTH",
     "nominal_spec",
     "shape_key",
-    "build_sequence",
-    "build_re",
-    "build_af",
-    "build_sta",
-    "build_sp",
-    "build_cap",
-    "build_ucp",
+    "nominal_pulses",
     "mixing_angle_rate",
     "adiabaticity_margin",
 ]
@@ -87,10 +85,10 @@ class ProtocolSpec:
     def __post_init__(self) -> None:
         if self.kind not in PROTOCOL_KINDS:
             raise InvalidParameter(f"unknown protocol kind {self.kind!r}; expected one of {PROTOCOL_KINDS}")
-        if not self.omega0 > 0:
-            raise InvalidParameter(f"omega0 must be positive, got {self.omega0}")
-        if not self.T > 0:
-            raise InvalidParameter(f"T must be positive, got {self.T}")
+        if not 0 < self.omega0 < np.inf:
+            raise InvalidParameter(f"omega0 must be positive and finite, got {self.omega0}")
+        if not 0 < self.T < np.inf:
+            raise InvalidParameter(f"T must be positive and finite, got {self.T}")
         if not np.isfinite(self.beta):
             raise InvalidParameter("beta must be finite")
         if self.kind not in _CHIRPED and self.beta != 0.0:
@@ -242,13 +240,14 @@ def _validate_sp_controls(
 class ShapeMemo:
     """Sampled nominal pulse parts, held for one shape key at a time.
 
-    A sweep opens one around a run of grid points and passes it to
-    :func:`build_sequence`, which switches it to the point's
-    :func:`shape_key`.  Switching to another key drops everything held for
-    the previous one, so the memo never holds more than one shape: per pulse,
-    one copy of each distinct time array and the parts sampled on it.  A part
-    is reused only for the same key, the same pulse and a bitwise-equal time
-    array.  Leaving the ``with`` block empties it.
+    A sweep opens one around a run of grid points and passes it, through
+    :func:`pulselab.channels.apply_errors`, to :func:`nominal_pulses`, which
+    switches it to the point's :func:`shape_key`.  Switching to another key
+    drops everything held for the previous one, so the memo never holds more
+    than one shape: per pulse, one copy of each distinct time array and the
+    parts sampled on it.  A part is reused only for the same key, the same
+    pulse and a bitwise-equal time array.  Leaving the ``with`` block empties
+    it.
     """
 
     def __init__(self) -> None:
@@ -351,38 +350,29 @@ def _sampler(
     return sample
 
 
-def build_sequence(
+def nominal_pulses(
     spec: ProtocolSpec,
-    *,
-    alpha: float = 1.0,
     duration_factor: float = 1.0,
-    delta: float = 0.0,
-    eta: float = 0.0,
-    sigma: float = 0.0,
-    phase_offsets: Tuple[float, ...] = (),
     centering: str = "per_pulse",
-    sta_alpha_scales_shortcut: bool = True,
     shapes: ShapeMemo | None = None,
-) -> PulseSequence:
-    """Build the pulse sequence of a technique, optionally perturbed.
+) -> Iterator[tuple]:
+    """Yield each pulse's nominal physics, in time order, for the error model.
 
-    The keyword arguments are the experimental error channels; the defaults
-    reproduce the nominal sequence exactly (same code path, so nominal and
-    zero-error builds agree bitwise at every sample).  See
-    :func:`pulselab.channels.apply_errors` for the channel semantics.
+    Per pulse: ``sample(t, name)`` for its nominal parts (see
+    :func:`_nominal_parts`), the center ``t_k`` of its sigma and eta terms
+    (0 under global centering), its drive phase, its window and its shape
+    tag.  :func:`pulselab.channels.apply_errors` applies the error channels
+    on top.  ``duration_factor`` and ``centering`` are the two channels that
+    change the nominal shape itself, see :func:`shape_key`.
 
-    Each control is the channel arithmetic on top of a nominal part that
-    depends on :func:`shape_key` alone.  With an open ``shapes`` memo the
-    nominal parts are sampled once per shape and time array; the values are
-    bitwise the same as without it.
-
-    The pulses of a per-pulse-centred composite sequence share one fresh
-    ``shape_tag``: each is the same shape translated in time, with its own
-    drive phase.  Single pulses and global centering stay untagged.
+    With an open ``shapes`` memo the nominal parts are sampled once per shape
+    and time array; the values are bitwise the same as without it.  The
+    pulses of a per-pulse-centred composite share one fresh ``shape_tag``:
+    each is the same shape translated in time, with its own drive phase.
+    Single pulses and global centering stay untagged.
     """
     n = spec.pulse_count
     T_live = duration_factor * spec.T
-    offsets = tuple(phase_offsets) if phase_offsets else (0.0,) * n
     half = WINDOW_HALF_WIDTH * T_live
     key = shape_key(spec, duration_factor, centering)
     if shapes is not None:
@@ -398,82 +388,17 @@ def build_sequence(
 
         sp = shapes.once("sp", validated_sp) if shapes is not None else validated_sp()
 
-    pulses = []
     for k in range(n):
         center = half * (2 * k + 1 - n)
         c_err = 0.0 if centering == "global" else center
-        phase = (spec.phases[k] if spec.phases else 0.0) + offsets[k]
-        sample = _sampler(_nominal_parts(spec, T_live, center, c_err, sp), shapes, key, (center, c_err))
-
-        if spec.kind == "STA":
-            def rabi(t, sample=sample):
-                t = np.asarray(t, dtype=float)
-                main = spec.omega0 * sample(t, "envelope")
-                main = main * (1.0 + sigma * sample(t, "tanh"))
-                if sta_alpha_scales_shortcut:
-                    return alpha * (main + sample(t, "shortcut"))
-                return alpha * main + sample(t, "shortcut")
-
-        else:  # RE, AF, CAP, UCP scale omega0 times a Gaussian; SP its own envelope
-            scale = alpha if spec.kind == "SP" else alpha * spec.omega0
-
-            def rabi(t, sample=sample, scale=scale):
-                t = np.asarray(t, dtype=float)
-                return scale * sample(t, "envelope") * (1.0 + sigma * sample(t, "tanh"))
-
-        def detuning(t, sample=sample, ce=c_err):
-            t = np.asarray(t, dtype=float)
-            return sample(t, "detuning") + delta + eta * (t - ce)
-
-        pulses.append(
-            Waveform(
-                rabi=rabi,
-                detuning=detuning,
-                phase=phase,
-                window=(center - half, center + half),
-                shape_tag=tag,
-            )
+        parts = _nominal_parts(spec, T_live, center, c_err, sp)
+        yield (
+            _sampler(parts, shapes, key, (center, c_err)),
+            c_err,
+            spec.phases[k] if spec.phases else 0.0,
+            (center - half, center + half),
+            tag,
         )
-    return PulseSequence(tuple(pulses))
-
-
-def build_re(omega0: float, T: float) -> PulseSequence:
-    """Resonant Gaussian pulse; area omega0*T*sqrt(pi), P = sin^2(area/2)."""
-    return build_sequence(ProtocolSpec("RE", omega0, T))
-
-
-def build_af(omega0: float, T: float, beta: float) -> PulseSequence:
-    """Gaussian pulse with linear chirp beta*t/T (adiabaticity not enforced)."""
-    return build_sequence(ProtocolSpec("AF", omega0, T, beta=beta))
-
-
-def build_sta(
-    omega0: float,
-    T: float,
-    beta: float,
-    sta_nominal: Tuple[float, float, float] | None = None,
-) -> PulseSequence:
-    """Chirped Gaussian plus counterdiabatic term 2i*theta_dot.
-
-    The counterdiabatic shape is synthesized from the frozen ``sta_nominal``
-    triple (defaults to the live parameters), never from perturbed values.
-    """
-    return build_sequence(ProtocolSpec("STA", omega0, T, beta=beta, sta_nominal=sta_nominal))
-
-
-def build_sp(T: float, sp_coeffs: Sequence[float] = A7_COEFFS) -> PulseSequence:
-    """Shaped pulse with engineered envelope and detuning (A7 by default)."""
-    return build_sequence(ProtocolSpec("SP", SQRT_PI / T, T, sp_coeffs=tuple(sp_coeffs)))
-
-
-def build_cap(omega0: float, T: float, beta: float) -> PulseSequence:
-    """Composite adiabatic passage: three chirped pulses, phases (0, 2pi/3, 0)."""
-    return build_sequence(ProtocolSpec("CAP", omega0, T, beta=beta))
-
-
-def build_ucp(omega0: float, T: float) -> PulseSequence:
-    """Universal composite sequence: five resonant pulses, phases (0, 5pi/6, pi/3, 5pi/6, 0)."""
-    return build_sequence(ProtocolSpec("UCP", omega0, T))
 
 
 def adiabaticity_margin(w: Waveform, samples: int = 8193) -> float:

@@ -9,9 +9,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Dict, List, Tuple
+from dataclasses import asdict, fields
+from typing import List, Tuple
 
-from .protocols import A7_COEFFS, ProtocolSpec
+from .protocols import ProtocolSpec
 from .sweep import SweepAxis, SweepResult
 
 __all__ = ["IoError", "write_result", "read_result", "write_result_file", "write_table"]
@@ -56,23 +57,12 @@ def write_result(result: SweepResult, fmt: str = "csv") -> bytes:
                 {"channel": ax.channel, "lo": ax.lo, "hi": ax.hi, "points": ax.points}
                 for ax in result.axes
             ],
-            "protocol": _spec_doc(result.protocol),
+            "protocol": asdict(result.protocol),
             "values": list(result.values),
             "meta": result.meta,
         }
         return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def _spec_doc(spec: ProtocolSpec) -> Dict[str, object]:
-    doc: Dict[str, object] = {"kind": spec.kind, "omega0": spec.omega0, "T": spec.T, "beta": spec.beta}
-    if spec.phases:
-        doc["phases"] = list(spec.phases)
-    if spec.kind == "SP":
-        doc["sp_coeffs"] = list(spec.sp_coeffs)
-    if spec.sta_nominal is not None:
-        doc["sta_nominal"] = list(spec.sta_nominal)
-    return doc
 
 
 def read_result(
@@ -94,13 +84,11 @@ def read_result(
         )
         p = doc["protocol"]
         spec = ProtocolSpec(
-            p["kind"],
-            float(p["omega0"]),
-            float(p["T"]),
-            beta=float(p.get("beta", 0.0)),
-            phases=tuple(p.get("phases", ())),
-            sp_coeffs=tuple(p.get("sp_coeffs", A7_COEFFS)),
-            sta_nominal=tuple(p["sta_nominal"]) if "sta_nominal" in p else None,
+            **{
+                f.name: tuple(p[f.name]) if isinstance(p[f.name], list) else p[f.name]
+                for f in fields(ProtocolSpec)
+                if f.name in p
+            }
         )
         return SweepResult(axes, spec, tuple(float(v) for v in doc["values"]), dict(doc["meta"]))
     if fmt == "csv":

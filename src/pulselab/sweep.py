@@ -9,7 +9,8 @@ recorded in the result's ``meta.workers``.
 
 Most points of a grid share one nominal pulse shape: only ``duration_factor``
 and ``centering`` change it, while alpha, delta, eta and sigma act on top of
-it.  A grid is therefore evaluated grouped by :func:`~pulselab.protocols.shape_key`
+it (:func:`~pulselab.channels.apply_errors` applies them to the parts of
+:func:`~pulselab.protocols.nominal_pulses`).  A grid is therefore evaluated grouped by :func:`~pulselab.protocols.shape_key`
 (first appearance first, grid order within a group), and each in-process run
 or pool chunk opens one :class:`~pulselab.protocols.ShapeMemo`, so every
 shape is built, validated and sampled once per group instead of once per

@@ -22,6 +22,11 @@ def mid_cfg():
     return IntegratorConfig(steps_per_pulse=20000)
 
 
+def ck_matrix(u) -> np.ndarray:
+    """The 2x2 matrix [[a, b], [-conj(b), conj(a)]] of a CK pair."""
+    return np.array([[u.a, u.b], [-np.conj(u.b), np.conj(u.a)]], dtype=complex)
+
+
 def solve_ivp_ck(w: Waveform, rtol=1e-12, atol=1e-14):
     """Independent oracle: adaptive RK (scipy DOP853) on the amplitude ODE.
 

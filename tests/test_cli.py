@@ -1,6 +1,7 @@
 """CLI surface: subcommands, flag/config precedence, exit codes."""
 import pathlib
 
+import numpy as np
 import pytest
 
 from pulselab.cli import main
@@ -102,6 +103,35 @@ def test_exit_code_numerical_failure(capsys):
     assert "numerical" in capsys.readouterr().err
 
 
+_BLOWN = ["--protocol", "RE", "--steps-per-pulse", "400"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", *_BLOWN, "--alpha", "1e200", "--renormalize", "false"],
+        ["simulate", *_BLOWN, "--alpha", "1e200"],
+        ["sweep", *_BLOWN, "--renormalize", "false", "--sweep-channel", "alpha",
+         "--sweep-lo", "1", "--sweep-hi", "1e200", "--sweep-points", "3"],
+    ],
+    ids=["simulate-raw", "simulate-renormalized", "sweep"],
+)
+def test_nan_propagator_is_a_numerical_failure(argv, capsys):
+    # the overflowing drive gives a NaN pair; it must not print P = nan
+    # or pass as a configuration error
+    with np.errstate(all="ignore"):
+        assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "numerical failure" in captured.err
+    assert "nan" not in captured.out
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--omega0", "--T", "--duration-factor"])
+def test_infinite_parameter_is_a_configuration_error(flag, capsys):
+    assert main(["simulate", "--protocol", "RE", "--steps-per-pulse", "400", flag, "inf"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_exit_code_io_error(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "missing.cfg")])
     assert code == 4
@@ -150,6 +180,7 @@ def test_check_suite_passes(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
     assert "PASS  resonant_area_law" in out
+    assert "PASS  shape_error_area_preservation" in out
     assert "FAIL" not in out
 
 

@@ -18,7 +18,9 @@ from pulselab.core import (
     transition_probability,
     unitarity_defect,
 )
-from pulselab.protocols import SQRT_PI, build_sp, build_ucp
+from conftest import ck_matrix
+from pulselab.channels import apply_errors
+from pulselab.protocols import SQRT_PI, nominal_spec
 
 ANGLES = st.floats(0.0, 2.0 * np.pi, allow_nan=False)
 
@@ -87,8 +89,8 @@ def test_compose_is_associative(u, v, w):
 
 @given(unitary_pairs(), unitary_pairs())
 def test_compose_matches_matrix_product(u, v):
-    got = compose(v, u).matrix()
-    want = v.matrix() @ u.matrix()
+    got = ck_matrix(compose(v, u))
+    want = ck_matrix(v) @ ck_matrix(u)
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
@@ -122,11 +124,11 @@ def test_gaussian_area_closed_form():
 
 
 def test_sp_envelope_area_matches_published_value():
-    assert sequence_area(build_sp(1.0)) == pytest.approx(3.86 * np.pi, rel=0.01)
+    assert sequence_area(apply_errors(nominal_spec("SP"))) == pytest.approx(3.86 * np.pi, rel=0.01)
 
 
 def test_ucp_total_area_is_five_pi():
-    assert sequence_area(build_ucp(SQRT_PI, 1.0)) == pytest.approx(5 * np.pi, rel=1e-8)
+    assert sequence_area(apply_errors(nominal_spec("UCP"))) == pytest.approx(5 * np.pi, rel=1e-8)
 
 
 @given(st.floats(0.0, 10.0))

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import solve_ivp_ck
+from conftest import ck_matrix, solve_ivp_ck
 from pulselab.channels import ErrorVector, apply_errors
 from pulselab.core import InvalidWaveform, Waveform, transition_probability, unitarity_defect
 from pulselab.integrator import (
@@ -16,7 +16,7 @@ from pulselab.integrator import (
     propagate,
     propagate_sequence,
 )
-from pulselab.protocols import SQRT_PI, build_af, build_sp, build_sta, build_ucp, nominal_spec
+from pulselab.protocols import SQRT_PI, ProtocolSpec, nominal_spec
 
 # analytic value of the detuned-Rabi oracle at Omega = delta = 1/T, tau = pi*T:
 # P = (Omega^2/(Omega^2+delta^2)) * sin^2(sqrt(Omega^2+delta^2)*tau/2)
@@ -92,7 +92,7 @@ def test_constant_drive_matches_matrix_exponential(fast_cfg):
         [[-delta, omega * np.exp(1j * phase)], [omega * np.exp(-1j * phase), delta]]
     )
     U = expm(-1j * H * tau)
-    assert np.max(np.abs(u.matrix() - U)) < 1e-10
+    assert np.max(np.abs(ck_matrix(u) - U)) < 1e-10
 
 
 def test_phase_commutes_with_propagation(fast_cfg):
@@ -107,7 +107,7 @@ def test_phase_commutes_with_propagation(fast_cfg):
 
 
 def test_single_pulse_sequence_matches_propagate(fast_cfg):
-    seq = build_sta(SQRT_PI, 1.0, 4.0)
+    seq = apply_errors(nominal_spec("STA"))
     u1 = propagate(seq.pulses[0], fast_cfg)
     u2 = propagate_sequence(seq, fast_cfg)
     assert u1.a == pytest.approx(u2.a, abs=1e-12)
@@ -115,7 +115,7 @@ def test_single_pulse_sequence_matches_propagate(fast_cfg):
 
 
 def test_five_resonant_pi_pulses(fast_cfg):
-    seq = build_ucp(SQRT_PI, 1.0)
+    seq = apply_errors(nominal_spec("UCP"))
     zero_phase = type(seq)(tuple(
         Waveform(p.rabi, p.detuning, 0.0, p.window) for p in seq.pulses
     ))
@@ -124,13 +124,13 @@ def test_five_resonant_pi_pulses(fast_cfg):
 
 
 def test_u5_nominal_transfer(fast_cfg):
-    p = transition_probability(propagate_sequence(build_ucp(SQRT_PI, 1.0), fast_cfg))
+    p = transition_probability(propagate_sequence(apply_errors(nominal_spec("UCP")), fast_cfg))
     assert p >= 1.0 - 1e-6
 
 
 def test_sequence_equals_monolithic_on_split_window():
     # same step size on both routes; only the composition bracketing differs
-    sta = build_sta(SQRT_PI, 1.0, 4.0).pulses[0]
+    sta = apply_errors(nominal_spec("STA")).pulses[0]
     left = Waveform(sta.rabi, sta.detuning, 0.0, (-6.0, 0.0))
     right = Waveform(sta.rabi, sta.detuning, 0.0, (0.0, 6.0))
     from pulselab.core import PulseSequence
@@ -145,8 +145,8 @@ def test_sequence_equals_monolithic_on_split_window():
 
 def test_time_reversal_returns_identity(mid_cfg):
     # inverse evolution: negate both controls and reflect them in time
-    for seq in (build_af(SQRT_PI, 1.0, 4.0), build_sta(SQRT_PI, 1.0, 4.0)):
-        w = seq.pulses[0]
+    for spec in (ProtocolSpec("AF", SQRT_PI, 1.0, beta=4.0), nominal_spec("STA")):
+        w = apply_errors(spec).pulses[0]
         rev = Waveform(
             rabi=lambda t, w=w: -np.asarray(w.rabi(-np.asarray(t))),
             detuning=lambda t, w=w: -np.asarray(w.detuning(-np.asarray(t))),
@@ -181,7 +181,7 @@ def test_resonant_gaussian_error_is_tiny(fast_cfg):
 
 
 def test_sp_is_the_stiffest_but_second_order(fast_cfg):
-    w = build_sp(1.0).pulses[0]
+    w = apply_errors(nominal_spec("SP")).pulses[0]
     e1 = convergence_check(w, fast_cfg)
     e2 = convergence_check(w, IntegratorConfig(steps_per_pulse=8000))
     assert e1 < 1e-4
@@ -218,6 +218,22 @@ def test_nonconvergent_raises():
         propagate(gaussian_chirped(5 * SQRT_PI, 4.0), cfg)
 
 
+def test_nan_propagator_fails_both_tolerance_checks(monkeypatch):
+    # an overflowing drive gives a NaN pair, whose defect compares False
+    # against any tolerance; it must fail the check, not slip through it
+    blown = gaussian_chirped(1e200, 0.0)
+    with np.errstate(all="ignore"):
+        for renormalize in (False, True):
+            with pytest.raises(UnitarityViolation):
+                propagate(blown, IntegratorConfig(steps_per_pulse=400, renormalize=renormalize))
+    from pulselab import integrator
+
+    monkeypatch.setattr(integrator, "convergence_check", lambda *args, **kwargs: float("nan"))
+    cfg = IntegratorConfig(steps_per_pulse=400, convergence_tol=1e-8)
+    with pytest.raises(NonConvergent):
+        propagate(gaussian_chirped(SQRT_PI, 0.0), cfg)
+
+
 def _record_certificates(monkeypatch):
     """Steps of every raw run and every step-halving estimate, in call order."""
     from pulselab import integrator
@@ -242,7 +258,7 @@ def test_certified_propagate_runs_base_and_doubled_resolution_once(monkeypatch):
     steps, estimates = _record_certificates(monkeypatch)
     cfg = IntegratorConfig(steps_per_pulse=4000, convergence_tol=1e-3)
     # per-pulse centering: one shape, checked on its first pulse only
-    seq = build_ucp(SQRT_PI, 1.0)
+    seq = apply_errors(nominal_spec("UCP"))
     propagate_sequence(seq, cfg)
     assert steps == [4000, 8000, 4000, 4000, 4000, 4000]
     steps.clear()

@@ -1,4 +1,4 @@
-"""Technique builders: areas, nominal transfers, counterdiabatic identities."""
+"""Technique shapes: areas, nominal transfers, counterdiabatic identities."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 from scipy.integrate import simpson
 
 from conftest import solve_ivp_ck
+from pulselab.channels import apply_errors
 from pulselab.core import InvalidParameter, Waveform, pulse_area, sequence_area, transition_probability
 from pulselab.integrator import IntegratorConfig, propagate, propagate_sequence
 from pulselab.protocols import (
@@ -16,12 +17,6 @@ from pulselab.protocols import (
     ProtocolSpec,
     SingularControl,
     adiabaticity_margin,
-    build_af,
-    build_cap,
-    build_re,
-    build_sp,
-    build_sta,
-    build_ucp,
     mixing_angle_rate,
     nominal_spec,
 )
@@ -32,25 +27,28 @@ AF_NOMINAL_P = 0.9843475027
 
 
 def test_re_area_and_transfer(fast_cfg):
-    seq = build_re(SQRT_PI, 1.0)
+    seq = apply_errors(nominal_spec("RE"))
     assert sequence_area(seq) == pytest.approx(np.pi, rel=1e-8)
     assert transition_probability(propagate_sequence(seq, fast_cfg)) == pytest.approx(1.0, abs=1e-6)
-    half = build_re(SQRT_PI / 2.0, 1.0)
+    half = apply_errors(ProtocolSpec("RE", SQRT_PI / 2.0, 1.0))
     p = transition_probability(propagate_sequence(half, fast_cfg))
     assert p == pytest.approx(np.sin(np.pi / 4) ** 2, abs=1e-8)
 
 
 def test_builders_reject_nonpositive_parameters():
     with pytest.raises(InvalidParameter):
-        build_re(-1.0, 1.0)
+        ProtocolSpec("RE", -1.0, 1.0)
     with pytest.raises(InvalidParameter):
-        build_af(1.0, 0.0, 4.0)
+        ProtocolSpec("AF", 1.0, 0.0, beta=4.0)
+    for omega0, T in ((np.inf, 1.0), (np.nan, 1.0), (SQRT_PI, np.inf)):
+        with pytest.raises(InvalidParameter):
+            ProtocolSpec("RE", omega0, T)
     with pytest.raises(InvalidParameter):
         ProtocolSpec("XX", 1.0, 1.0)
 
 
 def test_af_chirp_free_limit_is_resonant(fast_cfg):
-    seq = build_af(SQRT_PI / 2.0, 1.0, 0.0)
+    seq = apply_errors(ProtocolSpec("AF", SQRT_PI / 2.0, 1.0, beta=0.0))
     p = transition_probability(propagate_sequence(seq, fast_cfg))
     assert p == pytest.approx(np.sin(np.pi / 4) ** 2, abs=1e-8)
 
@@ -61,7 +59,7 @@ def test_af_nominal_satisfies_adiabatic_condition():
 
 
 def test_af_nominal_transfer_cross_checked(mid_cfg):
-    seq = build_af(5 * SQRT_PI, 1.0, 4.0)
+    seq = apply_errors(nominal_spec("AF"))
     p = transition_probability(propagate_sequence(seq, mid_cfg))
     a_ref, b_ref = solve_ivp_ck(seq.pulses[0])
     assert p == pytest.approx(abs(b_ref) ** 2, abs=1e-7)
@@ -69,8 +67,8 @@ def test_af_nominal_transfer_cross_checked(mid_cfg):
 
 
 @pytest.mark.parametrize("builder", [
-    lambda: build_sta(SQRT_PI, 1.0, 4.0),
-    lambda: build_sp(1.0),
+    lambda: apply_errors(nominal_spec("STA")),
+    lambda: apply_errors(nominal_spec("SP")),
 ], ids=["sta", "sp"])
 def test_single_pulse_techniques_against_adaptive_rk(mid_cfg, builder):
     # complex-envelope and shaped drives through the independent oracle
@@ -85,7 +83,7 @@ def test_single_pulse_techniques_against_adaptive_rk(mid_cfg, builder):
 
 
 def test_sta_nominal_transfer(fast_cfg):
-    seq = build_sta(SQRT_PI, 1.0, 4.0)
+    seq = apply_errors(nominal_spec("STA"))
     assert transition_probability(propagate_sequence(seq, fast_cfg)) >= 1.0 - 1e-6
 
 
@@ -114,7 +112,7 @@ def test_shortcut_term_area_is_pi():
 )
 @settings(max_examples=8, deadline=None)
 def test_sta_exact_when_frozen_equals_live(om_mult, beta, T):
-    seq = build_sta(om_mult * SQRT_PI / T, T, beta / T)
+    seq = apply_errors(ProtocolSpec("STA", om_mult * SQRT_PI / T, T, beta=beta / T))
     cfg = IntegratorConfig(steps_per_pulse=4000)
     assert transition_probability(propagate_sequence(seq, cfg)) >= 1.0 - 1e-6
 
@@ -131,7 +129,7 @@ def test_shortcut_area_is_pi_for_sampled_triples(om_mult, beta, T):
 
 def test_sta_uses_frozen_triple_for_shortcut_shape():
     frozen = (SQRT_PI, 4.0, 1.0)
-    seq = build_sta(2.0 * SQRT_PI, 1.3, 2.5, sta_nominal=frozen)
+    seq = apply_errors(ProtocolSpec("STA", 2.0 * SQRT_PI, 1.3, beta=2.5, sta_nominal=frozen))
     t = np.array([0.0, 0.4])
     got = np.asarray(seq.pulses[0].rabi(t)).imag
     expected = 2.0 * mixing_angle_rate(t, *frozen)
@@ -145,13 +143,13 @@ def test_sta_uses_frozen_triple_for_shortcut_shape():
 
 
 def test_sp_area_and_transfer(fast_cfg):
-    seq = build_sp(1.0)
+    seq = apply_errors(nominal_spec("SP"))
     assert sequence_area(seq) == pytest.approx(3.86 * np.pi, rel=0.01)
     assert transition_probability(propagate_sequence(seq, fast_cfg)) >= 1.0 - 1e-4
 
 
 def test_sp_controls_finite_and_continuous_on_closed_window():
-    w = build_sp(1.0).pulses[0]
+    w = apply_errors(nominal_spec("SP")).pulses[0]
     jumps = {}
     for n in (40001, 80001):
         t = np.linspace(-6.0, 6.0, n)
@@ -239,7 +237,7 @@ def test_sp_controls_hold_nothing_once_both_are_taken():
 
 
 def test_sp_zero_coefficients_are_regular(fast_cfg):
-    seq = build_sp(1.0, sp_coeffs=())
+    seq = apply_errors(ProtocolSpec("SP", SQRT_PI, 1.0, sp_coeffs=()))
     t = np.linspace(-6.0, 6.0, 10001)
     assert np.all(np.isfinite(np.asarray(seq.pulses[0].rabi(t))))
     assert np.all(np.isfinite(np.asarray(seq.pulses[0].detuning(t))))
@@ -247,28 +245,26 @@ def test_sp_zero_coefficients_are_regular(fast_cfg):
 
 def test_sp_singular_coefficients_raise():
     with pytest.raises(SingularControl):
-        build_sp(1.0, sp_coeffs=(1e200,))
+        apply_errors(ProtocolSpec("SP", SQRT_PI, 1.0, sp_coeffs=(1e200,)))
 
 
 # ----------------------------------------------------------------- composites
 
 
 def test_cap_canonical_phases_and_area():
-    seq = build_cap(SQRT_PI, 1.0, 1.0)
+    seq = apply_errors(nominal_spec("CAP"))
     assert tuple(p.phase for p in seq.pulses) == CAP_PHASES
     assert sequence_area(seq) == pytest.approx(3 * np.pi, rel=1e-8)
 
 
 def test_cap_nominal_transfer(fast_cfg):
-    p = transition_probability(propagate_sequence(build_cap(SQRT_PI, 1.0, 1.0), fast_cfg))
+    p = transition_probability(propagate_sequence(apply_errors(nominal_spec("CAP")), fast_cfg))
     assert p >= 1.0 - 1e-6
 
 
 def test_cap_chirp_free_zero_phase_limit(fast_cfg):
     # three area-pi pulses, no chirp, no phase structure: total area 3*pi
     spec = ProtocolSpec("CAP", SQRT_PI, 1.0, beta=0.0, phases=(0.0, 0.0, 0.0))
-    from pulselab.channels import apply_errors
-
     p = transition_probability(propagate_sequence(apply_errors(spec), fast_cfg))
     assert p == pytest.approx(np.sin(3 * np.pi / 2.0) ** 2, abs=1e-8)
 
@@ -280,14 +276,14 @@ def test_shortcut_rate_underflows_cleanly_far_outside_pulse():
 
 
 def test_cap_chirp_recentered_per_pulse():
-    seq = build_cap(SQRT_PI, 1.0, 1.0)
+    seq = apply_errors(nominal_spec("CAP"))
     for w in seq.pulses:
         center = 0.5 * (w.window[0] + w.window[1])
         assert np.asarray(w.detuning(np.array([center])))[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ucp_canonical_phases_and_transfer(fast_cfg):
-    seq = build_ucp(SQRT_PI, 1.0)
+    seq = apply_errors(nominal_spec("UCP"))
     assert tuple(p.phase for p in seq.pulses) == UCP_PHASES
     assert sequence_area(seq) == pytest.approx(5 * np.pi, rel=1e-8)
     p = transition_probability(propagate_sequence(seq, fast_cfg))
@@ -297,7 +293,7 @@ def test_ucp_canonical_phases_and_transfer(fast_cfg):
 def test_ucp_full_propagator_phase(fast_cfg):
     # five exact resonant pi pulses compose to b = -i exp(i(f1-f2+f3-f4+f5));
     # pins the sign convention of the generator, not just |b|
-    u = propagate_sequence(build_ucp(SQRT_PI, 1.0), fast_cfg)
+    u = propagate_sequence(apply_errors(nominal_spec("UCP")), fast_cfg)
     alternating = sum(s * p for s, p in zip((1, -1, 1, -1, 1), UCP_PHASES))
     expected = -1j * np.exp(1j * alternating)
     assert u.b == pytest.approx(expected, abs=1e-6)
@@ -328,12 +324,12 @@ def test_margin_of_constant_resonant_drive():
 
 
 def test_margin_positive_for_nominal_af():
-    w = build_af(5 * SQRT_PI, 1.0, 4.0).pulses[0]
+    w = apply_errors(nominal_spec("AF")).pulses[0]
     assert adiabaticity_margin(w) > 0.0
 
 
 def test_margin_rejects_complex_envelope():
-    w = build_sta(SQRT_PI, 1.0, 4.0).pulses[0]
+    w = apply_errors(nominal_spec("STA")).pulses[0]
     with pytest.raises(InvalidParameter):
         adiabaticity_margin(w)
 

@@ -52,6 +52,34 @@ def test_json_round_trip_restores_every_nominal_spec(kind):
     assert read_result(write_result(res, "json"), "json").protocol == spec
 
 
+# protocol objects as written before the JSON form listed every spec field
+_SPARSE_PROTOCOLS = {
+    "RE": {"T": 1.0, "beta": 0.0, "kind": "RE", "omega0": 1.7724538509055159},
+    "STA": {
+        "T": 1.0, "beta": 4.0, "kind": "STA", "omega0": 1.7724538509055159,
+        "sta_nominal": [1.7724538509055159, 4.0, 1.0],
+    },
+    "SP": {
+        "T": 1.0, "beta": 0.0, "kind": "SP", "omega0": 1.7724538509055159,
+        "sp_coeffs": [-3.46, -1.365, -0.5],
+    },
+    "CAP": {
+        "T": 1.0, "beta": 1.0, "kind": "CAP", "omega0": 1.7724538509055159,
+        "phases": [0.0, 2.0943951023931953, 0.0],
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SPARSE_PROTOCOLS))
+def test_json_protocol_lists_every_field_and_reads_the_sparse_form(kind):
+    spec = nominal_spec(kind)
+    res = SweepResult((SweepAxis("alpha", 1.0, 1.0, 1),), spec, (1.0,), {})
+    doc = json.loads(write_result(res, "json"))
+    assert set(doc["protocol"]) == {f.name for f in fields(type(spec))}
+    doc["protocol"] = _SPARSE_PROTOCOLS[kind]
+    assert read_result(json.dumps(doc), "json").protocol == spec
+
+
 def test_csv_round_trip_values_exact(fast_cfg):
     ucp = nominal_spec("UCP")
     res = sweep1d(ucp, SweepAxis("alpha", 0.0, 2.0, 7), cfg=fast_cfg)

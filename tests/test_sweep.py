@@ -7,7 +7,7 @@ import pytest
 
 from pulselab import protocols
 from pulselab import sweep as sweep_module
-from pulselab.channels import ErrorVector
+from pulselab.channels import ErrorVector, apply_errors
 from pulselab.cli import main
 from pulselab.core import InvalidParameter
 from pulselab.integrator import IntegratorConfig
@@ -393,10 +393,10 @@ def test_memoized_controls_return_fresh_arrays():
     spec = nominal_spec("STA")
     t = np.linspace(-6.0, 6.0, 101)
     with ShapeMemo() as memo:
-        w = protocols.build_sequence(spec, alpha=0.9, shapes=memo).pulses[0]
+        w = apply_errors(spec, ErrorVector(alpha=0.9), memo).pulses[0]
         first_r, first_d = w.rabi(t), w.detuning(t)
         first_r[:] = 0.0
         first_d[:] = 0.0
-        w_alone = protocols.build_sequence(spec, alpha=0.9).pulses[0]
+        w_alone = apply_errors(spec, ErrorVector(alpha=0.9)).pulses[0]
         assert np.array_equal(w.rabi(t), w_alone.rabi(t))
         assert np.array_equal(w.detuning(t), w_alone.detuning(t))
