@@ -16,11 +16,11 @@ import numpy as np
 from . import __version__
 from .channels import LengthMismatch, apply_errors
 from .checks import run_checks
-from .config import CONFIG_KEYS, ParseError, RunConfig, ValidationError, build_config, parse_kv
+from .config import _KEY_APPLIES, CONFIG_KEYS, ParseError, RunConfig, ValidationError, build_config, parse_kv
 from .core import InvalidParameter, InvalidWaveform, sequence_area, transition_probability, unitarity_defect
 from .integrator import NonConvergent, UnitarityViolation, propagate_sequence
 from .protocols import PROTOCOL_KINDS, SingularControl, adiabaticity_margin, nominal_spec
-from .serialize import IoError, write_result_file, write_table
+from .serialize import IoError, write_output, write_result_file, write_table
 from .sweep import comparison_table, sweep1d, sweep2d
 
 __all__ = ["main"]
@@ -78,15 +78,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         lines.append(f"shortcut_area_over_pi = {shortcut / np.pi:.6f}")
     else:
         lines.append(f"adiabaticity_margin = {adiabaticity_margin(seq.pulses[0]):.6f}")
-    out = "\n".join(lines) + "\n"
-    if cfg.output and cfg.output != "-":
-        try:
-            with open(cfg.output, "w", encoding="utf-8") as fh:
-                fh.write(out)
-        except OSError as exc:
-            raise IoError(f"cannot write {cfg.output!r}: {exc}") from exc
-    else:
-        sys.stdout.write(out)
+    write_output(cfg.output or "-", ("\n".join(lines) + "\n").encode("utf-8"))
     return 0
 
 
@@ -130,8 +122,13 @@ def _write_gnuplot(path: str, cfg: RunConfig) -> None:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     raw = _collect_raw(args)
-    raw.setdefault("protocol", "RE")  # table iterates protocols itself
-    cfg = build_config(raw)
+    for key in raw:
+        if key == "protocol" or key in _KEY_APPLIES or key.startswith("sweep"):
+            raise ValidationError(
+                f"table does not use key {key!r}: it runs the canonical techniques of"
+                " --protocols on its own probe grids"
+            )
+    cfg = build_config({**raw, "protocol": "RE"})
     kinds = [k.strip().upper() for k in (args.protocols or ",".join(PROTOCOL_KINDS)).split(",")]
     for kind in kinds:
         if kind not in PROTOCOL_KINDS:
@@ -141,11 +138,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         specs, base_err=cfg.errors, cfg=cfg.integrator, workers=cfg.workers
     )
     if cfg.output and cfg.output != "-":
-        try:
-            with open(cfg.output, "wb") as fh:
-                fh.write(write_table(rows, cfg.fmt))
-        except OSError as exc:
-            raise IoError(f"cannot write {cfg.output!r}: {exc}") from exc
+        write_output(cfg.output, write_table(rows, cfg.fmt))
     else:
         _print_table(rows)
     return 0

@@ -8,10 +8,10 @@ raises :class:`ParseError`.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Tuple
 
-from .channels import CENTERINGS, ErrorVector
+from .channels import ErrorVector
 from .core import InvalidParameter
 from .integrator import IntegratorConfig
 from .protocols import PROTOCOL_KINDS, ProtocolSpec, nominal_spec
@@ -172,22 +172,8 @@ def build_config(raw: Dict[str, str]) -> RunConfig:
         spec = ProtocolSpec(
             kind, omega0, T, beta=beta, phases=phases, sp_coeffs=sp_coeffs, sta_nominal=sta_nominal
         )
-        errors = ErrorVector(
-            alpha=float(values.get("alpha", 1.0)),
-            duration_factor=float(values.get("duration_factor", 1.0)),
-            delta=float(values.get("delta", 0.0)),
-            eta=float(values.get("eta", 0.0)),
-            sigma=float(values.get("sigma", 0.0)),
-            phase_offsets=tuple(values.get("phase_offsets", ())),
-            centering=str(values.get("centering", "per_pulse")),
-            sta_alpha_scales_shortcut=bool(values.get("sta_alpha_scales_shortcut", True)),
-        )
-        integrator = IntegratorConfig(
-            steps_per_pulse=int(values.get("steps_per_pulse", IntegratorConfig.steps_per_pulse)),
-            unitarity_tol=float(values.get("unitarity_tol", IntegratorConfig.unitarity_tol)),
-            renormalize=bool(values.get("renormalize", IntegratorConfig.renormalize)),
-            convergence_tol=values.get("convergence_tol"),
-        )
+        errors = _given(ErrorVector, values)
+        integrator = _given(IntegratorConfig, values)
         axes = _build_axes(values)
     except InvalidParameter as exc:
         raise ValidationError(str(exc)) from exc
@@ -207,6 +193,11 @@ def build_config(raw: Dict[str, str]) -> RunConfig:
         fmt=fmt,
         workers=workers,
     )
+
+
+def _given(cls, values: Dict[str, object]):
+    """``cls`` built from the keys that were given; its own defaults fill the rest."""
+    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
 
 
 def _build_axes(values: Dict[str, object]) -> Tuple[SweepAxis, ...]:

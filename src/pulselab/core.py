@@ -32,7 +32,6 @@ __all__ = [
     "sequence_area",
 ]
 
-DEFAULT_UNITARITY_TOL = 1e-10
 DEFAULT_AREA_STEPS = 8192
 
 
@@ -113,10 +112,6 @@ class Waveform:
         if not t0 < t1:
             raise InvalidParameter(f"waveform window must satisfy t_start < t_end, got {self.window}")
 
-    @property
-    def duration(self) -> float:
-        return self.window[1] - self.window[0]
-
 
 @dataclass(frozen=True)
 class PulseSequence:
@@ -138,10 +133,6 @@ class PulseSequence:
 
     def __len__(self) -> int:
         return len(self.pulses)
-
-    @property
-    def span(self) -> Tuple[float, float]:
-        return (self.pulses[0].window[0], self.pulses[-1].window[1])
 
 
 def _sample(fn: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ re-centered on its own pulse.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Sequence, Tuple
 
@@ -225,16 +226,23 @@ def _sp_shape_functions(
     return sampled("envelope", "detuning"), sampled("detuning", "envelope")
 
 
-def _validate_sp_controls(
-    envelope: Callable, detuning: Callable, half_width: float, probes: int = 2001
-) -> None:
-    t = np.linspace(-half_width, half_width, probes)
+@functools.lru_cache(maxsize=64)
+def _sp_controls(T_live: float, coeffs: Tuple[float, ...]) -> Tuple[Callable, Callable]:
+    """Shaped-pulse envelope and detuning of width ``T_live``, checked finite.
+
+    Built and validated once per shape; a :class:`SingularControl` is raised
+    again on every call, since exceptions are not cached.
+    """
+    envelope, detuning = _sp_shape_functions(T_live, coeffs)
+    half = WINDOW_HALF_WIDTH * T_live
+    t = np.linspace(-half, half, 2001)
     with np.errstate(all="ignore"):
         finite = np.all(np.isfinite(envelope(t))) and np.all(np.isfinite(detuning(t)))
     if not finite:
         raise SingularControl(
             "shaped-pulse controls are not finite on the window; check the coefficient list"
         )
+    return envelope, detuning
 
 
 class ShapeMemo:
@@ -244,15 +252,14 @@ class ShapeMemo:
     :func:`pulselab.channels.apply_errors`, to :func:`nominal_pulses`, which
     switches it to the point's :func:`shape_key`.  Switching to another key
     drops everything held for the previous one, so the memo never holds more
-    than one shape: per pulse, one copy of each distinct time array and the
-    parts sampled on it.  A part is reused only for the same key, the same
-    pulse and a bitwise-equal time array.  Leaving the ``with`` block empties
-    it.
+    than one shape: per pulse and time-array shape, one copy of the time
+    array and the parts sampled on it.  The sampler of :func:`nominal_pulses`
+    reuses a part only for the current key, the same pulse and a
+    bitwise-equal time array.  Leaving the ``with`` block empties it.
     """
 
     def __init__(self) -> None:
         self.key: tuple | None = None
-        self.shared: Dict[str, object] = {}
         self.samples: Dict[tuple, Tuple[np.ndarray, Dict[str, np.ndarray]]] = {}
 
     def __enter__(self) -> "ShapeMemo":
@@ -263,24 +270,8 @@ class ShapeMemo:
 
     def switch(self, key: tuple | None) -> None:
         if key != self.key:
-            self.shared.clear()
             self.samples.clear()
             self.key = key
-
-    def once(self, name: str, make: Callable[[], object]) -> object:
-        """``make()`` evaluated at most once while the current key holds."""
-        if name not in self.shared:
-            self.shared[name] = make()
-        return self.shared[name]
-
-    def parts(self, key: tuple, pulse: tuple, t: np.ndarray) -> Dict[str, np.ndarray] | None:
-        """Parts of ``pulse`` sampled at ``t`` so far; None when ``key`` is not current."""
-        if key != self.key:
-            return None
-        held = self.samples.get((pulse, t.shape))
-        if held is None or not np.array_equal(held[0].view(np.uint64), t.view(np.uint64)):
-            held = self.samples[(pulse, t.shape)] = (t.copy(), {})
-        return held[1]
 
 
 def shape_key(spec: ProtocolSpec, duration_factor: float, centering: str) -> tuple:
@@ -340,12 +331,14 @@ def _sampler(
     """
 
     def sample(t: np.ndarray, name: str) -> np.ndarray:
-        held = shapes.parts(key, pulse, t) if shapes is not None else None
-        if held is None:
+        if shapes is None or key != shapes.key:
             return parts[name](t)
-        if name not in held:
-            held[name] = parts[name](t)
-        return held[name]
+        held = shapes.samples.get((pulse, t.shape))
+        if held is None or not np.array_equal(held[0].view(np.uint64), t.view(np.uint64)):
+            held = shapes.samples[(pulse, t.shape)] = (t.copy(), {})
+        if name not in held[1]:
+            held[1][name] = parts[name](t)
+        return held[1][name]
 
     return sample
 
@@ -379,15 +372,7 @@ def nominal_pulses(
         shapes.switch(key)
     tag = object() if n > 1 and centering != "global" else None
 
-    sp = None
-    if spec.kind == "SP":
-        def validated_sp():
-            env, det = _sp_shape_functions(T_live, spec.sp_coeffs)
-            _validate_sp_controls(env, det, half)
-            return env, det
-
-        sp = shapes.once("sp", validated_sp) if shapes is not None else validated_sp()
-
+    sp = _sp_controls(T_live, spec.sp_coeffs) if spec.kind == "SP" else None
     for k in range(n):
         center = half * (2 * k + 1 - n)
         c_err = 0.0 if centering == "global" else center

@@ -9,13 +9,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import asdict, fields
 from typing import List, Tuple
 
 from .protocols import ProtocolSpec
 from .sweep import SweepAxis, SweepResult
 
-__all__ = ["IoError", "write_result", "read_result", "write_result_file", "write_table"]
+__all__ = ["IoError", "write_result", "read_result", "write_output", "write_result_file", "write_table"]
 
 
 class IoError(OSError):
@@ -53,10 +54,7 @@ def write_result(result: SweepResult, fmt: str = "csv") -> bytes:
         return buf.getvalue().encode("utf-8")
     if fmt == "json":
         doc = {
-            "axes": [
-                {"channel": ax.channel, "lo": ax.lo, "hi": ax.hi, "points": ax.points}
-                for ax in result.axes
-            ],
+            "axes": [asdict(ax) for ax in result.axes],
             "protocol": asdict(result.protocol),
             "values": list(result.values),
             "meta": result.meta,
@@ -74,6 +72,8 @@ def read_result(
     (bounds and point counts are recovered from the written grid) and is
     intended for round-trip checks and plotting, not archival metadata.  A
     CSV does not record its technique, so the caller names it in ``protocol``.
+    A JSON ``protocol`` object may omit fields (they take their defaults) but
+    may not name one that :class:`ProtocolSpec` lacks.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     if fmt == "json":
@@ -83,13 +83,10 @@ def read_result(
             for ax in doc["axes"]
         )
         p = doc["protocol"]
-        spec = ProtocolSpec(
-            **{
-                f.name: tuple(p[f.name]) if isinstance(p[f.name], list) else p[f.name]
-                for f in fields(ProtocolSpec)
-                if f.name in p
-            }
-        )
+        unknown = sorted(set(p) - {f.name for f in fields(ProtocolSpec)})
+        if unknown:
+            raise ValueError(f"unknown protocol field(s) {', '.join(map(repr, unknown))}")
+        spec = ProtocolSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in p.items()})
         return SweepResult(axes, spec, tuple(float(v) for v in doc["values"]), dict(doc["meta"]))
     if fmt == "csv":
         if protocol is None:
@@ -111,19 +108,21 @@ def read_result(
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def write_result_file(result: SweepResult, path: str, fmt: str = "csv") -> None:
-    """Write serialized bytes to ``path`` ('-' for stdout)."""
-    data = write_result(result, fmt)
+def write_output(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` ('-' for stdout); a failure raises :class:`IoError`."""
     try:
         if path == "-":
-            import sys
-
             sys.stdout.write(data.decode("utf-8"))
         else:
             with open(path, "wb") as fh:
                 fh.write(data)
     except OSError as exc:
         raise IoError(f"cannot write {path!r}: {exc}") from exc
+
+
+def write_result_file(result: SweepResult, path: str, fmt: str = "csv") -> None:
+    """Write serialized bytes to ``path`` ('-' for stdout)."""
+    write_output(path, write_result(result, fmt))
 
 
 def write_table(rows, fmt: str = "csv") -> bytes:
@@ -146,17 +145,5 @@ def write_table(rows, fmt: str = "csv") -> bytes:
             )
         return buf.getvalue().encode("utf-8")
     if fmt == "json":
-        doc = [
-            {
-                "channel": r.channel,
-                "protocol": r.protocol,
-                "threshold": r.threshold,
-                "half_width": r.half_width,
-                "lo": r.lo,
-                "hi": r.hi,
-                "censored": r.censored,
-            }
-            for r in rows
-        ]
-        return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+        return (json.dumps([asdict(r) for r in rows], indent=2) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {fmt!r}")

@@ -10,12 +10,15 @@ recorded in the result's ``meta.workers``.
 Most points of a grid share one nominal pulse shape: only ``duration_factor``
 and ``centering`` change it, while alpha, delta, eta and sigma act on top of
 it (:func:`~pulselab.channels.apply_errors` applies them to the parts of
-:func:`~pulselab.protocols.nominal_pulses`).  A grid is therefore evaluated grouped by :func:`~pulselab.protocols.shape_key`
-(first appearance first, grid order within a group), and each in-process run
-or pool chunk opens one :class:`~pulselab.protocols.ShapeMemo`, so every
-shape is built, validated and sampled once per group instead of once per
-point.  The memo holds one shape at a time and is emptied when the run ends,
-also on an exception; nothing outside a sweep uses it.
+:func:`~pulselab.protocols.nominal_pulses`).  A grid is therefore evaluated
+grouped by :func:`~pulselab.protocols.shape_key` (first appearance first,
+grid order within a group), and each in-process run or pool chunk opens one
+:class:`~pulselab.protocols.ShapeMemo`, so every shape is sampled once per
+group instead of once per point.  The memo holds one shape at a time and is
+emptied when the run ends, also on an exception; nothing outside a sweep
+uses it.  The shaped pulse's schedule is built and validated once per
+width and coefficient list by a bounded cache in :mod:`pulselab.protocols`,
+not by the memo.
 
 :func:`comparison_table` evaluates all of its (technique, channel) sweeps as
 one grid: one task list, one call of the grid runner and so at most one pool,
@@ -25,6 +28,7 @@ nominal shape.
 """
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -191,10 +195,15 @@ def _meta(cfg: IntegratorConfig, base_err: ErrorVector, workers: int) -> Dict[st
     }
 
 
-def _line_tasks(
-    spec: ProtocolSpec, axis: SweepAxis, base_err: ErrorVector, cfg: IntegratorConfig
+def _grid_tasks(
+    spec: ProtocolSpec, axes: Sequence[SweepAxis], base_err: ErrorVector, cfg: IntegratorConfig
 ) -> List[_Task]:
-    return [(spec, replace(base_err, **{axis.channel: float(v)}), cfg) for v in axis.values()]
+    """One task per grid point of ``axes``, row-major (the first axis indexes rows)."""
+    channels = [ax.channel for ax in axes]
+    return [
+        (spec, replace(base_err, **{c: float(v) for c, v in zip(channels, point)}), cfg)
+        for point in itertools.product(*(ax.values() for ax in axes))
+    ]
 
 
 def sweep1d(
@@ -205,7 +214,7 @@ def sweep1d(
     workers: int = 1,
 ) -> SweepResult:
     """Scan one channel; the other channels are held at ``base_err``."""
-    values, used = _run_grid(_line_tasks(spec, axis, base_err, cfg), workers)
+    values, used = _run_grid(_grid_tasks(spec, (axis,), base_err, cfg), workers)
     return SweepResult((axis,), spec, tuple(values), _meta(cfg, base_err, used))
 
 
@@ -220,12 +229,7 @@ def sweep2d(
     """Scan two channels over their Cartesian grid, row-major in axis_a."""
     if axis_a.channel == axis_b.channel:
         raise InvalidParameter("the two sweep axes must use different channels")
-    tasks = [
-        (spec, replace(base_err, **{axis_a.channel: float(va), axis_b.channel: float(vb)}), cfg)
-        for va in axis_a.values()
-        for vb in axis_b.values()
-    ]
-    values, used = _run_grid(tasks, workers)
+    values, used = _run_grid(_grid_tasks(spec, (axis_a, axis_b), base_err, cfg), workers)
     return SweepResult((axis_a, axis_b), spec, tuple(values), _meta(cfg, base_err, used))
 
 
@@ -301,7 +305,7 @@ def comparison_table(
     for i, spec in enumerate(specs):
         for channel, axis in probes.items():
             start[(i, channel)] = len(tasks)
-            tasks += _line_tasks(spec, axis, base_err, cfg)
+            tasks += _grid_tasks(spec, (axis,), base_err, cfg)
     values, _ = _run_grid(tasks, workers)
     rows: List[RobustnessRow] = []
     for channel, axis in probes.items():
@@ -312,7 +316,7 @@ def comparison_table(
             for i, spec in enumerate(specs):
                 k = start[(i, channel)]
                 hw, lo, hi = half_width(grid, values[k : k + axis.points], nominal, threshold)
-                censored = lo is not None and (lo == grid[0] or hi == grid[-1])
+                censored = lo is not None and bool(lo == grid[0] or hi == grid[-1])
                 batch.append(
                     RobustnessRow(channel, spec.kind, threshold, hw, lo, hi, censored)
                 )

@@ -1,4 +1,5 @@
 """CLI surface: subcommands, flag/config precedence, exit codes."""
+import json
 import pathlib
 
 import numpy as np
@@ -78,6 +79,42 @@ def test_table_runs_for_one_protocol(tmp_path):
     assert text.count("RE") >= 15  # 5 channels x 3 thresholds
 
 
+def test_table_writes_json(tmp_path):
+    out = tmp_path / "table.json"
+    argv = ["table", "--protocols", "RE", "--steps-per-pulse", "400", "--format", "json", "--output", str(out)]
+    assert main(argv) == 0
+    rows = json.loads(out.read_text())
+    assert len(rows) == 15 and all(type(r["censored"]) is bool for r in rows)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    (
+        ["--protocol", "RE"],  # the techniques come from --protocols
+        ["--omega0", "3"],
+        ["--beta", "1"],
+        ["--phases", "0,1,0"],
+        ["--sp-coeffs", "-1"],
+        ["--sta-omega0a", "1"],
+        ["--sta-betaa", "1"],
+        ["--sta-ta", "1"],
+        ["--sweep-channel", "alpha", "--sweep-lo", "0", "--sweep-hi", "1", "--sweep-points", "2"],
+        ["--sweep2-points", "3"],
+    ),
+    ids=lambda flags: flags[0][2:],
+)
+def test_table_rejects_the_keys_it_ignores(flags, capsys):
+    assert main(["table", "--protocols", "RE", "--steps-per-pulse", "400", *flags]) == 2
+    assert repr(flags[0][2:].replace("-", "_")) in capsys.readouterr().err
+
+
+def test_table_rejects_an_ignored_key_from_a_config_file(tmp_path, capsys):
+    cfg = tmp_path / "table.cfg"
+    cfg.write_text("protocol = RE\nsteps_per_pulse = 400\n")
+    assert main(["table", "--protocols", "RE", "--config", str(cfg)]) == 2
+    assert "'protocol'" in capsys.readouterr().err
+
+
 def test_exit_code_config_error(capsys):
     assert main(["simulate", "--protocol", "RE", "--sigma", "1.5"]) == 2
     assert "sigma" in capsys.readouterr().err
@@ -148,6 +185,10 @@ def test_exit_code_io_error(tmp_path, capsys):
         ]
     )
     assert code == 4
+    missing = str(tmp_path / "no" / "dir.txt")
+    assert main(["simulate", "--protocol", "RE", "--steps-per-pulse", "400", "--output", missing]) == 4
+    table = ["table", "--protocols", "RE", "--steps-per-pulse", "400", "--output", missing]
+    assert main(table) == 4
 
 
 def test_simulate_writes_output_file(tmp_path):

@@ -7,8 +7,8 @@ import pytest
 from pulselab.channels import ErrorVector
 from pulselab.config import build_config
 from pulselab.integrator import IntegratorConfig
-from pulselab.protocols import PROTOCOL_KINDS, nominal_spec
-from pulselab.serialize import IoError, read_result, write_result, write_result_file, write_table
+from pulselab.protocols import PROTOCOL_KINDS, SQRT_PI, ProtocolSpec, nominal_spec
+from pulselab.serialize import IoError, read_result, write_output, write_result, write_result_file, write_table
 from pulselab.sweep import RobustnessRow, SweepAxis, SweepResult, sweep1d, sweep2d
 
 RE = nominal_spec("RE")
@@ -80,6 +80,14 @@ def test_json_protocol_lists_every_field_and_reads_the_sparse_form(kind):
     assert read_result(json.dumps(doc), "json").protocol == spec
 
 
+def test_json_reader_rejects_unknown_protocol_fields():
+    spec = ProtocolSpec("CAP", SQRT_PI, 1.0, beta=1.0, phases=(0.0, 1.0, 0.0))
+    doc = json.loads(write_result(SweepResult((SweepAxis("alpha", 1.0, 1.0, 1),), spec, (1.0,), {}), "json"))
+    doc["protocol"]["phase"] = doc["protocol"].pop("phases")  # misspelled key
+    with pytest.raises(ValueError, match="'phase'"):
+        read_result(json.dumps(doc), "json")
+
+
 def test_csv_round_trip_values_exact(fast_cfg):
     ucp = nominal_spec("UCP")
     res = sweep1d(ucp, SweepAxis("alpha", 0.0, 2.0, 7), cfg=fast_cfg)
@@ -111,6 +119,15 @@ def test_write_result_file_and_io_error(tmp_path):
     assert path.read_bytes() == write_result(res, "csv")
     with pytest.raises(IoError):
         write_result_file(res, str(tmp_path / "missing" / "out.csv"), "csv")
+
+
+def test_write_output_to_file_and_stdout(tmp_path, capsys):
+    write_output(str(tmp_path / "out.txt"), b"P = 1\n")
+    assert (tmp_path / "out.txt").read_bytes() == b"P = 1\n"
+    write_output("-", b"P = 1\n")
+    assert capsys.readouterr().out == "P = 1\n"
+    with pytest.raises(IoError, match="missing"):
+        write_output(str(tmp_path / "missing" / "out.txt"), b"")
 
 
 def test_write_table_csv_and_json():

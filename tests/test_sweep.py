@@ -10,7 +10,7 @@ from pulselab import sweep as sweep_module
 from pulselab.channels import ErrorVector, apply_errors
 from pulselab.cli import main
 from pulselab.core import InvalidParameter
-from pulselab.integrator import IntegratorConfig
+from pulselab.integrator import IntegratorConfig, NonConvergent
 from pulselab.protocols import SQRT_PI, ProtocolSpec, ShapeMemo, SingularControl, nominal_spec
 from pulselab.sweep import (
     CHANNEL_NOMINALS,
@@ -283,7 +283,7 @@ def memo_log(monkeypatch):
 def assert_empty(memos):
     assert memos
     for memo in memos:
-        assert memo.key is None and not memo.shared and not memo.samples
+        assert memo.key is None and not memo.samples
 
 
 @pytest.mark.parametrize("kind", ("RE", "AF", "STA", "SP", "CAP", "UCP"))
@@ -315,22 +315,29 @@ def test_memoized_2d_with_inner_duration_axis_is_bitwise_standalone(workers):
 
 
 def test_sp_shape_is_built_and_validated_once_per_shape(monkeypatch):
-    calls = {"shape": 0, "validate": 0}
-    shape_fns, validate = protocols._sp_shape_functions, protocols._validate_sp_controls
+    built, probed = [], []
+    shape_fns = protocols._sp_shape_functions
 
-    def counted_shape(*args):
-        calls["shape"] += 1
-        return shape_fns(*args)
+    def counted_shape(T, coeffs):
+        built.append(T)
+        env, det = shape_fns(T, coeffs)
 
-    def counted_validate(*args):
-        calls["validate"] += 1
-        return validate(*args)
+        def probed_env(t):
+            if len(t) == 2001:  # the validation probe of _sp_controls
+                probed.append(T)
+            return env(t)
+
+        return probed_env, det
 
     monkeypatch.setattr(protocols, "_sp_shape_functions", counted_shape)
-    monkeypatch.setattr(protocols, "_validate_sp_controls", counted_validate)
+    protocols._sp_controls.cache_clear()
     sp = nominal_spec("SP")
-    sweep2d(sp, SweepAxis("delta", -0.5, 0.5, 4), SweepAxis("duration_factor", 0.8, 1.2, 3), cfg=MEMO_CFG)
-    assert calls == {"shape": 3, "validate": 3}
+    axes = (SweepAxis("delta", -0.5, 0.5, 4), SweepAxis("duration_factor", 0.8, 1.2, 3))
+    sweep2d(sp, *axes, cfg=MEMO_CFG)
+    assert sorted(built) == sorted(probed) == [0.8, 1.0, 1.2]
+    sweep2d(sp, *axes, cfg=MEMO_CFG)  # a second sweep finds every shape cached
+    assert len(built) == len(probed) == 3
+    protocols._sp_controls.cache_clear()
 
 
 def test_memo_is_emptied_after_a_sweep(memo_log):
@@ -340,8 +347,15 @@ def test_memo_is_emptied_after_a_sweep(memo_log):
 
 def test_memo_is_emptied_after_a_sweep_that_raised(memo_log):
     singular = ProtocolSpec("SP", SQRT_PI, 1.0, sp_coeffs=(1e200,))
-    with pytest.raises(SingularControl):
-        sweep1d(singular, MEMO_AXES["delta"], cfg=MEMO_CFG)
+    for _ in range(2):  # exceptions are not cached: every build raises
+        with pytest.raises(SingularControl):
+            sweep1d(singular, MEMO_AXES["delta"], cfg=MEMO_CFG)
+        with pytest.raises(SingularControl):
+            protocols._sp_controls(1.0, (1e200,))
+    # raised after the first point's samples were held
+    with pytest.raises(NonConvergent):
+        sweep1d(nominal_spec("CAP"), MEMO_AXES["alpha"], cfg=replace(MEMO_CFG, convergence_tol=1e-12))
+    assert len(memo_log) == 3
     assert_empty(memo_log)
 
 
@@ -349,14 +363,20 @@ def test_duration_sweep_holds_one_shape_at_a_time(monkeypatch):
     held = []
 
     class CheckedMemo(ShapeMemo):
-        def parts(self, key, pulse, t):
-            out = super().parts(key, pulse, t)
-            n, T_live = key[6], key[3]
-            half = protocols.WINDOW_HALF_WIDTH * T_live
-            centers = {half * (2 * k + 1 - n) for k in range(n)}
-            assert {p[0] for p, _ in self.samples} <= centers
-            held.append((key, len(self.samples)))
-            return out
+        def __init__(self):
+            super().__init__()
+            memo = self
+
+            class CheckedSamples(dict):
+                def __setitem__(self, slot, value):
+                    super().__setitem__(slot, value)
+                    n, T_live = memo.key[6], memo.key[3]
+                    half = protocols.WINDOW_HALF_WIDTH * T_live
+                    centers = {half * (2 * k + 1 - n) for k in range(n)}
+                    assert {pulse[0] for pulse, _ in self} <= centers
+                    held.append((memo.key, len(self)))
+
+            self.samples = CheckedSamples()
 
     monkeypatch.setattr(sweep_module, "ShapeMemo", CheckedMemo)
     axis = SweepAxis("duration_factor", 0.5, 1.5, 5)
@@ -367,8 +387,8 @@ def test_duration_sweep_holds_one_shape_at_a_time(monkeypatch):
 
 def test_simulate_never_uses_the_memo(monkeypatch, tmp_path):
     used = []
+    monkeypatch.setattr(ShapeMemo, "__init__", lambda self: used.append("made"))
     monkeypatch.setattr(ShapeMemo, "switch", lambda self, key: used.append(key))
-    monkeypatch.setattr(ShapeMemo, "parts", lambda self, *a: used.append(a))
     for kind in ("SP", "STA", "CAP"):
         out = tmp_path / f"{kind}.txt"
         assert main(["simulate", "--protocol", kind, "--steps-per-pulse", "400", "--output", str(out)]) == 0
@@ -376,17 +396,67 @@ def test_simulate_never_uses_the_memo(monkeypatch, tmp_path):
 
 
 def test_memo_hit_needs_current_key_and_bitwise_equal_times():
+    calls = []
+
+    def envelope(t):
+        calls.append(t)
+        return 2.0 * t
+
     memo = ShapeMemo()
     memo.switch("a")
+    sample = protocols._sampler({"envelope": envelope}, memo, "a", (0.0, 0.0))
     t = np.linspace(-1.0, 1.0, 5)
-    memo.parts("a", (0.0, 0.0), t)["envelope"] = t
-    assert memo.parts("a", (0.0, 0.0), t.copy()).keys() == {"envelope"}
+    first = sample(t, "envelope")
+    assert sample(t.copy(), "envelope") is first and len(calls) == 1
     signed = t.copy()
     signed[2] = -0.0  # equal in value to t[2] == 0.0, not in bits
-    assert memo.parts("a", (0.0, 0.0), signed) == {}
-    assert memo.parts("b", (0.0, 0.0), t) is None
+    assert sample(signed, "envelope") is not first and len(calls) == 2
+    stale = protocols._sampler({"envelope": envelope}, memo, "b", (0.0, 0.0))
+    slots = dict(memo.samples)
+    assert stale(t, "envelope") is not stale(t, "envelope") and len(calls) == 4
+    assert memo.samples == slots
     memo.switch("b")
     assert not memo.samples
+
+
+CERT_AXES = (SweepAxis("duration_factor", 0.6, 1.4, 3), SweepAxis("alpha", 0.5, 1.5, 5))
+
+
+@pytest.mark.parametrize("kind, tol", (("CAP", 6.5e-5), ("SP", 1e-3)))
+def test_certified_points_under_the_memo_are_bitwise_standalone(kind, tol):
+    # duration outer, alpha inner: each shape's N and 2N samples serve several points
+    spec = nominal_spec(kind)
+    cfg = IntegratorConfig(steps_per_pulse=400, convergence_tol=tol)
+    tasks = sweep_module._grid_tasks(spec, CERT_AXES, ErrorVector(), cfg)
+
+    def outcome(err, shapes=None):
+        try:
+            return evaluate_point(spec, err, cfg, shapes)
+        except NonConvergent:
+            return "NonConvergent"
+
+    alone = [outcome(err) for _, err, _ in tasks]
+    with ShapeMemo() as memo:
+        memoized = []
+        for _, err, _ in tasks:
+            memoized.append(outcome(err, memo))
+            # every pulse is sampled at N steps, the first of the shape also at 2N
+            half = protocols.WINDOW_HALF_WIDTH * err.duration_factor * spec.T
+            n = spec.pulse_count
+            pulses = [(half * (2 * k + 1 - n),) * 2 for k in range(n)]
+            slots = {(pulse, (400,)) for pulse in pulses} | {(pulses[0], (800,))}
+            if memoized[-1] == "NonConvergent":  # raised before the later pulses
+                assert set(memo.samples) <= slots
+            else:
+                assert set(memo.samples) == slots
+    assert memoized == alone
+    assert "NonConvergent" in alone and any(isinstance(p, float) for p in alone)
+
+    loose = replace(cfg, convergence_tol=1.0)
+    values = sweep2d(spec, *CERT_AXES, cfg=loose).values
+    assert values == tuple(evaluate_point(spec, err, loose) for _, err, _ in tasks)
+    with pytest.raises(NonConvergent):
+        sweep2d(spec, *CERT_AXES, cfg=cfg)
 
 
 def test_memoized_controls_return_fresh_arrays():
