@@ -1,24 +1,29 @@
 #!/usr/bin/env python3
 """Regenerate the golden CSVs in goldens/ from the committed run configs.
 
-CI regenerates every figure config and diff-checks the bytes against these
-files, so rerun this script (and commit the result) whenever a config or the
-simulation itself changes intentionally.
+The Tier-1 test tests/test_goldens.py regenerates every figure config and
+byte-compares it with these files, so rerun this script (and commit the
+result) whenever a config or the simulation itself changes intentionally.
 
 ``--check`` regenerates into a temporary directory instead and compares:
-it prints every figure whose bytes differ with its max |dP| and exits 1 if
-any does.  It never writes to goldens/.
+it prints every figure whose bytes differ with its max |dP|.  It also
+regenerates ``table --steps-per-pulse 4000 --workers 2`` and compares it
+with perfbench/reference/table.csv, printing every row that differs.  It
+exits 1 if anything differs and never writes to goldens/ or to the
+reference table, which this script does not regenerate.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import pathlib
 import sys
 import tempfile
 from typing import List, Tuple
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
+TABLE_REFERENCE = REPO / "perfbench" / "reference" / "table.csv"
 sys.path.insert(0, str(REPO / "src"))
 
 from pulselab.cli import main  # noqa: E402
@@ -34,6 +39,15 @@ def regenerate(outdir: pathlib.Path) -> List[pathlib.Path]:
             raise SystemExit(f"sweep failed for {cfg} (exit {code})")
         written.append(out)
     return written
+
+
+def regenerate_table(outdir: pathlib.Path) -> pathlib.Path:
+    """Run the robustness table the reference was recorded with, into ``outdir``."""
+    out = outdir / "table.csv"
+    code = main(["table", "--steps-per-pulse", "4000", "--workers", "2", "--output", str(out)])
+    if code != 0:
+        raise SystemExit(f"table failed (exit {code})")
+    return out
 
 
 def _rows(path: pathlib.Path) -> List[List[str]]:
@@ -61,10 +75,25 @@ def differing(new_files: List[pathlib.Path], golden_dir: pathlib.Path) -> List[T
     return out
 
 
+def table_differences(new: pathlib.Path, reference: pathlib.Path) -> List[str]:
+    """One line per row of ``new`` that differs from ``reference``; [] if the bytes are equal."""
+    if new.read_bytes() == reference.read_bytes():
+        return []
+    pairs = itertools.zip_longest(_rows(new), _rows(reference), fillvalue=[])
+    lines = [
+        f"row {i}: {','.join(a)!r} != reference {','.join(b)!r}"
+        for i, (a, b) in enumerate(pairs)
+        if a != b
+    ]
+    return lines or ["bytes differ in line endings or quoting only"]
+
+
 def run(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--check", action="store_true", help="compare with goldens/ instead of overwriting it"
+        "--check",
+        action="store_true",
+        help="compare with goldens/ and the reference table instead of overwriting goldens/",
     )
     args = parser.parse_args(argv)
     if not args.check:
@@ -73,11 +102,14 @@ def run(argv: List[str] | None = None) -> int:
         return 0
     with tempfile.TemporaryDirectory() as tmp:
         diffs = differing(regenerate(pathlib.Path(tmp)), REPO / "goldens")
+        table = table_differences(regenerate_table(pathlib.Path(tmp)), TABLE_REFERENCE)
     for name, dp in diffs:
         print(f"{name}: differs from goldens/{name}.csv, max |dP| = {dp:.3e}")
-    if not diffs:
-        print("all goldens regenerate byte-identically")
-    return 1 if diffs else 0
+    for line in table:
+        print(f"table: {line}")
+    if not diffs and not table:
+        print("all goldens and the reference table regenerate byte-identically")
+    return 1 if diffs or table else 0
 
 
 if __name__ == "__main__":

@@ -78,7 +78,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         lines.append(f"shortcut_area_over_pi = {shortcut / np.pi:.6f}")
     else:
         lines.append(f"adiabaticity_margin = {adiabaticity_margin(seq.pulses[0]):.6f}")
-    write_output(cfg.output or "-", ("\n".join(lines) + "\n").encode("utf-8"))
+    write_output(cfg.output, ("\n".join(lines) + "\n").encode("utf-8"))
     return 0
 
 
@@ -137,7 +137,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     rows = comparison_table(
         specs, base_err=cfg.errors, cfg=cfg.integrator, workers=cfg.workers
     )
-    if cfg.output and cfg.output != "-":
+    if cfg.output != "-":
         write_output(cfg.output, write_table(rows, cfg.fmt))
     else:
         _print_table(rows)

@@ -59,7 +59,7 @@ CONFIG_KEYS: Dict[str, Tuple[str, str]] = {
     "unitarity_tol": ("float", "allowed norm drift of the propagator"),
     "renormalize": ("bool", "rescale the final pair to unit norm"),
     "convergence_tol": ("float", "optional self-check tolerance for every propagation"),
-    "output": ("str", "output path, '-' for stdout"),
+    "output": ("str", "output path, '-' or empty for stdout"),
     "format": ("str", "csv or json"),
     "workers": ("int", "process count for sweeps (PULSE_WORKERS overrides)"),
 }
@@ -189,7 +189,7 @@ def build_config(raw: Dict[str, str]) -> RunConfig:
         errors=errors,
         axes=axes,
         integrator=integrator,
-        output=str(values.get("output", "-")),
+        output=str(values.get("output", "")) or "-",  # empty means stdout
         fmt=fmt,
         workers=workers,
     )

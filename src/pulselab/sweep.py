@@ -20,17 +20,21 @@ uses it.  The shaped pulse's schedule is built and validated once per
 width and coefficient list by a bounded cache in :mod:`pulselab.protocols`,
 not by the memo.
 
-:func:`comparison_table` evaluates all of its (technique, channel) sweeps as
-one grid: one task list, one call of the grid runner and so at most one pool,
-with the values sliced back per sweep.  Its shape groups therefore span the
-sweeps of a technique: the alpha, delta, eta and sigma points share the
-nominal shape.
+:func:`comparison_table` evaluates all of its (technique, channel) sweeps
+together, outward from each nominal point in waves: first every nominal
+point, then blocks of ``_WALK_BLOCK`` points on each side that is still at or
+above the lowest threshold.  A side stops at its first point below it, since
+no row reads past that point, so the rows are those of the full probe grids.
+Every wave runs on the same pool, so the table starts at most one, and a
+wave's shape groups span the sweeps of a technique: its alpha, delta, eta and
+sigma points share the nominal shape.
 """
 from __future__ import annotations
 
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
@@ -161,28 +165,38 @@ def _resolve_workers(workers: int, tasks: int) -> int:
     return max(1, min(workers, tasks, os.cpu_count() or 1))
 
 
-def _run_grid(tasks: List[_Task], workers: int) -> Tuple[List[float], int]:
-    """Values of ``tasks`` in task order, and the worker count used."""
-    workers = _resolve_workers(workers, len(tasks))
+def _evaluate(tasks: List[_Task], workers: int, pool: ProcessPoolExecutor | None) -> List[float]:
+    """Values of ``tasks`` in task order, on ``pool``'s ``workers`` processes or, without one, here."""
     first: Dict[tuple, int] = {}
     keys = [shape_key(spec, err.duration_factor, err.centering) for spec, err, _ in tasks]
     for i, key in enumerate(keys):
         first.setdefault(key, i)
     order = sorted(range(len(tasks)), key=lambda i: first[keys[i]])
     grouped = [tasks[i] for i in order]
-    if workers == 1:
+    if pool is None:
         results = _eval_chunk(grouped)
     else:
         # Many small chunks per worker: a composite point costs several times a
         # single-pulse one, so a few large chunks leave one worker idle at the end.
         size = max(1, len(tasks) // (workers * 16))
         chunks = [grouped[i : i + size] for i in range(0, len(grouped), size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = [p for chunk in pool.map(_eval_chunk, chunks) for p in chunk]
+        results = [p for chunk in pool.map(_eval_chunk, chunks) for p in chunk]
     values = [0.0] * len(tasks)
     for i, p in zip(order, results):
         values[i] = p
-    return values, workers
+    return values
+
+
+def _open_pool(workers: int):
+    """A pool of ``workers`` processes to use as a context manager; none for one worker."""
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+
+
+def _run_grid(tasks: List[_Task], workers: int) -> Tuple[List[float], int]:
+    """Values of ``tasks`` in task order, and the worker count used."""
+    workers = _resolve_workers(workers, len(tasks))
+    with _open_pool(workers) as pool:
+        return _evaluate(tasks, workers, pool), workers
 
 
 def _meta(cfg: IntegratorConfig, base_err: ErrorVector, workers: int) -> Dict[str, object]:
@@ -284,6 +298,62 @@ DEFAULT_PROBES: Dict[str, SweepAxis] = {
 }
 
 
+# Probe points by which each still-passing side of a table sweep grows per wave.
+_WALK_BLOCK = 8
+
+
+def _block(j: int, step: int, n: int) -> range:
+    """The next ``_WALK_BLOCK`` indices past ``j`` in direction ``step``, cut at [0, n)."""
+    if step > 0:
+        return range(j + 1, min(j + 1 + _WALK_BLOCK, n))
+    return range(j - 1, max(j - 1 - _WALK_BLOCK, -1), -1)
+
+
+def _walk_out(
+    sweeps: List[Tuple[ProtocolSpec, SweepAxis, float]],
+    thresholds: Sequence[float],
+    base_err: ErrorVector,
+    cfg: IntegratorConfig,
+    workers: int,
+) -> List[np.ndarray]:
+    """P of each (spec, axis, nominal) sweep on the points its table rows read; NaN elsewhere.
+
+    The first wave evaluates every sweep's nominal point, the one
+    :func:`half_width` starts from.  Each later wave extends every side whose
+    points so far all reach the lowest threshold by its next block of points.
+    A side stops at its first point below every threshold or at the grid edge,
+    so :func:`half_width` never needs a point left NaN (not evaluated).  All
+    waves share one pool, sized once over the full probe count.
+    """
+    grids = [axis.values() for _, axis, _ in sweeps]
+    probs = [np.full(len(grid), np.nan) for grid in grids]
+    starts = [int(np.argmin(np.abs(grid - nominal))) for grid, (_, _, nominal) in zip(grids, sweeps)]
+
+    def passes(s: int, j: int) -> bool:
+        return any(probs[s][j] >= t for t in thresholds)
+
+    workers = _resolve_workers(workers, sum(len(grid) for grid in grids))
+    with _open_pool(workers) as pool:
+
+        def run(points: List[Tuple[int, int]]) -> None:
+            tasks = [
+                (sweeps[s][0], replace(base_err, **{sweeps[s][1].channel: float(grids[s][j])}), cfg)
+                for s, j in points
+            ]
+            for (s, j), p in zip(points, _evaluate(tasks, workers, pool)):
+                probs[s][j] = p
+
+        run(list(enumerate(starts)))
+        # a side is (sweep, last index evaluated, step); it grows while all its points
+        # pass and until it reaches its grid edge
+        sides = [(s, j, step) for s, j in enumerate(starts) if passes(s, j) for step in (-1, 1)]
+        while sides := [(s, j, step) for s, j, step in sides if 0 <= j + step < len(grids[s])]:
+            blocks = [(s, _block(j, step, len(grids[s])), step) for s, j, step in sides]
+            run([(s, j) for s, block, _ in blocks for j in block])
+            sides = [(s, block[-1], step) for s, block, step in blocks if all(passes(s, j) for j in block)]
+    return probs
+
+
 def comparison_table(
     specs: Iterable[ProtocolSpec],
     probes: Mapping[str, SweepAxis] | None = None,
@@ -296,17 +366,28 @@ def comparison_table(
 
     For every protocol and channel the P >= threshold half-width around the
     nominal point is measured on the probe grid; rows are ordered per channel
-    and threshold with the most robust protocol first.
+    and threshold with the most robust protocol first.  Every probe axis must
+    contain its channel's nominal value.
+
+    The sweeps are evaluated outward from the nominal point in blocks of
+    ``_WALK_BLOCK`` points, each side stopping at its first point below the
+    lowest threshold, so only the points a row can depend on are computed.
+    The rows are those of the full probe grids, and at most one pool is
+    started for the whole table.
     """
     probes = dict(DEFAULT_PROBES if probes is None else probes)
+    for channel, axis in probes.items():
+        nominal = CHANNEL_NOMINALS[channel]
+        if not axis.lo <= nominal <= axis.hi:
+            raise InvalidParameter(
+                f"the {channel} probe [{axis.lo}, {axis.hi}] must contain its nominal value {nominal}"
+            )
+    if not thresholds:
+        return []
     specs = list(specs)
-    tasks: List[_Task] = []
-    start: Dict[Tuple[int, str], int] = {}
-    for i, spec in enumerate(specs):
-        for channel, axis in probes.items():
-            start[(i, channel)] = len(tasks)
-            tasks += _grid_tasks(spec, (axis,), base_err, cfg)
-    values, _ = _run_grid(tasks, workers)
+    keys = [(i, channel) for i in range(len(specs)) for channel in probes]
+    sweeps = [(specs[i], probes[channel], CHANNEL_NOMINALS[channel]) for i, channel in keys]
+    probs = dict(zip(keys, _walk_out(sweeps, thresholds, base_err, cfg, workers)))
     rows: List[RobustnessRow] = []
     for channel, axis in probes.items():
         nominal = CHANNEL_NOMINALS[channel]
@@ -314,8 +395,7 @@ def comparison_table(
         for threshold in thresholds:
             batch = []
             for i, spec in enumerate(specs):
-                k = start[(i, channel)]
-                hw, lo, hi = half_width(grid, values[k : k + axis.points], nominal, threshold)
+                hw, lo, hi = half_width(grid, probs[(i, channel)], nominal, threshold)
                 censored = lo is not None and bool(lo == grid[0] or hi == grid[-1])
                 batch.append(
                     RobustnessRow(channel, spec.kind, threshold, hw, lo, hi, censored)

@@ -57,6 +57,17 @@ def test_sweep_writes_csv_and_gnuplot(tmp_path):
     assert "plot" in gp.read_text()
 
 
+def test_empty_output_in_a_sweep_config_means_stdout(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "protocol = RE\nsweep_channel = alpha\nsweep_lo = 0\nsweep_hi = 2\n"
+        "sweep_points = 3\nsteps_per_pulse = 400\noutput =\n"
+    )
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "alpha,P" and len(lines) == 4
+
+
 def test_sweep_requires_axis(capsys):
     code = main(["sweep", "--protocol", "RE"])
     assert code == 2

@@ -9,6 +9,13 @@ import pytest
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
+def load_make_goldens():
+    spec = importlib.util.spec_from_file_location("make_goldens", REPO / "scripts" / "make_goldens.py")
+    make_goldens = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_goldens)
+    return make_goldens
+
+
 def test_make_figures_single_figure(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "make_figures.py"),
@@ -26,7 +33,7 @@ def test_make_figures_single_figure(tmp_path):
 
 
 def test_make_goldens_check_reports_differences_and_never_writes(tmp_path):
-    goldens = sorted((REPO / "goldens").glob("fig*.csv"))
+    goldens = sorted((REPO / "goldens").glob("fig*.csv")) + [REPO / "perfbench" / "reference" / "table.csv"]
     before = {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in goldens}
     proc = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "make_goldens.py"), "--check"],
@@ -37,9 +44,7 @@ def test_make_goldens_check_reports_differences_and_never_writes(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in goldens} == before
 
-    spec = importlib.util.spec_from_file_location("make_goldens", REPO / "scripts" / "make_goldens.py")
-    make_goldens = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(make_goldens)
+    make_goldens = load_make_goldens()
     lines = (REPO / "goldens" / "fig2.csv").read_text().splitlines(keepends=True)
     alpha, p = lines[5].rstrip("\r\n").split(",")
     lines[5] = f"{alpha},{float(p) + 1e-9!r}\r\n"
@@ -49,3 +54,18 @@ def test_make_goldens_check_reports_differences_and_never_writes(tmp_path):
     same.write_bytes((REPO / "goldens" / "fig3.csv").read_bytes())
     (diff,) = make_goldens.differing([new, same], REPO / "goldens")
     assert diff[0] == "fig2" and diff[1] == pytest.approx(1e-9, rel=1e-3)
+
+
+def test_make_goldens_check_prints_the_table_rows_that_differ(tmp_path):
+    make_goldens = load_make_goldens()
+    reference = make_goldens.TABLE_REFERENCE
+    lines = reference.read_bytes().split(b"\r\n")
+    assert make_goldens.table_differences(reference, reference) == []
+    lines[3] = lines[3].replace(b",false", b",true")
+    changed = tmp_path / "table.csv"
+    changed.write_bytes(b"\r\n".join(lines))
+    (diff,) = make_goldens.table_differences(changed, reference)
+    assert diff.startswith("row 3: ") and "true" in diff
+    unix = tmp_path / "unix.csv"
+    unix.write_bytes(reference.read_bytes().replace(b"\r\n", b"\n"))
+    assert make_goldens.table_differences(unix, reference) == ["bytes differ in line endings or quoting only"]

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulselab import protocols
 from pulselab import sweep as sweep_module
@@ -221,8 +223,144 @@ def test_comparison_table_is_one_grid_on_one_pool(fast_cfg, monkeypatch):
     assert rows == reference
 
 
+# ------------------------------------------------------------------ walk-out
+
+WALK_BLOCK = sweep_module._WALK_BLOCK
+
+
+@pytest.fixture
+def point_log(monkeypatch):
+    """Every (technique, error vector) a table evaluates, through the real evaluate_point."""
+    calls = []
+
+    def logged(spec, err, cfg, shapes=None):
+        calls.append((spec.kind, err))
+        return evaluate_point(spec, err, cfg, shapes)
+
+    monkeypatch.setattr(sweep_module, "evaluate_point", logged)
+    return calls
+
+
+def full_grid_rows(probes, thresholds, kinds, probs):
+    """Rows read off complete P arrays, ``probs[(kind, channel)]``, by half_width."""
+    rows = []
+    for channel, axis in probes.items():
+        grid = axis.values()
+        for threshold in thresholds:
+            batch = []
+            for kind in kinds:
+                hw, lo, hi = half_width(grid, probs[(kind, channel)], CHANNEL_NOMINALS[channel], threshold)
+                censored = lo is not None and (lo == grid[0] or hi == grid[-1])
+                batch.append(RobustnessRow(channel, kind, threshold, hw, lo, hi, censored))
+            rows += sorted(batch, key=lambda r: -r.half_width)
+    return rows
+
+
+def plateau(probs, i0, floor):
+    """Points in the contiguous probs >= floor run around i0 (0 if i0 is below it)."""
+    if probs[i0] < floor:
+        return 0
+    i, j = i0, i0
+    while i > 0 and probs[i - 1] >= floor:
+        i -= 1
+    while j < len(probs) - 1 and probs[j + 1] >= floor:
+        j += 1
+    return j - i + 1
+
+
+WALK_KINDS = ("RE", "AF", "SP")
+WALK_LEVELS = (0.0, 0.5, 0.98, 0.99, 0.995, 0.999, 0.9999, 1.0)
+
+
+@st.composite
+def walk_cases(draw):
+    channel = draw(st.sampled_from(("alpha", "delta")))
+    nominal = CHANNEL_NOMINALS[channel]
+    n = draw(st.integers(1, 60))
+    if n == 1:
+        axis = SweepAxis(channel, nominal, nominal, 1)
+    else:
+        below, above = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+        if below + above < 0.1:
+            above += 0.1
+        axis = SweepAxis(channel, nominal - below, nominal + above, n)
+    i0 = int(np.argmin(np.abs(axis.values() - nominal)))
+    probs = {}
+    for kind in WALK_KINDS:
+        left, right = draw(st.integers(0, i0)), draw(st.integers(0, n - 1 - i0))
+        probs[(kind, channel)] = np.array([
+            draw(st.sampled_from(WALK_LEVELS[3:] if i0 - left <= j <= i0 + right else WALK_LEVELS))
+            for j in range(n)
+        ])
+    thresholds = tuple(draw(st.lists(st.sampled_from(WALK_LEVELS[2:7]), min_size=1, max_size=3)))
+    return axis, probs, thresholds, i0
+
+
+@settings(max_examples=40, deadline=None)
+@given(walk_cases())
+def test_walk_out_reads_only_what_the_rows_need(case):
+    axis, probs, thresholds, i0 = case
+    channel = axis.channel
+    index = {float(v): j for j, v in enumerate(axis.values())}
+    calls = []
+
+    def synthetic(spec, err, cfg, shapes=None):
+        j = index[getattr(err, channel)]
+        calls.append((spec.kind, j))
+        return float(probs[(spec.kind, channel)][j])
+
+    specs = [nominal_spec(kind) for kind in WALK_KINDS]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep_module, "evaluate_point", synthetic)
+        rows = comparison_table(specs, {channel: axis}, thresholds, workers=1)
+    assert rows == full_grid_rows({channel: axis}, thresholds, WALK_KINDS, probs)
+    assert len(set(calls)) == len(calls)  # no point is evaluated twice
+    for kind in WALK_KINDS:
+        run = plateau(probs[(kind, channel)], i0, min(thresholds))
+        cost = sum(1 for k, _ in calls if k == kind)
+        assert cost <= run + 2 + 2 * (WALK_BLOCK - 1)
+
+
+def test_a_technique_below_threshold_at_nominal_costs_one_point_per_channel(fast_cfg, point_log):
+    rows = comparison_table([nominal_spec("AF")], cfg=fast_cfg, workers=1)
+    assert point_log == [("AF", ErrorVector())] * len(DEFAULT_PROBES)
+    assert len(rows) == 3 * len(DEFAULT_PROBES)
+    assert all(r.half_width == 0.0 and r.lo is None and not r.censored for r in rows)
+
+
+def test_a_sweep_above_threshold_edge_to_edge_is_evaluated_whole_and_censored(fast_cfg, point_log):
+    axis = SweepAxis("alpha", 0.98, 1.02, 21)  # P(0.98) = cos^2(0.01 pi) > 0.999
+    (row,) = comparison_table([RE], {"alpha": axis}, (0.99,), cfg=fast_cfg, workers=1)
+    assert sorted(err.alpha for _, err in point_log) == sorted(float(v) for v in axis.values())
+    assert (row.lo, row.hi, row.censored) == (0.98, 1.02, True)
+    assert row.half_width == pytest.approx(0.02)
+
+
+def test_empty_thresholds_evaluate_nothing_and_start_no_pool(monkeypatch, point_log):
+    monkeypatch.delenv("PULSE_WORKERS", raising=False)
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a pool was started")  # before any process is
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", NoPool)
+    assert comparison_table([RE, nominal_spec("UCP")], thresholds=(), workers=2) == []
+    assert point_log == []
+
+
+@pytest.mark.parametrize(
+    "axis", (SweepAxis("alpha", 1.2, 1.8, 5), SweepAxis("delta", -1.0, -0.5, 3), SweepAxis("sigma", 0.1, 0.1, 1))
+)
+def test_a_probe_without_its_nominal_value_is_rejected(axis, point_log):
+    with pytest.raises(InvalidParameter, match=axis.channel):
+        comparison_table([RE], {axis.channel: axis}, thresholds=(0.5,))
+    assert point_log == []
+
+
 def test_default_probes_cover_all_channels():
     assert set(DEFAULT_PROBES) == {"alpha", "duration_factor", "delta", "eta", "sigma"}
+    assert all(ax.lo <= CHANNEL_NOMINALS[c] <= ax.hi for c, ax in DEFAULT_PROBES.items())
 
 
 # ------------------------------------------------------------- worker count
