@@ -27,12 +27,12 @@ absolute time, for sensitivity studies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from .core import InvalidParameter, PulseSequence, Waveform
-from .protocols import ProtocolSpec, ShapeMemo, nominal_pulses
+from .protocols import ProtocolSpec, nominal_pulses
 
 __all__ = ["LengthMismatch", "ErrorVector", "apply_errors"]
 
@@ -69,10 +69,12 @@ class ErrorVector:
         if self.centering not in CENTERINGS:
             raise InvalidParameter(f"centering must be one of {CENTERINGS}, got {self.centering!r}")
         object.__setattr__(self, "phase_offsets", tuple(float(p) for p in self.phase_offsets))
+        if not all(np.isfinite(self.phase_offsets)):
+            raise InvalidParameter("phase_offsets must be finite")
 
 
 def apply_errors(
-    spec: ProtocolSpec, err: ErrorVector = ErrorVector(), shapes: ShapeMemo | None = None
+    spec: ProtocolSpec, err: ErrorVector = ErrorVector(), shapes: Callable[..., tuple] | None = None
 ) -> PulseSequence:
     """Build the sequence of ``spec`` with the error channels of ``err`` applied.
 
@@ -80,8 +82,9 @@ def apply_errors(
     :func:`pulselab.protocols.nominal_pulses` gets its controls from the
     channel arithmetic on top of its nominal parts.  The default vector
     reproduces the nominal build exactly (identical control values at every
-    time sample).  ``shapes`` is the open memo of a sweep, see
-    :class:`pulselab.protocols.ShapeMemo`; it changes no value.
+    time sample).  ``shapes`` replaces :func:`~pulselab.protocols.nominal_pulses`
+    with a function of the same ``(spec, duration_factor, centering)``, such
+    as a sweep's cache of its kept shapes; it changes no value.
     """
     if err.phase_offsets and len(err.phase_offsets) != spec.pulse_count:
         raise LengthMismatch(
@@ -96,7 +99,7 @@ def apply_errors(
     offsets = err.phase_offsets or (0.0,) * spec.pulse_count
     pulses = []
     for (sample, ce, phase, window, tag), offset in zip(
-        nominal_pulses(spec, err.duration_factor, err.centering, shapes), offsets
+        (shapes or nominal_pulses)(spec, err.duration_factor, err.centering), offsets
     ):
         def rabi(t, sample=sample):
             t = np.asarray(t, dtype=float)

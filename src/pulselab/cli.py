@@ -137,7 +137,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     rows = comparison_table(
         specs, base_err=cfg.errors, cfg=cfg.integrator, workers=cfg.workers
     )
-    if cfg.output != "-":
+    if cfg.output != "-" or "format" in raw:
         write_output(cfg.output, write_table(rows, cfg.fmt))
     else:
         _print_table(rows)

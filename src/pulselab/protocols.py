@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 from scipy.special import erf
@@ -42,7 +42,6 @@ __all__ = [
     "A7_COEFFS",
     "WINDOW_HALF_WIDTH",
     "nominal_spec",
-    "shape_key",
     "nominal_pulses",
     "mixing_angle_rate",
     "adiabaticity_margin",
@@ -95,6 +94,8 @@ class ProtocolSpec:
         if self.kind not in _CHIRPED and self.beta != 0.0:
             raise InvalidParameter(f"beta is not a parameter of the {self.kind} technique")
         object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
+        if not all(np.isfinite(self.phases)):
+            raise InvalidParameter("phases must be finite")
         object.__setattr__(self, "sp_coeffs", tuple(float(c) for c in self.sp_coeffs))
         if self.kind != "SP" and self.sp_coeffs != A7_COEFFS:
             raise InvalidParameter(f"sp_coeffs is not a parameter of the {self.kind} technique")
@@ -245,53 +246,6 @@ def _sp_controls(T_live: float, coeffs: Tuple[float, ...]) -> Tuple[Callable, Ca
     return envelope, detuning
 
 
-class ShapeMemo:
-    """Sampled nominal pulse parts, held for one shape key at a time.
-
-    A sweep opens one around a run of grid points and passes it, through
-    :func:`pulselab.channels.apply_errors`, to :func:`nominal_pulses`, which
-    switches it to the point's :func:`shape_key`.  Switching to another key
-    drops everything held for the previous one, so the memo never holds more
-    than one shape: per pulse and time-array shape, one copy of the time
-    array and the parts sampled on it.  The sampler of :func:`nominal_pulses`
-    reuses a part only for the current key, the same pulse and a
-    bitwise-equal time array.  Leaving the ``with`` block empties it.
-    """
-
-    def __init__(self) -> None:
-        self.key: tuple | None = None
-        self.samples: Dict[tuple, Tuple[np.ndarray, Dict[str, np.ndarray]]] = {}
-
-    def __enter__(self) -> "ShapeMemo":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.switch(None)
-
-    def switch(self, key: tuple | None) -> None:
-        if key != self.key:
-            self.samples.clear()
-            self.key = key
-
-
-def shape_key(spec: ProtocolSpec, duration_factor: float, centering: str) -> tuple:
-    """Hashable parameters that fix the nominal part of every pulse's controls.
-
-    The other channels (alpha, delta, eta, sigma) and the drive phases act on
-    top of that part without changing it.
-    """
-    return (
-        spec.kind,
-        spec.omega0,
-        spec.beta,
-        duration_factor * spec.T,
-        spec.sp_coeffs,
-        spec.sta_nominal,
-        spec.pulse_count,
-        centering,
-    )
-
-
 def _nominal_parts(
     spec: ProtocolSpec, T_live: float, c: float, ce: float, sp: Tuple[Callable, Callable] | None
 ) -> Dict[str, Callable[[np.ndarray], np.ndarray]]:
@@ -319,26 +273,26 @@ def _nominal_parts(
 
 
 def _sampler(
-    parts: Dict[str, Callable[[np.ndarray], np.ndarray]],
-    shapes: ShapeMemo | None,
-    key: tuple,
-    pulse: tuple,
+    parts: Dict[str, Callable[[np.ndarray], np.ndarray]], keep: bool
 ) -> Callable[[np.ndarray, str], np.ndarray]:
-    """``sample(t, name)``: one part at ``t``, from ``shapes`` when it holds it.
+    """``sample(t, name)``: one part at ``t``; with ``keep``, each part once per time array.
 
-    Callers use the result inline, so that without a memo numpy can reuse
-    the fresh array for the arithmetic on top, as it did before the split.
+    A kept part is held per time-array shape, together with a copy of the
+    times it was sampled at, and is reused only for a bitwise-equal time
+    array.  Without ``keep`` callers use the result inline, so that numpy can
+    reuse the fresh array for the arithmetic on top.
     """
+    if not keep:
+        return lambda t, name: parts[name](t)
+    held: Dict[tuple, Tuple[np.ndarray, Dict[str, np.ndarray]]] = {}
 
     def sample(t: np.ndarray, name: str) -> np.ndarray:
-        if shapes is None or key != shapes.key:
-            return parts[name](t)
-        held = shapes.samples.get((pulse, t.shape))
-        if held is None or not np.array_equal(held[0].view(np.uint64), t.view(np.uint64)):
-            held = shapes.samples[(pulse, t.shape)] = (t.copy(), {})
-        if name not in held[1]:
-            held[1][name] = parts[name](t)
-        return held[1][name]
+        slot = held.get(t.shape)
+        if slot is None or not np.array_equal(slot[0].view(np.uint64), t.view(np.uint64)):
+            slot = held[t.shape] = (t.copy(), {})
+        if name not in slot[1]:
+            slot[1][name] = parts[name](t)
+        return slot[1][name]
 
     return sample
 
@@ -347,43 +301,45 @@ def nominal_pulses(
     spec: ProtocolSpec,
     duration_factor: float = 1.0,
     centering: str = "per_pulse",
-    shapes: ShapeMemo | None = None,
-) -> Iterator[tuple]:
-    """Yield each pulse's nominal physics, in time order, for the error model.
+    keep: bool = False,
+) -> Tuple[tuple, ...]:
+    """Each pulse's nominal physics, in time order, for the error model.
 
     Per pulse: ``sample(t, name)`` for its nominal parts (see
     :func:`_nominal_parts`), the center ``t_k`` of its sigma and eta terms
     (0 under global centering), its drive phase, its window and its shape
     tag.  :func:`pulselab.channels.apply_errors` applies the error channels
     on top.  ``duration_factor`` and ``centering`` are the two channels that
-    change the nominal shape itself, see :func:`shape_key`.
+    change the nominal shape itself, so the pulses built for one
+    ``(spec, duration_factor, centering)`` serve every alpha, delta, eta and
+    sigma.
 
-    With an open ``shapes`` memo the nominal parts are sampled once per shape
-    and time array; the values are bitwise the same as without it.  The
-    pulses of a per-pulse-centred composite share one fresh ``shape_tag``:
-    each is the same shape translated in time, with its own drive phase.
-    Single pulses and global centering stay untagged.
+    With ``keep`` each pulse keeps the parts it samples, per time array (see
+    :func:`_sampler`), so reusing the result samples every shape once; the
+    values are bitwise the same as without it.  The pulses of a
+    per-pulse-centred composite share one fresh ``shape_tag``: each is the
+    same shape translated in time, with its own drive phase.  Single pulses
+    and global centering stay untagged.
     """
     n = spec.pulse_count
     T_live = duration_factor * spec.T
     half = WINDOW_HALF_WIDTH * T_live
-    key = shape_key(spec, duration_factor, centering)
-    if shapes is not None:
-        shapes.switch(key)
     tag = object() if n > 1 and centering != "global" else None
 
     sp = _sp_controls(T_live, spec.sp_coeffs) if spec.kind == "SP" else None
+    pulses = []
     for k in range(n):
         center = half * (2 * k + 1 - n)
         c_err = 0.0 if centering == "global" else center
         parts = _nominal_parts(spec, T_live, center, c_err, sp)
-        yield (
-            _sampler(parts, shapes, key, (center, c_err)),
+        pulses.append((
+            _sampler(parts, keep),
             c_err,
             spec.phases[k] if spec.phases else 0.0,
             (center - half, center + half),
             tag,
-        )
+        ))
+    return tuple(pulses)
 
 
 def adiabaticity_margin(w: Waveform, samples: int = 8193) -> float:

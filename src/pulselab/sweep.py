@@ -11,14 +11,16 @@ Most points of a grid share one nominal pulse shape: only ``duration_factor``
 and ``centering`` change it, while alpha, delta, eta and sigma act on top of
 it (:func:`~pulselab.channels.apply_errors` applies them to the parts of
 :func:`~pulselab.protocols.nominal_pulses`).  A grid is therefore evaluated
-grouped by :func:`~pulselab.protocols.shape_key` (first appearance first,
-grid order within a group), and each in-process run or pool chunk opens one
-:class:`~pulselab.protocols.ShapeMemo`, so every shape is sampled once per
-group instead of once per point.  The memo holds one shape at a time and is
-emptied when the run ends, also on an exception; nothing outside a sweep
-uses it.  The shaped pulse's schedule is built and validated once per
-width and coefficient list by a bounded cache in :mod:`pulselab.protocols`,
-not by the memo.
+grouped by ``(spec, duration_factor, centering)`` (first appearance first,
+grid order within a group), and each in-process run or pool chunk calls
+``nominal_pulses`` with ``keep`` through a one-entry cache on those same
+arguments, so every shape is built and sampled once per group instead of once
+per point.  A shape's samples can only come from the call that built them.
+The cache holds one shape at a time and is cleared when the run ends, also on
+an exception, whose traceback then holds no sampled arrays either; nothing
+outside a sweep keeps samples.  The shaped pulse's schedule is built and
+validated once per width and coefficient list by a bounded cache in
+:mod:`pulselab.protocols`, not by the sweep's.
 
 :func:`comparison_table` evaluates all of its (technique, channel) sweeps
 together, outward from each nominal point in waves: first every nominal
@@ -31,13 +33,15 @@ sigma points share the nominal shape.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import os
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +49,7 @@ from . import __version__
 from .channels import ErrorVector, apply_errors
 from .core import InvalidParameter
 from .integrator import DEFAULT_CONFIG, IntegratorConfig, propagate_sequence
-from .protocols import ProtocolSpec, ShapeMemo, shape_key
+from .protocols import ProtocolSpec, nominal_pulses
 
 __all__ = [
     "SWEEP_CHANNELS",
@@ -136,9 +140,13 @@ class SweepResult:
 
 
 def evaluate_point(
-    spec: ProtocolSpec, err: ErrorVector, cfg: IntegratorConfig, shapes: ShapeMemo | None = None
+    spec: ProtocolSpec, err: ErrorVector, cfg: IntegratorConfig, shapes: Callable[..., tuple] | None = None
 ) -> float:
-    """Transition probability of one protocol under one error vector."""
+    """Transition probability of one protocol under one error vector.
+
+    ``shapes`` is passed on to :func:`~pulselab.channels.apply_errors`: a
+    sweep's cache of kept nominal shapes, or None to build them afresh.
+    """
     u = propagate_sequence(apply_errors(spec, err, shapes), cfg)
     p = abs(u.b) ** 2
     return float(min(max(p, 0.0), 1.0))
@@ -148,8 +156,16 @@ _Task = Tuple[ProtocolSpec, ErrorVector, IntegratorConfig]
 
 
 def _eval_chunk(tasks: List[_Task]) -> List[float]:
-    with ShapeMemo() as shapes:
+    shapes = functools.lru_cache(maxsize=1)(functools.partial(nominal_pulses, keep=True))
+    try:
         return [evaluate_point(spec, err, cfg, shapes) for spec, err, cfg in tasks]
+    except Exception as exc:
+        # the failed point's sequence, with the samples it keeps, would live on
+        # in the traceback's frames
+        traceback.clear_frames(exc.__traceback__)
+        raise
+    finally:
+        shapes.cache_clear()
 
 
 def _resolve_workers(workers: int, tasks: int) -> int:
@@ -168,7 +184,7 @@ def _resolve_workers(workers: int, tasks: int) -> int:
 def _evaluate(tasks: List[_Task], workers: int, pool: ProcessPoolExecutor | None) -> List[float]:
     """Values of ``tasks`` in task order, on ``pool``'s ``workers`` processes or, without one, here."""
     first: Dict[tuple, int] = {}
-    keys = [shape_key(spec, err.duration_factor, err.centering) for spec, err, _ in tasks]
+    keys = [(spec, err.duration_factor, err.centering) for spec, err, _ in tasks]
     for i, key in enumerate(keys):
         first.setdefault(key, i)
     order = sorted(range(len(tasks)), key=lambda i: first[keys[i]])
@@ -367,7 +383,7 @@ def comparison_table(
     For every protocol and channel the P >= threshold half-width around the
     nominal point is measured on the probe grid; rows are ordered per channel
     and threshold with the most robust protocol first.  Every probe axis must
-    contain its channel's nominal value.
+    be keyed by its own channel and contain that channel's nominal value.
 
     The sweeps are evaluated outward from the nominal point in blocks of
     ``_WALK_BLOCK`` points, each side stopping at its first point below the
@@ -377,6 +393,8 @@ def comparison_table(
     """
     probes = dict(DEFAULT_PROBES if probes is None else probes)
     for channel, axis in probes.items():
+        if channel != axis.channel:
+            raise InvalidParameter(f"the {channel} probe is an axis of {axis.channel}")
         nominal = CHANNEL_NOMINALS[channel]
         if not axis.lo <= nominal <= axis.hi:
             raise InvalidParameter(

@@ -98,6 +98,17 @@ def test_table_writes_json(tmp_path):
     assert len(rows) == 15 and all(type(r["censored"]) is bool for r in rows)
 
 
+def test_table_on_stdout_prints_the_given_format(tmp_path, capsys):
+    argv = ["table", "--protocols", "RE", "--steps-per-pulse", "400"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("channel          protocol")  # the human table
+    out = tmp_path / "table.json"
+    assert main([*argv, "--format", "json", "--output", str(out)]) == 0
+    assert main([*argv, "--format", "json"]) == 0
+    printed = capsys.readouterr().out
+    assert json.loads(printed) == json.loads(out.read_text()) and len(json.loads(printed)) == 15
+
+
 @pytest.mark.parametrize(
     "flags",
     (
@@ -178,6 +189,21 @@ def test_nan_propagator_is_a_numerical_failure(argv, capsys):
 def test_infinite_parameter_is_a_configuration_error(flag, capsys):
     assert main(["simulate", "--protocol", "RE", "--steps-per-pulse", "400", flag, "inf"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    (
+        ["--protocol", "CAP", "--phase-offsets", "nan,0,0"],
+        ["--protocol", "CAP", "--phase-offsets", "0,inf,0"],
+        ["--protocol", "CAP", "--phases", "nan,0,0"],
+        ["--protocol", "UCP", "--phases", "0,0,-inf,0,0"],
+    ),
+    ids=lambda flags: f"{flags[2][2:]}-{flags[3]}",
+)
+def test_non_finite_phase_is_a_configuration_error(flags, capsys):
+    assert main(["simulate", "--steps-per-pulse", "400", *flags]) == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_exit_code_io_error(tmp_path, capsys):

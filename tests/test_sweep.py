@@ -1,5 +1,8 @@
 """Sweep engine: grids, determinism, worker invariance, robustness table."""
+import functools
 import os
+import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +16,7 @@ from pulselab.channels import ErrorVector, apply_errors
 from pulselab.cli import main
 from pulselab.core import InvalidParameter
 from pulselab.integrator import IntegratorConfig, NonConvergent
-from pulselab.protocols import SQRT_PI, ProtocolSpec, ShapeMemo, SingularControl, nominal_spec
+from pulselab.protocols import SQRT_PI, ProtocolSpec, SingularControl, nominal_spec
 from pulselab.sweep import (
     CHANNEL_NOMINALS,
     DEFAULT_PROBES,
@@ -358,6 +361,12 @@ def test_a_probe_without_its_nominal_value_is_rejected(axis, point_log):
     assert point_log == []
 
 
+def test_a_probe_keyed_by_another_channel_is_rejected(point_log):
+    with pytest.raises(InvalidParameter, match="alpha.*delta"):
+        comparison_table([RE], {"alpha": SweepAxis("delta", -1.0, 1.0, 21)}, (0.99,))
+    assert point_log == []
+
+
 def test_default_probes_cover_all_channels():
     assert set(DEFAULT_PROBES) == {"alpha", "duration_factor", "delta", "eta", "sigma"}
     assert all(ax.lo <= CHANNEL_NOMINALS[c] <= ax.hi for c, ax in DEFAULT_PROBES.items())
@@ -405,23 +414,30 @@ MEMO_BASES = (
 
 
 @pytest.fixture
-def memo_log(monkeypatch):
-    """Every ShapeMemo a sweep opens, recorded through the name sweep looks up."""
-    made = []
+def sampled(monkeypatch):
+    """Every nominal part sampled: (width, pulse center, size, part, weak reference to the array)."""
+    log = []
+    parts_of = protocols._nominal_parts
 
-    class LoggedMemo(ShapeMemo):
-        def __init__(self):
-            super().__init__()
-            made.append(self)
+    def logged(T_live, c, name, part):
+        def sample(t):
+            out = part(t)
+            log.append((T_live, c, t.size, name, weakref.ref(out)))
+            return out
 
-    monkeypatch.setattr(sweep_module, "ShapeMemo", LoggedMemo)
-    return made
+        return sample
+
+    def logged_parts(spec, T_live, c, ce, sp):
+        parts = parts_of(spec, T_live, c, ce, sp)
+        return {name: logged(T_live, c, name, part) for name, part in parts.items()}
+
+    monkeypatch.setattr(protocols, "_nominal_parts", logged_parts)
+    return log
 
 
-def assert_empty(memos):
-    assert memos
-    for memo in memos:
-        assert memo.key is None and not memo.samples
+def alive(log):
+    """The entries of ``log`` whose sampled array is still referenced."""
+    return [entry[:4] for entry in log if entry[4]() is not None]
 
 
 @pytest.mark.parametrize("kind", ("RE", "AF", "STA", "SP", "CAP", "UCP"))
@@ -478,90 +494,88 @@ def test_sp_shape_is_built_and_validated_once_per_shape(monkeypatch):
     protocols._sp_controls.cache_clear()
 
 
-def test_memo_is_emptied_after_a_sweep(memo_log):
+def test_memo_is_emptied_after_a_sweep(sampled):
     sweep2d(nominal_spec("CAP"), MEMO_AXES["alpha"], MEMO_AXES["duration_factor"], cfg=MEMO_CFG)
-    assert_empty(memo_log)
+    assert sampled and alive(sampled) == []
 
 
-def test_memo_is_emptied_after_a_sweep_that_raised(memo_log):
+def test_memo_is_emptied_after_a_sweep_that_raised(sampled):
     singular = ProtocolSpec("SP", SQRT_PI, 1.0, sp_coeffs=(1e200,))
     for _ in range(2):  # exceptions are not cached: every build raises
         with pytest.raises(SingularControl):
             sweep1d(singular, MEMO_AXES["delta"], cfg=MEMO_CFG)
         with pytest.raises(SingularControl):
             protocols._sp_controls(1.0, (1e200,))
-    # raised after the first point's samples were held
-    with pytest.raises(NonConvergent):
+    # raised after the first point's samples were kept
+    with pytest.raises(NonConvergent) as raised:
         sweep1d(nominal_spec("CAP"), MEMO_AXES["alpha"], cfg=replace(MEMO_CFG, convergence_tol=1e-12))
-    assert len(memo_log) == 3
-    assert_empty(memo_log)
+    assert sampled and alive(sampled) == []
+    assert raised.traceback[-1].name == "propagate"  # the traceback is still held and whole
 
 
-def test_duration_sweep_holds_one_shape_at_a_time(monkeypatch):
-    held = []
+def test_duration_sweep_holds_one_shape_at_a_time(sampled, monkeypatch):
+    builds, widths_held = [], []
+    parts_of = protocols._nominal_parts
 
-    class CheckedMemo(ShapeMemo):
-        def __init__(self):
-            super().__init__()
-            memo = self
+    def checked(T_live, part):
+        def sample(t):
+            widths_held.append({T for T, *_ in alive(sampled)} | {T_live})
+            return part(t)
 
-            class CheckedSamples(dict):
-                def __setitem__(self, slot, value):
-                    super().__setitem__(slot, value)
-                    n, T_live = memo.key[6], memo.key[3]
-                    half = protocols.WINDOW_HALF_WIDTH * T_live
-                    centers = {half * (2 * k + 1 - n) for k in range(n)}
-                    assert {pulse[0] for pulse, _ in self} <= centers
-                    held.append((memo.key, len(self)))
+        return sample
 
-            self.samples = CheckedSamples()
+    def checked_parts(spec, T_live, c, ce, sp):
+        builds.append(T_live)
+        return {name: checked(T_live, part) for name, part in parts_of(spec, T_live, c, ce, sp).items()}
 
-    monkeypatch.setattr(sweep_module, "ShapeMemo", CheckedMemo)
-    axis = SweepAxis("duration_factor", 0.5, 1.5, 5)
-    sweep1d(nominal_spec("CAP"), axis, cfg=MEMO_CFG)
-    assert len({key for key, _ in held}) == axis.points
-    assert max(n for _, n in held) == 3  # one entry per CAP pulse
+    monkeypatch.setattr(protocols, "_nominal_parts", checked_parts)
+    # alpha outer, duration inner: grouped by shape, each shape serves 3 points
+    sweep2d(nominal_spec("CAP"), MEMO_AXES["alpha"], SweepAxis("duration_factor", 0.5, 1.5, 5), cfg=MEMO_CFG)
+    assert len(builds) == len(set(builds)) * 3 == 5 * 3  # each CAP pulse built once per shape
+    # envelope, detuning and tanh of every pulse, sampled once per shape, one shape held
+    assert len(widths_held) == len(sampled) == 5 * 3 * 3
+    assert max(Counter(entry[:4] for entry in sampled).values()) == 1
+    assert max(len(widths) for widths in widths_held) == 1
 
 
-def test_simulate_never_uses_the_memo(monkeypatch, tmp_path):
-    used = []
-    monkeypatch.setattr(ShapeMemo, "__init__", lambda self: used.append("made"))
-    monkeypatch.setattr(ShapeMemo, "switch", lambda self, key: used.append(key))
+def test_simulate_never_uses_the_memo(monkeypatch, tmp_path, sampled):
+    keeps = []
+    sampler = protocols._sampler
+    monkeypatch.setattr(protocols, "_sampler", lambda parts, keep: keeps.append(keep) or sampler(parts, keep))
     for kind in ("SP", "STA", "CAP"):
         out = tmp_path / f"{kind}.txt"
         assert main(["simulate", "--protocol", kind, "--steps-per-pulse", "400", "--output", str(out)]) == 0
-    assert used == []
+    assert keeps and not any(keeps)
+    assert sampled and alive(sampled) == []
 
 
-def test_memo_hit_needs_current_key_and_bitwise_equal_times():
+def test_memo_hit_needs_bitwise_equal_times():
     calls = []
 
     def envelope(t):
         calls.append(t)
         return 2.0 * t
 
-    memo = ShapeMemo()
-    memo.switch("a")
-    sample = protocols._sampler({"envelope": envelope}, memo, "a", (0.0, 0.0))
+    sample = protocols._sampler({"envelope": envelope}, keep=True)
     t = np.linspace(-1.0, 1.0, 5)
     first = sample(t, "envelope")
     assert sample(t.copy(), "envelope") is first and len(calls) == 1
     signed = t.copy()
     signed[2] = -0.0  # equal in value to t[2] == 0.0, not in bits
-    assert sample(signed, "envelope") is not first and len(calls) == 2
-    stale = protocols._sampler({"envelope": envelope}, memo, "b", (0.0, 0.0))
-    slots = dict(memo.samples)
-    assert stale(t, "envelope") is not stale(t, "envelope") and len(calls) == 4
-    assert memo.samples == slots
-    memo.switch("b")
-    assert not memo.samples
+    kept = sample(signed, "envelope")
+    assert kept is not first and len(calls) == 2
+    fine = np.linspace(-1.0, 1.0, 9)
+    assert sample(fine, "envelope") is sample(fine, "envelope") and len(calls) == 3
+    assert sample(signed, "envelope") is kept and len(calls) == 3  # one slot per time-array shape
+    fresh = protocols._sampler({"envelope": envelope}, keep=False)
+    assert fresh(t, "envelope") is not fresh(t, "envelope") and len(calls) == 5
 
 
 CERT_AXES = (SweepAxis("duration_factor", 0.6, 1.4, 3), SweepAxis("alpha", 0.5, 1.5, 5))
 
 
 @pytest.mark.parametrize("kind, tol", (("CAP", 6.5e-5), ("SP", 1e-3)))
-def test_certified_points_under_the_memo_are_bitwise_standalone(kind, tol):
+def test_certified_points_under_the_memo_are_bitwise_standalone(kind, tol, sampled):
     # duration outer, alpha inner: each shape's N and 2N samples serve several points
     spec = nominal_spec(kind)
     cfg = IntegratorConfig(steps_per_pulse=400, convergence_tol=tol)
@@ -574,21 +588,24 @@ def test_certified_points_under_the_memo_are_bitwise_standalone(kind, tol):
             return "NonConvergent"
 
     alone = [outcome(err) for _, err, _ in tasks]
-    with ShapeMemo() as memo:
-        memoized = []
-        for _, err, _ in tasks:
-            memoized.append(outcome(err, memo))
-            # every pulse is sampled at N steps, the first of the shape also at 2N
-            half = protocols.WINDOW_HALF_WIDTH * err.duration_factor * spec.T
-            n = spec.pulse_count
-            pulses = [(half * (2 * k + 1 - n),) * 2 for k in range(n)]
-            slots = {(pulse, (400,)) for pulse in pulses} | {(pulses[0], (800,))}
-            if memoized[-1] == "NonConvergent":  # raised before the later pulses
-                assert set(memo.samples) <= slots
-            else:
-                assert set(memo.samples) == slots
+    sampled.clear()
+    shapes = functools.lru_cache(maxsize=1)(functools.partial(protocols.nominal_pulses, keep=True))
+    memoized = []
+    for _, err, _ in tasks:
+        memoized.append(outcome(err, shapes))
+        # every pulse is kept at N steps, the first of the shape also at 2N
+        half = protocols.WINDOW_HALF_WIDTH * err.duration_factor * spec.T
+        n = spec.pulse_count
+        centers = [half * (2 * k + 1 - n) for k in range(n)]
+        slots = {(c, 400) for c in centers} | {(centers[0], 800)}
+        kept = {(c, size) for _, c, size, _ in alive(sampled)}
+        if memoized[-1] == "NonConvergent":  # raised before the later pulses
+            assert kept <= slots
+        else:
+            assert kept == slots
     assert memoized == alone
     assert "NonConvergent" in alone and any(isinstance(p, float) for p in alone)
+    assert max(Counter(entry[:4] for entry in sampled).values()) == 1  # each part once per shape
 
     loose = replace(cfg, convergence_tol=1.0)
     values = sweep2d(spec, *CERT_AXES, cfg=loose).values
@@ -600,11 +617,10 @@ def test_certified_points_under_the_memo_are_bitwise_standalone(kind, tol):
 def test_memoized_controls_return_fresh_arrays():
     spec = nominal_spec("STA")
     t = np.linspace(-6.0, 6.0, 101)
-    with ShapeMemo() as memo:
-        w = apply_errors(spec, ErrorVector(alpha=0.9), memo).pulses[0]
-        first_r, first_d = w.rabi(t), w.detuning(t)
-        first_r[:] = 0.0
-        first_d[:] = 0.0
-        w_alone = apply_errors(spec, ErrorVector(alpha=0.9)).pulses[0]
-        assert np.array_equal(w.rabi(t), w_alone.rabi(t))
-        assert np.array_equal(w.detuning(t), w_alone.detuning(t))
+    w = apply_errors(spec, ErrorVector(alpha=0.9), functools.partial(protocols.nominal_pulses, keep=True)).pulses[0]
+    first_r, first_d = w.rabi(t), w.detuning(t)
+    first_r[:] = 0.0
+    first_d[:] = 0.0
+    w_alone = apply_errors(spec, ErrorVector(alpha=0.9)).pulses[0]
+    assert np.array_equal(w.rabi(t), w_alone.rabi(t))
+    assert np.array_equal(w.detuning(t), w_alone.detuning(t))
