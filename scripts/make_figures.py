@@ -73,15 +73,14 @@ def _write_gnuplot(figdir: pathlib.Path, axes) -> None:
 
 
 def main() -> None:
+    configs = {int(p.stem[3:]): p for p in (REPO / "configs").glob("fig*.cfg")}
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--fig", type=int, help="single figure number (2..7); default all")
+    ap.add_argument("--fig", type=int, choices=sorted(configs), help="single figure number; default all")
     ap.add_argument("--outdir", default="out", help="output directory (default out/)")
     ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
     outdir = pathlib.Path(args.outdir)
-    configs = sorted((REPO / "configs").glob("fig*.cfg"))
-    if args.fig is not None:
-        configs = [REPO / "configs" / f"fig{args.fig}.cfg"]
+    configs = [configs[args.fig]] if args.fig is not None else [configs[n] for n in sorted(configs)]
     for cfg in configs:
         run_figure(cfg, outdir, args.workers)
 

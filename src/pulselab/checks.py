@@ -146,7 +146,7 @@ _CHECKS: List[Callable[[], CheckResult]] = [
 ]
 
 
-def run_checks(verbose: bool = True) -> List[CheckResult]:
+def run_checks() -> List[CheckResult]:
     """Run the oracle suite; prints one PASS/FAIL line per check with its wall time."""
     results = []
     for fn in _CHECKS:
@@ -154,6 +154,5 @@ def run_checks(verbose: bool = True) -> List[CheckResult]:
         res = fn()
         elapsed = time.perf_counter() - start
         results.append(res)
-        if verbose:
-            print(f"{'PASS' if res.ok else 'FAIL'}  {res.name}: {res.detail} [{elapsed:.3f} s]")
+        print(f"{'PASS' if res.ok else 'FAIL'}  {res.name}: {res.detail} [{elapsed:.3f} s]")
     return results

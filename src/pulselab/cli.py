@@ -155,7 +155,7 @@ def _print_table(rows) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    results = run_checks(verbose=True)
+    results = run_checks()
     return 0 if all(r.ok for r in results) else 3
 
 

@@ -32,7 +32,8 @@ __all__ = [
     "sequence_area",
 ]
 
-DEFAULT_AREA_STEPS = 8192
+# Simpson intervals of every area quadrature.
+AREA_STEPS = 8192
 
 
 class InvalidParameter(ValueError):
@@ -142,11 +143,7 @@ def _sample(fn: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray
     return out
 
 
-def pulse_area(
-    rabi: Callable[[np.ndarray], np.ndarray],
-    window: Tuple[float, float],
-    steps: int = DEFAULT_AREA_STEPS,
-) -> float:
+def pulse_area(rabi: Callable[[np.ndarray], np.ndarray], window: Tuple[float, float]) -> float:
     """Integral of |rabi(t)| over the window by composite Simpson quadrature.
 
     Relative error is far below 1e-6 for the smooth envelopes used here.  For
@@ -156,15 +153,13 @@ def pulse_area(
     t0, t1 = window
     if not t0 < t1:
         raise InvalidParameter(f"empty integration window {window}")
-    if steps < 2:
-        raise InvalidParameter("quadrature needs at least 2 steps")
-    t = np.linspace(t0, t1, steps + 1)
+    t = np.linspace(t0, t1, AREA_STEPS + 1)
     y = np.abs(_sample(rabi, t))
     if not np.all(np.isfinite(y)):
         raise InvalidWaveform("envelope is not finite over the window")
     return float(simpson(y, x=t))
 
 
-def sequence_area(seq: PulseSequence, steps: int = DEFAULT_AREA_STEPS) -> float:
+def sequence_area(seq: PulseSequence) -> float:
     """Total |envelope| area of a sequence (sum over constituent pulses)."""
-    return sum(pulse_area(p.rabi, p.window, steps) for p in seq.pulses)
+    return sum(pulse_area(p.rabi, p.window) for p in seq.pulses)

@@ -24,7 +24,6 @@ re-centered on its own pulse.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
 
@@ -72,6 +71,11 @@ class ProtocolSpec:
     ``sta_nominal`` is the frozen (omega0, beta, T) triple used to synthesize
     the counterdiabatic term; it defaults to the live values and is never
     touched by error channels.
+
+    An SP coefficient list is checked here, once: its controls are sampled at
+    2001 points over the window at ``T``, and a non-finite sample raises
+    :class:`SingularControl`.  Only ``g * sin(theta)`` can overflow, so the
+    check holds for every width the duration channel gives the pulse.
     """
 
     kind: str
@@ -112,8 +116,17 @@ class ProtocolSpec:
             object.__setattr__(self, "sta_nominal", frozen)
         elif self.sta_nominal is not None:
             raise InvalidParameter("sta_nominal applies to the STA technique only")
-        if self.kind == "SP" and not all(np.isfinite(self.sp_coeffs)):
-            raise InvalidParameter("sp_coeffs must be finite")
+        if self.kind == "SP":
+            if not all(np.isfinite(self.sp_coeffs)):
+                raise InvalidParameter("sp_coeffs must be finite")
+            envelope, detuning = _sp_shape_functions(self.T, self.sp_coeffs)
+            t = np.linspace(-WINDOW_HALF_WIDTH * self.T, WINDOW_HALF_WIDTH * self.T, 2001)
+            with np.errstate(all="ignore"):
+                finite = np.all(np.isfinite(envelope(t))) and np.all(np.isfinite(detuning(t)))
+            if not finite:
+                raise SingularControl(
+                    "shaped-pulse controls are not finite on the window; check the coefficient list"
+                )
 
     @property
     def pulse_count(self) -> int:
@@ -176,38 +189,19 @@ def _sp_shape_functions(
     cs = np.asarray(coeffs, dtype=float)
     ns = np.arange(1, len(cs) + 1, dtype=float)
 
-    def theta(t: np.ndarray) -> np.ndarray:
-        return np.clip(0.5 * np.pi * (erf(t / T) + 1.0), 0.0, np.pi)
-
-    def theta_dot(t: np.ndarray) -> np.ndarray:
-        return (SQRT_PI / T) * np.exp(-((t / T) ** 2))
-
-    def g(th: np.ndarray) -> np.ndarray:
-        if cs.size == 0:
-            return np.full_like(th, 2.0)
-        return 2.0 + np.sum(
-            2.0 * ns[:, None] * cs[:, None] * np.cos(2.0 * np.outer(ns, th)), axis=0
-        )
-
-    def g_prime(th: np.ndarray) -> np.ndarray:
-        if cs.size == 0:
-            return np.zeros_like(th)
-        return np.sum(
-            -4.0 * ns[:, None] ** 2 * cs[:, None] * np.sin(2.0 * np.outer(ns, th)), axis=0
-        )
-
     # The control not yet asked for, with a copy of the times it was sampled
     # at: held from the first control's call until the second one takes it.
     held: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
     def controls(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        th = theta(t)
-        gg = g(th)
+        th = np.clip(0.5 * np.pi * (erf(t / T) + 1.0), 0.0, np.pi)
+        gg = 2.0 + np.sum(2.0 * ns[:, None] * cs[:, None] * np.cos(2.0 * np.outer(ns, th)), axis=0)
+        gp = np.sum(-4.0 * ns[:, None] ** 2 * cs[:, None] * np.sin(2.0 * np.outer(ns, th)), axis=0)
         sin_th, cos_th = np.sin(th), np.cos(th)
         x = sin_th * gg
         q = 1.0 + x * x
-        td = theta_dot(t)
-        phi_dot = -td * (cos_th * gg + sin_th * g_prime(th)) / q
+        td = (SQRT_PI / T) * np.exp(-((t / T) ** 2))
+        phi_dot = -td * (cos_th * gg + sin_th * gp) / q
         return td * np.sqrt(q), phi_dot - td * gg * cos_th
 
     def sampled(name: str, other: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -225,25 +219,6 @@ def _sp_shape_functions(
         return control
 
     return sampled("envelope", "detuning"), sampled("detuning", "envelope")
-
-
-@functools.lru_cache(maxsize=64)
-def _sp_controls(T_live: float, coeffs: Tuple[float, ...]) -> Tuple[Callable, Callable]:
-    """Shaped-pulse envelope and detuning of width ``T_live``, checked finite.
-
-    Built and validated once per shape; a :class:`SingularControl` is raised
-    again on every call, since exceptions are not cached.
-    """
-    envelope, detuning = _sp_shape_functions(T_live, coeffs)
-    half = WINDOW_HALF_WIDTH * T_live
-    t = np.linspace(-half, half, 2001)
-    with np.errstate(all="ignore"):
-        finite = np.all(np.isfinite(envelope(t))) and np.all(np.isfinite(detuning(t)))
-    if not finite:
-        raise SingularControl(
-            "shaped-pulse controls are not finite on the window; check the coefficient list"
-        )
-    return envelope, detuning
 
 
 def _nominal_parts(
@@ -319,14 +294,16 @@ def nominal_pulses(
     values are bitwise the same as without it.  The pulses of a
     per-pulse-centred composite share one fresh ``shape_tag``: each is the
     same shape translated in time, with its own drive phase.  Single pulses
-    and global centering stay untagged.
+    and global centering stay untagged.  The shaped pulse's schedule is built
+    afresh for each call (its coefficients were checked when the spec was
+    made), so it lives and dies with the pulses returned here.
     """
     n = spec.pulse_count
     T_live = duration_factor * spec.T
     half = WINDOW_HALF_WIDTH * T_live
     tag = object() if n > 1 and centering != "global" else None
 
-    sp = _sp_controls(T_live, spec.sp_coeffs) if spec.kind == "SP" else None
+    sp = _sp_shape_functions(T_live, spec.sp_coeffs) if spec.kind == "SP" else None
     pulses = []
     for k in range(n):
         center = half * (2 * k + 1 - n)
@@ -342,13 +319,13 @@ def nominal_pulses(
     return tuple(pulses)
 
 
-def adiabaticity_margin(w: Waveform, samples: int = 8193) -> float:
-    """Minimum over the window of eigenvalue gap minus nonadiabatic coupling.
+def adiabaticity_margin(w: Waveform) -> float:
+    """Minimum over 8193 window samples of eigenvalue gap minus nonadiabatic coupling.
 
     Positive and large means the drive stays adiabatic.  Defined for real
     envelopes; the counterdiabatic technique is diagnosed on its main field.
     """
-    t = np.linspace(w.window[0], w.window[1], samples)
+    t = np.linspace(w.window[0], w.window[1], 8193)
     om = np.asarray(w.rabi(t))
     if np.iscomplexobj(om) and np.max(np.abs(om.imag)) > 0.0:
         raise InvalidParameter("adiabaticity margin is defined for real envelopes")

@@ -11,10 +11,9 @@ import io
 import json
 import sys
 from dataclasses import asdict, fields
-from typing import List, Tuple
 
 from .protocols import ProtocolSpec
-from .sweep import SweepAxis, SweepResult
+from .sweep import SweepAxis, SweepResult, _grid_points
 
 __all__ = ["IoError", "write_result", "read_result", "write_output", "write_result_file", "write_table"]
 
@@ -27,30 +26,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _rows(result: SweepResult) -> List[Tuple[float, ...]]:
-    axes = result.axes
-    rows = []
-    if len(axes) == 1:
-        for v, p in zip(axes[0].values(), result.values):
-            rows.append((float(v), p))
-    else:
-        vb = axes[1].values()
-        k = 0
-        for va in axes[0].values():
-            for x in vb:
-                rows.append((float(va), float(x), result.values[k]))
-                k += 1
-    return rows
-
-
 def write_result(result: SweepResult, fmt: str = "csv") -> bytes:
     """Serialize a sweep result to CSV or JSON bytes."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
         writer.writerow([ax.channel for ax in result.axes] + ["P"])
-        for row in _rows(result):
-            writer.writerow([_fmt(x) for x in row])
+        for point, p in zip(_grid_points(result.axes), result.values):
+            writer.writerow([_fmt(x) for x in (*point, p)])
         return buf.getvalue().encode("utf-8")
     if fmt == "json":
         doc = {
@@ -70,14 +53,20 @@ def read_result(
 
     JSON restores the full object.  CSV restores axes from the value columns
     (bounds and point counts are recovered from the written grid) and is
-    intended for round-trip checks and plotting, not archival metadata.  A
+    intended for round-trip checks and plotting, not archival metadata; every
+    row must be as wide as the header, and the rows must be exactly the
+    row-major grid of the recovered axes, or a ``ValueError`` is raised.  A
     CSV does not record its technique, so the caller names it in ``protocol``.
-    A JSON ``protocol`` object may omit fields (they take their defaults) but
+    A JSON document must hold ``axes``, ``protocol``, ``values`` and ``meta``;
+    its ``protocol`` object may omit fields (they take their defaults) but
     may not name one that :class:`ProtocolSpec` lacks.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     if fmt == "json":
         doc = json.loads(text)
+        missing = [key for key in ("axes", "protocol", "values", "meta") if key not in doc]
+        if missing:
+            raise ValueError(f"a JSON result needs {', '.join(map(repr, missing))}")
         axes = tuple(
             SweepAxis(ax["channel"], float(ax["lo"]), float(ax["hi"]), int(ax["points"]))
             for ax in doc["axes"]
@@ -91,18 +80,16 @@ def read_result(
     if fmt == "csv":
         if protocol is None:
             raise ValueError("a CSV result does not record its protocol; pass protocol=")
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        channels, rows = header[:-1], [tuple(float(x) for x in r) for r in reader if r]
+        header, *rows = [r for r in csv.reader(io.StringIO(text)) if r] or [[]]
+        if not rows or any(len(r) != len(header) for r in rows):
+            raise ValueError(f"a CSV result needs data rows of {len(header)} fields, as wide as its header")
+        rows = [tuple(float(x) for x in r) for r in rows]
         axes = []
-        for i, channel in enumerate(channels):
-            col = [r[i] for r in rows]
-            uniq = sorted(set(col))
-            axes.append(
-                SweepAxis(channel, uniq[0], uniq[-1], len(uniq))
-                if len(uniq) > 1
-                else SweepAxis(channel, uniq[0], uniq[0], 1)
-            )
+        for i, channel in enumerate(header[:-1]):
+            uniq = sorted({r[i] for r in rows})
+            axes.append(SweepAxis(channel, uniq[0], uniq[-1], len(uniq)))
+        if [r[:-1] for r in rows] != _grid_points(axes):
+            raise ValueError("the CSV rows are not the row-major grid of their axis columns")
         values = tuple(r[-1] for r in rows)
         return SweepResult(tuple(axes), protocol, values, {"source": "csv"})
     raise ValueError(f"unknown format {fmt!r}")

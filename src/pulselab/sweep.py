@@ -18,9 +18,10 @@ arguments, so every shape is built and sampled once per group instead of once
 per point.  A shape's samples can only come from the call that built them.
 The cache holds one shape at a time and is cleared when the run ends, also on
 an exception, whose traceback then holds no sampled arrays either; nothing
-outside a sweep keeps samples.  The shaped pulse's schedule is built and
-validated once per width and coefficient list by a bounded cache in
-:mod:`pulselab.protocols`, not by the sweep's.
+outside a sweep keeps samples.  The shaped pulse's coefficients are checked
+once, when its :class:`~pulselab.protocols.ProtocolSpec` is made (pool
+workers receive the checked spec); its schedule is built with each shape and
+is dropped with it.
 
 :func:`comparison_table` evaluates all of its (technique, channel) sweeps
 together, outward from each nominal point in waves: first every nominal
@@ -228,12 +229,17 @@ def _meta(cfg: IntegratorConfig, base_err: ErrorVector, workers: int) -> Dict[st
 def _grid_tasks(
     spec: ProtocolSpec, axes: Sequence[SweepAxis], base_err: ErrorVector, cfg: IntegratorConfig
 ) -> List[_Task]:
-    """One task per grid point of ``axes``, row-major (the first axis indexes rows)."""
+    """One task per grid point of ``axes``, in :func:`_grid_points` order."""
     channels = [ax.channel for ax in axes]
     return [
-        (spec, replace(base_err, **{c: float(v) for c, v in zip(channels, point)}), cfg)
-        for point in itertools.product(*(ax.values() for ax in axes))
+        (spec, replace(base_err, **dict(zip(channels, point))), cfg)
+        for point in _grid_points(axes)
     ]
+
+
+def _grid_points(axes: Sequence[SweepAxis]) -> List[Tuple[float, ...]]:
+    """Every grid point of ``axes``, row-major (the first axis indexes rows)."""
+    return [tuple(map(float, point)) for point in itertools.product(*(ax.values() for ax in axes))]
 
 
 def sweep1d(

@@ -162,6 +162,11 @@ def test_exit_code_numerical_failure(capsys):
     assert "numerical" in capsys.readouterr().err
 
 
+def test_singular_shaped_pulse_is_a_numerical_failure(capsys):
+    assert main(["simulate", "--protocol", "SP", "--sp-coeffs", "1e200"]) == 3
+    assert "numerical failure: shaped-pulse controls are not finite" in capsys.readouterr().err
+
+
 _BLOWN = ["--protocol", "RE", "--steps-per-pulse", "400"]
 
 

@@ -236,6 +236,27 @@ def test_sp_controls_hold_nothing_once_both_are_taken():
         tracemalloc.stop()
 
 
+def test_sp_schedule_lives_and_dies_with_its_sequence():
+    import gc
+    import tracemalloc
+
+    from pulselab.channels import ErrorVector
+
+    spec = nominal_spec("SP")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for factor in (0.61, 0.83, 0.97, 1.09, 1.37):  # five widths
+            w = apply_errors(spec, ErrorVector(duration_factor=factor)).pulses[0]
+            pulse_area(w.rabi, w.window)  # the envelope alone: its detuning is held
+        del w
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert left < 64 * 1024
+
+
 def test_sp_zero_coefficients_are_regular(fast_cfg):
     seq = apply_errors(ProtocolSpec("SP", SQRT_PI, 1.0, sp_coeffs=()))
     t = np.linspace(-6.0, 6.0, 10001)
@@ -244,8 +265,8 @@ def test_sp_zero_coefficients_are_regular(fast_cfg):
 
 
 def test_sp_singular_coefficients_raise():
-    with pytest.raises(SingularControl):
-        apply_errors(ProtocolSpec("SP", SQRT_PI, 1.0, sp_coeffs=(1e200,)))
+    with pytest.raises(SingularControl, match="not finite"):  # when the spec is made
+        ProtocolSpec("SP", SQRT_PI, 1.0, sp_coeffs=(1e200,))
 
 
 # ----------------------------------------------------------------- composites

@@ -32,6 +32,19 @@ def test_make_figures_single_figure(tmp_path):
     assert header == "alpha,P"
 
 
+def test_make_figures_rejects_a_figure_without_a_config(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "make_figures.py"),
+         "--fig", "9", "--outdir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: ") and "invalid choice: 9" in proc.stderr
+    assert "Traceback" not in proc.stderr and not list(tmp_path.iterdir())
+
+
 def test_make_goldens_check_reports_differences_and_never_writes(tmp_path):
     goldens = sorted((REPO / "goldens").glob("fig*.csv")) + [REPO / "perfbench" / "reference" / "table.csv"]
     before = {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in goldens}

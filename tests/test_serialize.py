@@ -1,5 +1,6 @@
 """CSV/JSON serialization: shape, determinism, round trips."""
 import json
+import pathlib
 from dataclasses import fields
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from pulselab.channels import ErrorVector
 from pulselab.config import build_config
 from pulselab.integrator import IntegratorConfig
-from pulselab.protocols import PROTOCOL_KINDS, SQRT_PI, ProtocolSpec, nominal_spec
+from pulselab.protocols import PROTOCOL_KINDS, SQRT_PI, ProtocolSpec, SingularControl, nominal_spec
 from pulselab.serialize import IoError, read_result, write_output, write_result, write_result_file, write_table
 from pulselab.sweep import RobustnessRow, SweepAxis, SweepResult, sweep1d, sweep2d
 
@@ -98,6 +99,58 @@ def test_csv_round_trip_values_exact(fast_cfg):
     assert back.protocol == ucp
     with pytest.raises(ValueError, match="protocol"):
         read_result(data, "csv")
+
+
+def test_json_reader_checks_a_shaped_pulse_like_the_spec():
+    res = SweepResult((SweepAxis("alpha", 1.0, 1.0, 1),), nominal_spec("SP"), (1.0,), {})
+    doc = json.loads(write_result(res, "json"))
+    doc["protocol"]["sp_coeffs"] = [1e200]
+    with pytest.raises(SingularControl):
+        read_result(json.dumps(doc), "json")
+
+
+@pytest.mark.parametrize("key", ("axes", "protocol", "values", "meta"))
+def test_json_reader_names_a_missing_key(key):
+    doc = json.loads(write_result(small_result(), "json"))
+    del doc[key]
+    with pytest.raises(ValueError, match=repr(key)):
+        read_result(json.dumps(doc), "json")
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    (
+        ("alpha,P\r\n", "rows"),
+        ("alpha,P\r\n0.0,0.25\r\n1.0,0.5,0.7\r\n", "as wide as its header"),
+        ("alpha,P\r\n0.0,0.1\r\n1.0,0.2\r\n3.0,0.3\r\n", "grid"),  # not the grid 0, 1.5, 3
+    ),
+    ids=("header-only", "row-wider-than-header", "column-off-its-grid"),
+)
+def test_csv_reader_rejects_a_malformed_file(text, match):
+    with pytest.raises(ValueError, match=match):
+        read_result(text, "csv", protocol=RE)
+
+
+def test_csv_reader_rejects_a_transposed_2d_file():
+    res = SweepResult(
+        (SweepAxis("alpha", 0.0, 1.0, 2), SweepAxis("delta", -1.0, 1.0, 3)), RE, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6), {}
+    )
+    data = write_result(res, "csv").decode()
+    assert read_result(data, "csv", protocol=RE).values == res.values
+    header, *rows = data.splitlines()
+    delta_outer = [rows[i + 3 * j] for i in range(3) for j in range(2)]
+    with pytest.raises(ValueError, match="grid"):
+        read_result("\r\n".join([header, *delta_outer]) + "\r\n", "csv", protocol=RE)
+
+
+GOLDENS = sorted((pathlib.Path(__file__).resolve().parent.parent / "goldens").glob("fig*.csv"))
+
+
+@pytest.mark.parametrize("path", GOLDENS, ids=[p.stem for p in GOLDENS])
+def test_every_golden_reads_back_under_the_grid_check(path):
+    data = path.read_bytes()
+    res = read_result(data, "csv", protocol=RE)
+    assert write_result(res, "csv") == data
 
 
 def test_identical_runs_serialize_identically(fast_cfg):

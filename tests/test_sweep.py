@@ -16,7 +16,7 @@ from pulselab.channels import ErrorVector, apply_errors
 from pulselab.cli import main
 from pulselab.core import InvalidParameter
 from pulselab.integrator import IntegratorConfig, NonConvergent
-from pulselab.protocols import SQRT_PI, ProtocolSpec, SingularControl, nominal_spec
+from pulselab.protocols import SQRT_PI, ProtocolSpec, nominal_spec
 from pulselab.sweep import (
     CHANNEL_NOMINALS,
     DEFAULT_PROBES,
@@ -477,21 +477,22 @@ def test_sp_shape_is_built_and_validated_once_per_shape(monkeypatch):
         env, det = shape_fns(T, coeffs)
 
         def probed_env(t):
-            if len(t) == 2001:  # the validation probe of _sp_controls
+            if len(t) == 2001:  # the finiteness probe of ProtocolSpec
                 probed.append(T)
             return env(t)
 
         return probed_env, det
 
     monkeypatch.setattr(protocols, "_sp_shape_functions", counted_shape)
-    protocols._sp_controls.cache_clear()
-    sp = nominal_spec("SP")
+    sp = ProtocolSpec("SP", SQRT_PI, 1.0)
+    assert built == probed == [1.0]  # making the spec checks the coefficients once
+    built.clear()
+    probed.clear()
     axes = (SweepAxis("delta", -0.5, 0.5, 4), SweepAxis("duration_factor", 0.8, 1.2, 3))
     sweep2d(sp, *axes, cfg=MEMO_CFG)
-    assert sorted(built) == sorted(probed) == [0.8, 1.0, 1.2]
-    sweep2d(sp, *axes, cfg=MEMO_CFG)  # a second sweep finds every shape cached
-    assert len(built) == len(probed) == 3
-    protocols._sp_controls.cache_clear()
+    assert sorted(built) == [0.8, 1.0, 1.2] and probed == []
+    sweep2d(sp, *axes, cfg=MEMO_CFG)  # no cache spans sweeps: every shape is built again
+    assert sorted(built) == [0.8, 0.8, 1.0, 1.0, 1.2, 1.2] and probed == []
 
 
 def test_memo_is_emptied_after_a_sweep(sampled):
@@ -500,12 +501,6 @@ def test_memo_is_emptied_after_a_sweep(sampled):
 
 
 def test_memo_is_emptied_after_a_sweep_that_raised(sampled):
-    singular = ProtocolSpec("SP", SQRT_PI, 1.0, sp_coeffs=(1e200,))
-    for _ in range(2):  # exceptions are not cached: every build raises
-        with pytest.raises(SingularControl):
-            sweep1d(singular, MEMO_AXES["delta"], cfg=MEMO_CFG)
-        with pytest.raises(SingularControl):
-            protocols._sp_controls(1.0, (1e200,))
     # raised after the first point's samples were kept
     with pytest.raises(NonConvergent) as raised:
         sweep1d(nominal_spec("CAP"), MEMO_AXES["alpha"], cfg=replace(MEMO_CFG, convergence_tol=1e-12))
