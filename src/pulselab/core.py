@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Tuple
 
 import numpy as np
-from scipy.integrate import simpson
 
 __all__ = [
     "InvalidParameter",
@@ -143,6 +142,30 @@ def _sample(fn: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray
     return out
 
 
+def _divide(a, b: np.ndarray) -> np.ndarray:
+    return np.divide(a, b, out=np.zeros_like(b), where=b != 0)
+
+
+def _simpson(y: np.ndarray, t: np.ndarray) -> float:
+    """Composite Simpson quadrature of samples ``y`` at times ``t``.
+
+    ``t`` must hold an even number of intervals.  The expression is
+    ``scipy.integrate.simpson``'s (its ``_basic_simpson``) term for term, so
+    the result is bitwise scipy's without importing ``scipy.integrate``.
+    """
+    h = np.diff(t)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = _divide(h0, h1)
+    tmp = hsum / 6.0 * (
+        y[:-2:2] * (2.0 - _divide(1.0, h0divh1))
+        + y[1::2] * (hsum * _divide(hsum, hprod))
+        + y[2::2] * (2.0 - h0divh1)
+    )
+    return float(np.sum(tmp))
+
+
 def pulse_area(rabi: Callable[[np.ndarray], np.ndarray], window: Tuple[float, float]) -> float:
     """Integral of |rabi(t)| over the window by composite Simpson quadrature.
 
@@ -157,7 +180,7 @@ def pulse_area(rabi: Callable[[np.ndarray], np.ndarray], window: Tuple[float, fl
     y = np.abs(_sample(rabi, t))
     if not np.all(np.isfinite(y)):
         raise InvalidWaveform("envelope is not finite over the window")
-    return float(simpson(y, x=t))
+    return _simpson(y, t)
 
 
 def sequence_area(seq: PulseSequence) -> float:

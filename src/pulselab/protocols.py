@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
-from scipy.special import erf
 
 from .core import InvalidParameter, Waveform
 
@@ -148,6 +147,13 @@ def nominal_spec(kind: str, T: float = 1.0) -> ProtocolSpec:
     if kind == "UCP":
         return ProtocolSpec("UCP", SQRT_PI / T, T)
     raise InvalidParameter(f"unknown protocol kind {kind!r}")
+
+
+def erf(x: np.ndarray) -> np.ndarray:
+    """``scipy.special.erf``, imported on the first call: only SP's schedule uses it."""
+    from scipy.special import erf as scipy_erf
+
+    return scipy_erf(x)
 
 
 def mixing_angle_rate(t: np.ndarray, omega0: float, beta: float, T: float) -> np.ndarray:

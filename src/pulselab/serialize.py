@@ -10,7 +10,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 
 from .protocols import ProtocolSpec
 from .sweep import SweepAxis, SweepResult, _grid_points
@@ -55,23 +55,26 @@ def read_result(
     (bounds and point counts are recovered from the written grid) and is
     intended for round-trip checks and plotting, not archival metadata; every
     row must be as wide as the header, and the rows must be exactly the
-    row-major grid of the recovered axes, or a ``ValueError`` is raised.  A
-    CSV does not record its technique, so the caller names it in ``protocol``.
-    A JSON document must hold ``axes``, ``protocol``, ``values`` and ``meta``;
-    its ``protocol`` object may omit fields (they take their defaults) but
-    may not name one that :class:`ProtocolSpec` lacks.
+    row-major grid of the recovered axes, and the last column must be ``P``,
+    or a ``ValueError`` is raised.  A CSV does not record its technique, so
+    the caller names it in ``protocol``.  A JSON document must hold ``axes``,
+    ``protocol``, ``values`` and ``meta``, and each axis all four of its
+    fields; its ``protocol`` object may omit the fields that have defaults
+    but may not name one that :class:`ProtocolSpec` lacks.  A missing key
+    raises a ``ValueError`` that names it.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     if fmt == "json":
         doc = json.loads(text)
-        missing = [key for key in ("axes", "protocol", "values", "meta") if key not in doc]
-        if missing:
-            raise ValueError(f"a JSON result needs {', '.join(map(repr, missing))}")
+        _require(doc, ("axes", "protocol", "values", "meta"), "a JSON result")
+        for ax in doc["axes"]:
+            _require(ax, [f.name for f in fields(SweepAxis)], "a JSON axis")
         axes = tuple(
             SweepAxis(ax["channel"], float(ax["lo"]), float(ax["hi"]), int(ax["points"]))
             for ax in doc["axes"]
         )
         p = doc["protocol"]
+        _require(p, [f.name for f in fields(ProtocolSpec) if f.default is MISSING], "a JSON protocol")
         unknown = sorted(set(p) - {f.name for f in fields(ProtocolSpec)})
         if unknown:
             raise ValueError(f"unknown protocol field(s) {', '.join(map(repr, unknown))}")
@@ -83,6 +86,8 @@ def read_result(
         header, *rows = [r for r in csv.reader(io.StringIO(text)) if r] or [[]]
         if not rows or any(len(r) != len(header) for r in rows):
             raise ValueError(f"a CSV result needs data rows of {len(header)} fields, as wide as its header")
+        if header[-1] != "P":
+            raise ValueError(f"the last CSV column must be 'P', got {header[-1]!r}")
         rows = [tuple(float(x) for x in r) for r in rows]
         axes = []
         for i, channel in enumerate(header[:-1]):
@@ -93,6 +98,12 @@ def read_result(
         values = tuple(r[-1] for r in rows)
         return SweepResult(tuple(axes), protocol, values, {"source": "csv"})
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def _require(obj: dict, keys, what: str) -> None:
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ValueError(f"{what} needs {', '.join(map(repr, missing))}")
 
 
 def write_output(path: str, data: bytes) -> None:

@@ -1,6 +1,10 @@
 """CLI surface: subcommands, flag/config precedence, exit codes."""
 import json
+import os
 import pathlib
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +12,20 @@ import pytest
 from pulselab.cli import main
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_python(script):
+    """Run ``script`` in a fresh interpreter that imports pulselab from this tree."""
+    path = os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_simulate_stdout(capsys):
@@ -288,3 +306,33 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "pulselab" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is set through glibc's mallopt")
+def test_a_repeated_long_point_keeps_its_arrays_mapped():
+    # without the heap policy the second certified 250k-step RE point faults
+    # its freed arrays back in: about 15.5k minor faults per call
+    out = run_python(
+        "import contextlib, io, resource\n"
+        "from pulselab.cli import main\n"
+        "for _ in range(2):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(['simulate', '--protocol', 'RE', '--convergence-tol', '1e-8']) == 0\n"
+        "    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+        "print(faults)\n"
+    )
+    assert int(out) < 1000
+
+
+def test_importing_the_cli_leaves_scipy_unloaded_and_sp_still_runs():
+    out = run_python(
+        "import sys\n"
+        "from pulselab.cli import main\n"
+        "print([m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules])\n"
+        "sys.exit(main(['simulate', '--protocol', 'SP', '--steps-per-pulse', '4000']))\n"
+    )
+    loaded, *lines = out.splitlines()
+    assert loaded == "[]"
+    assert "protocol = SP" in lines
+    assert any(line.startswith("P = 0.99") for line in lines)

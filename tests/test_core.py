@@ -5,6 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from pulselab.core import (
+    AREA_STEPS,
     IDENTITY,
     CKPropagator,
     InvalidParameter,
@@ -16,11 +17,12 @@ from pulselab.core import (
     pulse_area,
     sequence_area,
     transition_probability,
+    _simpson,
     unitarity_defect,
 )
 from conftest import ck_matrix
-from pulselab.channels import apply_errors
-from pulselab.protocols import SQRT_PI, nominal_spec
+from pulselab.channels import ErrorVector, apply_errors
+from pulselab.protocols import PROTOCOL_KINDS, SQRT_PI, nominal_spec
 
 ANGLES = st.floats(0.0, 2.0 * np.pi, allow_nan=False)
 
@@ -142,6 +144,27 @@ def test_area_scales_linearly(scale):
 def test_area_of_complex_envelope_uses_modulus():
     area = pulse_area(lambda t: 1j * np.ones_like(t), (0.0, 2.0))
     assert area == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+def test_simpson_is_scipys_bit_for_bit(kind):
+    from scipy.integrate import simpson
+
+    rng = np.random.default_rng(PROTOCOL_KINDS.index(kind))
+    spec = nominal_spec(kind)
+    for _ in range(5):
+        err = ErrorVector(
+            alpha=rng.uniform(0.5, 1.5),
+            duration_factor=rng.uniform(0.7, 1.3),
+            delta=rng.uniform(-1.0, 1.0),
+            eta=rng.uniform(-0.3, 0.3),
+            sigma=rng.uniform(-0.5, 0.5),
+        )
+        for w in apply_errors(spec, err).pulses:
+            t = np.linspace(*w.window, AREA_STEPS + 1)
+            y = np.abs(np.asarray(w.rabi(t)))
+            assert _simpson(y, t) == float(simpson(y, x=t))
+            assert pulse_area(w.rabi, w.window) == float(simpson(y, x=t))
 
 
 def test_area_rejects_empty_window_and_nan():

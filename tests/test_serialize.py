@@ -117,14 +117,23 @@ def test_json_reader_names_a_missing_key(key):
         read_result(json.dumps(doc), "json")
 
 
+@pytest.mark.parametrize("obj, key", (("axis", "hi"), ("protocol", "T")))
+def test_json_reader_names_a_missing_nested_field(obj, key):
+    doc = json.loads(write_result(small_result(), "json"))
+    del (doc["axes"][0] if obj == "axis" else doc["protocol"])[key]
+    with pytest.raises(ValueError, match=f"JSON {obj} needs {key!r}"):
+        read_result(json.dumps(doc), "json")
+
+
 @pytest.mark.parametrize(
     "text, match",
     (
         ("alpha,P\r\n", "rows"),
         ("alpha,P\r\n0.0,0.25\r\n1.0,0.5,0.7\r\n", "as wide as its header"),
         ("alpha,P\r\n0.0,0.1\r\n1.0,0.2\r\n3.0,0.3\r\n", "grid"),  # not the grid 0, 1.5, 3
+        ("alpha,delta\r\n1.0,0.5\r\n", "'P'"),
     ),
-    ids=("header-only", "row-wider-than-header", "column-off-its-grid"),
+    ids=("header-only", "row-wider-than-header", "column-off-its-grid", "last-column-not-P"),
 )
 def test_csv_reader_rejects_a_malformed_file(text, match):
     with pytest.raises(ValueError, match=match):
