@@ -15,14 +15,14 @@ from __future__ import annotations
 import argparse
 import ctypes
 import sys
-from typing import Dict, List, Optional
+from typing import Collection, Dict, List, Optional
 
 import numpy as np
 
 from . import __version__
 from .channels import LengthMismatch, apply_errors
 from .checks import run_checks
-from .config import _KEY_APPLIES, CONFIG_KEYS, ParseError, RunConfig, ValidationError, build_config, parse_kv
+from .config import CONFIG_KEYS, SPEC_KEYS, ParseError, RunConfig, ValidationError, build_config, parse_kv
 from .core import InvalidParameter, InvalidWaveform, sequence_area, transition_probability, unitarity_defect
 from .integrator import NonConvergent, UnitarityViolation, propagate_sequence
 from .protocols import PROTOCOL_KINDS, SingularControl, adiabaticity_margin, nominal_spec
@@ -85,8 +85,22 @@ def _collect_raw(args: argparse.Namespace) -> Dict[str, str]:
     return raw
 
 
+_SWEEP_KEYS = {key for key in CONFIG_KEYS if key.startswith("sweep")}
+
+
+def _reject_unused(raw: Dict[str, str], command: str, unused: Collection[str], why: str) -> None:
+    """Refuse the first given key that ``command`` would otherwise drop silently."""
+    for key in raw:
+        if key in unused:
+            raise ValidationError(f"{command} does not use key {key!r}: {why}")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = build_config(_collect_raw(args))
+    raw = _collect_raw(args)
+    _reject_unused(
+        raw, "simulate", _SWEEP_KEYS | {"workers", "format"}, "it evaluates one point and prints its diagnostics"
+    )
+    cfg = build_config(raw)
     seq = apply_errors(cfg.protocol, cfg.errors)
     u = propagate_sequence(seq, cfg.integrator)
     p = transition_probability(u)
@@ -155,12 +169,12 @@ def _write_gnuplot(path: str, cfg: RunConfig) -> None:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     raw = _collect_raw(args)
-    for key in raw:
-        if key == "protocol" or key in _KEY_APPLIES or key.startswith("sweep"):
-            raise ValidationError(
-                f"table does not use key {key!r}: it runs the canonical techniques of"
-                " --protocols on its own probe grids"
-            )
+    _reject_unused(
+        raw,
+        "table",
+        {"protocol", *SPEC_KEYS, *_SWEEP_KEYS},
+        "it runs the canonical techniques of --protocols on its own probe grids",
+    )
     cfg = build_config({**raw, "protocol": "RE"})
     kinds = [k.strip().upper() for k in (args.protocols or ",".join(PROTOCOL_KINDS)).split(",")]
     for kind in kinds:

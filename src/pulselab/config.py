@@ -14,10 +14,13 @@ from typing import Dict, Tuple
 from .channels import ErrorVector
 from .core import InvalidParameter
 from .integrator import IntegratorConfig
-from .protocols import PROTOCOL_KINDS, ProtocolSpec, nominal_spec
+from .protocols import PROTOCOL_KINDS, TECHNIQUES, ProtocolSpec, nominal_spec
 from .sweep import SWEEP_CHANNELS, SweepAxis
 
-__all__ = ["ParseError", "ValidationError", "RunConfig", "parse_config", "parse_kv", "build_config", "CONFIG_KEYS"]
+__all__ = [
+    "ParseError", "ValidationError", "RunConfig", "parse_config", "parse_kv", "build_config", "CONFIG_KEYS",
+    "SPEC_KEYS",
+]
 
 
 class ParseError(ValueError):
@@ -64,14 +67,10 @@ CONFIG_KEYS: Dict[str, Tuple[str, str]] = {
     "workers": ("int", "process count for sweeps (PULSE_WORKERS overrides)"),
 }
 
-_KEY_APPLIES = {
-    "omega0": {"RE", "AF", "STA", "CAP", "UCP"},
-    "beta": {"AF", "STA", "CAP"},
-    "phases": {"CAP", "UCP"},
-    "sp_coeffs": {"SP"},
-    "sta_omega0a": {"STA"},
-    "sta_betaa": {"STA"},
-    "sta_ta": {"STA"},
+# key -> the ProtocolSpec field it sets; protocols.TECHNIQUES says which kinds take it
+SPEC_KEYS: Dict[str, str] = {
+    "omega0": "omega0", "beta": "beta", "phases": "phases", "sp_coeffs": "sp_coeffs",
+    "sta_omega0a": "sta_nominal", "sta_betaa": "sta_nominal", "sta_ta": "sta_nominal",
 }
 
 
@@ -150,7 +149,7 @@ def build_config(raw: Dict[str, str]) -> RunConfig:
     if kind not in PROTOCOL_KINDS:
         raise ValidationError(f"protocol must be one of {PROTOCOL_KINDS}, got {values['protocol']!r}")
     for key in values:
-        if key in _KEY_APPLIES and kind not in _KEY_APPLIES[key]:
+        if key in SPEC_KEYS and SPEC_KEYS[key] not in TECHNIQUES[kind].takes:
             raise ValidationError(f"key {key!r} is not a parameter of the {kind} technique")
 
     T = float(values.get("T", 1.0))

@@ -4,18 +4,8 @@ This module knows each technique's error-free pulse shapes;
 :func:`pulselab.channels.apply_errors` applies the error channels on top
 and builds every pulse sequence.
 
-Techniques and their canonical parameters (in units of the pulse width T):
-
-=====  =============================  ==========================================
-kind   drive                          canonical parameters
-=====  =============================  ==========================================
-RE     resonant Gaussian              omega0 = sqrt(pi)/T
-AF     Gaussian + linear chirp        omega0 = 5*sqrt(pi)/T, beta = 4/T
-STA    AF drive + counterdiabatic     omega0 = sqrt(pi)/T, beta = 4/T
-SP     shaped envelope and detuning   A7 coefficients (-3.46, -1.365, -0.5)
-CAP    3 chirped pulses, phases       omega0 = sqrt(pi)/T, beta = 1/T
-UCP    5 resonant pulses, phases      omega0 = sqrt(pi)/T
-=====  =============================  ==========================================
+The table ``TECHNIQUES`` names the six techniques and holds their canonical
+parameters.
 
 Every pulse lives on a window of +-6T around its own center (the Gaussian
 tail there is exp(-36), below double-precision resolution).  Composite
@@ -24,8 +14,8 @@ re-centered on its own pulse.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable, Dict, FrozenSet, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +24,8 @@ from .core import InvalidParameter, Waveform
 __all__ = [
     "SingularControl",
     "ProtocolSpec",
+    "Technique",
+    "TECHNIQUES",
     "PROTOCOL_KINDS",
     "CAP_PHASES",
     "UCP_PHASES",
@@ -47,7 +39,6 @@ __all__ = [
 
 SQRT_PI = float(np.sqrt(np.pi))
 
-PROTOCOL_KINDS = ("RE", "AF", "STA", "SP", "CAP", "UCP")
 CAP_PHASES: Tuple[float, ...] = (0.0, 2.0 * np.pi / 3.0, 0.0)
 UCP_PHASES: Tuple[float, ...] = (0.0, 5.0 * np.pi / 6.0, np.pi / 3.0, 5.0 * np.pi / 6.0, 0.0)
 A7_COEFFS: Tuple[float, ...] = (-3.46, -1.365, -0.5)
@@ -55,8 +46,26 @@ A7_COEFFS: Tuple[float, ...] = (-3.46, -1.365, -0.5)
 # Pulse support half-width in units of the (possibly rescaled) pulse width.
 WINDOW_HALF_WIDTH = 6.0
 
-_CHIRPED = {"AF", "STA", "CAP"}
-_COMPOSITE = {"CAP": CAP_PHASES, "UCP": UCP_PHASES}
+
+class Technique(NamedTuple):
+    """Canonical omega0 and beta in units of 1/T, phases, and the other
+    :class:`ProtocolSpec` fields besides ``T`` that the technique takes."""
+
+    omega0_T: float
+    beta_T: float
+    phases: Tuple[float, ...]
+    takes: FrozenSet[str]
+
+
+TECHNIQUES: Dict[str, Technique] = {
+    "RE": Technique(SQRT_PI, 0.0, (), frozenset({"omega0"})),  # resonant Gaussian
+    "AF": Technique(5.0 * SQRT_PI, 4.0, (), frozenset({"omega0", "beta"})),  # Gaussian + linear chirp
+    "STA": Technique(SQRT_PI, 4.0, (), frozenset({"omega0", "beta", "sta_nominal"})),  # AF + counterdiabatic
+    "SP": Technique(SQRT_PI, 0.0, (), frozenset({"sp_coeffs"})),  # shaped pulse; its schedule sets omega0
+    "CAP": Technique(SQRT_PI, 1.0, CAP_PHASES, frozenset({"omega0", "beta", "phases"})),  # 3 chirped pulses
+    "UCP": Technique(SQRT_PI, 0.0, UCP_PHASES, frozenset({"omega0", "phases"})),  # 5 resonant pulses
+}
+PROTOCOL_KINDS = tuple(TECHNIQUES)
 
 
 class SingularControl(ValueError):
@@ -67,6 +76,8 @@ class SingularControl(ValueError):
 class ProtocolSpec:
     """One technique plus its physical parameters.
 
+    A field that :data:`TECHNIQUES` does not list for ``kind`` must keep its
+    default; empty ``phases`` take the technique's canonical list.
     ``sta_nominal`` is the frozen (omega0, beta, T) triple used to synthesize
     the counterdiabatic term; it defaults to the live values and is never
     touched by error channels.
@@ -94,27 +105,22 @@ class ProtocolSpec:
             raise InvalidParameter(f"T must be positive and finite, got {self.T}")
         if not np.isfinite(self.beta):
             raise InvalidParameter("beta must be finite")
-        if self.kind not in _CHIRPED and self.beta != 0.0:
-            raise InvalidParameter(f"beta is not a parameter of the {self.kind} technique")
         object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
         if not all(np.isfinite(self.phases)):
             raise InvalidParameter("phases must be finite")
         object.__setattr__(self, "sp_coeffs", tuple(float(c) for c in self.sp_coeffs))
-        if self.kind != "SP" and self.sp_coeffs != A7_COEFFS:
-            raise InvalidParameter(f"sp_coeffs is not a parameter of the {self.kind} technique")
-        if self.kind in _COMPOSITE:
-            if not self.phases:
-                object.__setattr__(self, "phases", _COMPOSITE[self.kind])
-        elif self.phases:
-            raise InvalidParameter(f"{self.kind} is a single-pulse technique and takes no phase list")
+        takes = TECHNIQUES[self.kind].takes
+        for f in fields(self):
+            if f.default is not MISSING and f.name not in takes and getattr(self, f.name) != f.default:
+                raise InvalidParameter(f"{f.name} is not a parameter of the {self.kind} technique")
+        if not self.phases:
+            object.__setattr__(self, "phases", TECHNIQUES[self.kind].phases)
         if self.kind == "STA":
             frozen = self.sta_nominal or (self.omega0, self.beta, self.T)
             frozen = tuple(float(x) for x in frozen)
             if len(frozen) != 3 or not all(np.isfinite(frozen)):
                 raise InvalidParameter("sta_nominal must be a finite (omega0, beta, T) triple")
             object.__setattr__(self, "sta_nominal", frozen)
-        elif self.sta_nominal is not None:
-            raise InvalidParameter("sta_nominal applies to the STA technique only")
         if self.kind == "SP":
             if not all(np.isfinite(self.sp_coeffs)):
                 raise InvalidParameter("sp_coeffs must be finite")
@@ -134,19 +140,10 @@ class ProtocolSpec:
 
 def nominal_spec(kind: str, T: float = 1.0) -> ProtocolSpec:
     """Canonical error-free parameters of one technique."""
-    if kind == "RE":
-        return ProtocolSpec("RE", SQRT_PI / T, T)
-    if kind == "AF":
-        return ProtocolSpec("AF", 5.0 * SQRT_PI / T, T, beta=4.0 / T)
-    if kind == "STA":
-        return ProtocolSpec("STA", SQRT_PI / T, T, beta=4.0 / T)
-    if kind == "SP":
-        return ProtocolSpec("SP", SQRT_PI / T, T)
-    if kind == "CAP":
-        return ProtocolSpec("CAP", SQRT_PI / T, T, beta=1.0 / T)
-    if kind == "UCP":
-        return ProtocolSpec("UCP", SQRT_PI / T, T)
-    raise InvalidParameter(f"unknown protocol kind {kind!r}")
+    if kind not in TECHNIQUES:
+        raise InvalidParameter(f"unknown protocol kind {kind!r}")
+    tech = TECHNIQUES[kind]
+    return ProtocolSpec(kind, tech.omega0_T / T, T, beta=tech.beta_T / T)
 
 
 def erf(x: np.ndarray) -> np.ndarray:
@@ -244,7 +241,7 @@ def _nominal_parts(
         parts["envelope"] = lambda t: sp_env(t - c)
         parts["detuning"] = lambda t: sp_det(t - c)
         return parts
-    b = spec.beta if spec.kind in _CHIRPED else 0.0
+    b = spec.beta if "beta" in TECHNIQUES[spec.kind].takes else 0.0
     parts["envelope"] = lambda t: np.exp(-(((t - c) / T_live) ** 2))
     parts["detuning"] = lambda t: b * (t - c) / T_live
     if spec.kind == "STA":

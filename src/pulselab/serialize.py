@@ -60,26 +60,33 @@ def read_result(
     the caller names it in ``protocol``.  A JSON document must hold ``axes``,
     ``protocol``, ``values`` and ``meta``, and each axis all four of its
     fields; its ``protocol`` object may omit the fields that have defaults
-    but may not name one that :class:`ProtocolSpec` lacks.  A missing key
-    raises a ``ValueError`` that names it.
+    but may not name one that :class:`ProtocolSpec` lacks.  A missing key,
+    or a member of the wrong type, raises a ``ValueError`` that names it.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     if fmt == "json":
         doc = json.loads(text)
         _require(doc, ("axes", "protocol", "values", "meta"), "a JSON result")
+        for key, kind in (("axes", list), ("values", list), ("meta", dict)):
+            if not isinstance(doc[key], kind):
+                got = type(doc[key]).__name__
+                raise ValueError(f"the JSON member {key!r} must be a {kind.__name__}, got {got}")
         for ax in doc["axes"]:
             _require(ax, [f.name for f in fields(SweepAxis)], "a JSON axis")
-        axes = tuple(
+        axes = _typed("axes", lambda: tuple(
             SweepAxis(ax["channel"], float(ax["lo"]), float(ax["hi"]), int(ax["points"]))
             for ax in doc["axes"]
-        )
+        ))
         p = doc["protocol"]
         _require(p, [f.name for f in fields(ProtocolSpec) if f.default is MISSING], "a JSON protocol")
         unknown = sorted(set(p) - {f.name for f in fields(ProtocolSpec)})
         if unknown:
             raise ValueError(f"unknown protocol field(s) {', '.join(map(repr, unknown))}")
-        spec = ProtocolSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in p.items()})
-        return SweepResult(axes, spec, tuple(float(v) for v in doc["values"]), dict(doc["meta"]))
+        spec = _typed(
+            "protocol", lambda: ProtocolSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in p.items()})
+        )
+        values = _typed("values", lambda: tuple(float(v) for v in doc["values"]))
+        return SweepResult(axes, spec, values, dict(doc["meta"]))
     if fmt == "csv":
         if protocol is None:
             raise ValueError("a CSV result does not record its protocol; pass protocol=")
@@ -101,9 +108,19 @@ def read_result(
 
 
 def _require(obj: dict, keys, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, got {type(obj).__name__}")
     missing = [key for key in keys if key not in obj]
     if missing:
         raise ValueError(f"{what} needs {', '.join(map(repr, missing))}")
+
+
+def _typed(member: str, build):
+    """``build()``, with a ``TypeError`` from a wrongly typed JSON value named by its member."""
+    try:
+        return build()
+    except TypeError as exc:
+        raise ValueError(f"the JSON member {member!r} holds a value of the wrong type: {exc}") from exc
 
 
 def write_output(path: str, data: bytes) -> None:

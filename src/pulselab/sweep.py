@@ -68,14 +68,8 @@ __all__ = [
 
 SWEEP_CHANNELS = ("alpha", "duration_factor", "delta", "eta", "sigma")
 
-# Channel value at which the sequence is nominal.
-CHANNEL_NOMINALS: Dict[str, float] = {
-    "alpha": 1.0,
-    "duration_factor": 1.0,
-    "delta": 0.0,
-    "eta": 0.0,
-    "sigma": 0.0,
-}
+# Channel value at which the sequence is nominal: the error-free vector's.
+CHANNEL_NOMINALS: Dict[str, float] = {channel: getattr(ErrorVector(), channel) for channel in SWEEP_CHANNELS}
 
 
 @dataclass(frozen=True)

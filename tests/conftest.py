@@ -1,3 +1,4 @@
+import importlib.util
 import pathlib
 import sys
 
@@ -9,6 +10,28 @@ if str(REPO / "src") not in sys.path:
     sys.path.insert(0, str(REPO / "src"))
 
 from pulselab import IntegratorConfig, Waveform  # noqa: E402
+
+
+def load_make_goldens():
+    """scripts/make_goldens.py as a module."""
+    spec = importlib.util.spec_from_file_location("make_goldens", REPO / "scripts" / "make_goldens.py")
+    make_goldens = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_goldens)
+    return make_goldens
+
+
+@pytest.fixture(scope="session")
+def regenerated(tmp_path_factory):
+    """A directory holding every figure config and the reference table, regenerated once.
+
+    ``make_goldens.regenerate`` writes figN.csv and ``regenerate_table``
+    writes table.csv, exactly as ``scripts/make_goldens.py --check`` does.
+    """
+    make_goldens = load_make_goldens()
+    outdir = tmp_path_factory.mktemp("regenerated")
+    make_goldens.regenerate(outdir)
+    make_goldens.regenerate_table(outdir)
+    return outdir
 
 
 @pytest.fixture(scope="session")

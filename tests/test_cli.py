@@ -155,6 +155,31 @@ def test_table_rejects_an_ignored_key_from_a_config_file(tmp_path, capsys):
     assert "'protocol'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    (
+        ["--sweep-channel", "alpha", "--sweep-lo", "0", "--sweep-hi", "2", "--sweep-points", "3"],
+        ["--sweep-lo", "0"],
+        ["--sweep2-channel", "delta"],
+        ["--sweep2-points", "3"],
+        ["--workers", "7"],
+        ["--format", "json"],
+    ),
+    ids=lambda flags: flags[0][2:],
+)
+def test_simulate_rejects_the_keys_it_ignores(flags, capsys):
+    assert main(["simulate", "--protocol", "RE", "--steps-per-pulse", "400", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"simulate does not use key {flags[0][2:].replace('-', '_')!r}" in captured.err
+
+
+def test_simulate_rejects_an_ignored_key_from_a_config_file(tmp_path, capsys):
+    cfg = tmp_path / "simulate.cfg"
+    cfg.write_text("protocol = RE\nsteps_per_pulse = 400\nworkers = 2\n")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "'workers'" in capsys.readouterr().err
+
+
 def test_exit_code_config_error(capsys):
     assert main(["simulate", "--protocol", "RE", "--sigma", "1.5"]) == 2
     assert "sigma" in capsys.readouterr().err
@@ -299,6 +324,17 @@ def test_check_lines_report_wall_time(capsys, monkeypatch):
     for line in lines:
         seconds = line.rsplit("[", 1)[1]
         assert seconds.endswith(" s]") and float(seconds[:-3]) >= 0.0
+
+
+def test_check_imports_scipy_special_before_the_first_check():
+    out = run_python(
+        "import sys\n"
+        "from pulselab import checks\n"
+        "from pulselab.cli import main\n"
+        "checks._CHECKS = [lambda: checks.CheckResult('probe', 'scipy.special' in sys.modules, '')]\n"
+        "sys.exit(main(['check']))\n"
+    )
+    assert out.startswith("PASS  probe: ")
 
 
 def test_version_flag(capsys):

@@ -1,9 +1,12 @@
 """Strict configuration schema: parsing, defaults, diagnostics."""
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
-from pulselab.config import ParseError, ValidationError, build_config, parse_config, parse_kv
-from pulselab.protocols import SQRT_PI, UCP_PHASES
+from pulselab.config import SPEC_KEYS, ParseError, ValidationError, build_config, parse_config, parse_kv
+from pulselab.core import InvalidParameter
+from pulselab.protocols import PROTOCOL_KINDS, SQRT_PI, TECHNIQUES, UCP_PHASES, ProtocolSpec, nominal_spec
 
 
 def test_minimal_config_gets_canonical_defaults():
@@ -63,6 +66,40 @@ def test_keys_must_apply_to_the_technique():
         parse_config("protocol = AF\nsta_ta = 1.0\n")
     with pytest.raises(ValidationError, match="omega0"):
         parse_config("protocol = SP\nomega0 = 2.0\n")
+
+
+def test_spec_keys_set_exactly_the_fields_the_techniques_take():
+    taken = set().union(*(tech.takes for tech in TECHNIQUES.values()))
+    assert set(SPEC_KEYS.values()) == taken and set(KEY_TEXT) == set(SPEC_KEYS)
+    assert taken == {f.name for f in fields(ProtocolSpec)} - {"kind", "T"}
+
+
+# a non-canonical value for every technique parameter, as config text and as a spec field
+KEY_TEXT = {"omega0": "2.0", "beta": "1.5", "phases": "0,1,0", "sp_coeffs": "-1.0",
+            "sta_omega0a": "2.0", "sta_betaa": "1.5", "sta_ta": "1.2"}
+FIELD_VALUE = {"beta": 1.5, "phases": (0.0, 1.0, 0.0), "sp_coeffs": (-1.0,), "sta_nominal": (2.0, 1.5, 1.2)}
+
+
+@pytest.mark.parametrize("key", KEY_TEXT)
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+def test_build_config_takes_a_key_by_the_technique_table(kind, key):
+    raw = {"protocol": kind, key: KEY_TEXT[key]}
+    if SPEC_KEYS[key] in TECHNIQUES[kind].takes:
+        assert build_config(raw).protocol != nominal_spec(kind)
+    else:
+        with pytest.raises(ValidationError, match=f"key {key!r} is not a parameter of the {kind} technique"):
+            build_config(raw)
+
+
+@pytest.mark.parametrize("field", FIELD_VALUE)
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+def test_protocol_spec_takes_a_field_by_the_technique_table(kind, field):
+    value = FIELD_VALUE[field]
+    if field in TECHNIQUES[kind].takes:
+        assert getattr(replace(nominal_spec(kind), **{field: value}), field) == value
+    else:
+        with pytest.raises(InvalidParameter, match=f"{field} is not a parameter of the {kind} technique"):
+            replace(nominal_spec(kind), **{field: value})
 
 
 def test_sta_frozen_triple_defaults_to_live():

@@ -12,6 +12,7 @@ from pulselab.integrator import IntegratorConfig, propagate, propagate_sequence
 from pulselab.protocols import (
     A7_COEFFS,
     CAP_PHASES,
+    PROTOCOL_KINDS,
     SQRT_PI,
     UCP_PHASES,
     ProtocolSpec,
@@ -369,3 +370,24 @@ def test_nominal_specs_and_pulse_counts():
         ProtocolSpec("UCP", SQRT_PI, 1.0, beta=1.0)
     with pytest.raises(InvalidParameter):
         ProtocolSpec("RE", SQRT_PI, 1.0, sp_coeffs=(1.0,))
+
+
+@pytest.mark.parametrize("T", (1.0, 0.37, 2.5))
+def test_nominal_spec_keeps_the_canonical_parameters_bitwise(T):
+    # omega0, beta and phases as each technique's own formula gives them
+    canonical = {
+        "RE": (SQRT_PI / T, 0.0, ()),
+        "AF": (5.0 * SQRT_PI / T, 4.0 / T, ()),
+        "STA": (SQRT_PI / T, 4.0 / T, ()),
+        "SP": (SQRT_PI / T, 0.0, ()),
+        "CAP": (SQRT_PI / T, 1.0 / T, CAP_PHASES),
+        "UCP": (SQRT_PI / T, 0.0, UCP_PHASES),
+    }
+    assert PROTOCOL_KINDS == tuple(canonical)
+    for kind, (omega0, beta, phases) in canonical.items():
+        spec = nominal_spec(kind, T)
+        bits = [x.hex() for x in (spec.omega0, spec.T, spec.beta, *spec.phases, *spec.sp_coeffs)]
+        assert bits == [x.hex() for x in (omega0, T, beta, *phases, *A7_COEFFS)]
+        assert spec.sta_nominal == ((omega0, beta, T) if kind == "STA" else None)
+    with pytest.raises(InvalidParameter, match="unknown protocol kind"):
+        nominal_spec("XX")

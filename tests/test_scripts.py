@@ -1,19 +1,14 @@
 """The shipped experiment scripts stay runnable."""
-import importlib.util
 import pathlib
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+from conftest import load_make_goldens
+
 REPO = pathlib.Path(__file__).resolve().parent.parent
-
-
-def load_make_goldens():
-    spec = importlib.util.spec_from_file_location("make_goldens", REPO / "scripts" / "make_goldens.py")
-    make_goldens = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(make_goldens)
-    return make_goldens
 
 
 def test_make_figures_single_figure(tmp_path):
@@ -45,19 +40,26 @@ def test_make_figures_rejects_a_figure_without_a_config(tmp_path):
     assert "Traceback" not in proc.stderr and not list(tmp_path.iterdir())
 
 
-def test_make_goldens_check_reports_differences_and_never_writes(tmp_path):
+def test_make_goldens_check_reports_differences_and_never_writes(tmp_path, regenerated, monkeypatch, capsys):
     goldens = sorted((REPO / "goldens").glob("fig*.csv")) + [REPO / "perfbench" / "reference" / "table.csv"]
     before = {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in goldens}
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "make_goldens.py"), "--check"],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    make_goldens = load_make_goldens()
+
+    # the session's regenerated files stand in for a second regeneration
+    def regenerate(outdir):
+        assert outdir.resolve() != (REPO / "goldens").resolve()
+        return [pathlib.Path(shutil.copy(f, outdir)) for f in sorted(regenerated.glob("fig*.csv"))]
+
+    def regenerate_table(outdir):
+        assert outdir.resolve() != (REPO / "goldens").resolve()
+        return pathlib.Path(shutil.copy(regenerated / "table.csv", outdir))
+
+    monkeypatch.setattr(make_goldens, "regenerate", regenerate)
+    monkeypatch.setattr(make_goldens, "regenerate_table", regenerate_table)
+    assert make_goldens.run(["--check"]) == 0
+    assert capsys.readouterr().out == "all goldens and the reference table regenerate byte-identically\n"
     assert {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in goldens} == before
 
-    make_goldens = load_make_goldens()
     lines = (REPO / "goldens" / "fig2.csv").read_text().splitlines(keepends=True)
     alpha, p = lines[5].rstrip("\r\n").split(",")
     lines[5] = f"{alpha},{float(p) + 1e-9!r}\r\n"

@@ -126,6 +126,28 @@ def test_json_reader_names_a_missing_nested_field(obj, key):
 
 
 @pytest.mark.parametrize(
+    "edit, match",
+    (
+        (lambda doc: 5, "a JSON result must be an object, got int"),
+        (lambda doc: {**doc, "axes": 3}, "'axes' must be a list, got int"),
+        (lambda doc: {**doc, "axes": [1]}, "a JSON axis must be an object, got int"),
+        (lambda doc: {**doc, "values": 5}, "'values' must be a list, got int"),
+        (lambda doc: {**doc, "meta": [1]}, "'meta' must be a dict, got list"),
+        (lambda doc: {**doc, "protocol": [1]}, "a JSON protocol must be an object, got list"),
+        (lambda doc: {**doc, "values": [None, 0.5, 1.0]}, "'values' holds a value of the wrong type"),
+        (lambda doc: {**doc, "axes": [{**doc["axes"][0], "lo": None}]}, "'axes' holds a value of the wrong type"),
+        (lambda doc: {**doc, "protocol": {**doc["protocol"], "omega0": "2"}}, "'protocol' holds a value of the"),
+    ),
+    ids=("top-level-5", "axes-3", "axes-[1]", "values-5", "meta-[1]", "protocol-[1]", "values-[null]",
+         "axis-lo-null", "protocol-omega0-string"),
+)
+def test_json_reader_names_a_member_of_the_wrong_type(edit, match):
+    doc = edit(json.loads(write_result(small_result(), "json")))
+    with pytest.raises(ValueError, match=match):
+        read_result(json.dumps(doc), "json")
+
+
+@pytest.mark.parametrize(
     "text, match",
     (
         ("alpha,P\r\n", "rows"),
