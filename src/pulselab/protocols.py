@@ -109,12 +109,12 @@ class ProtocolSpec:
         if not all(np.isfinite(self.phases)):
             raise InvalidParameter("phases must be finite")
         object.__setattr__(self, "sp_coeffs", tuple(float(c) for c in self.sp_coeffs))
-        takes = TECHNIQUES[self.kind].takes
+        tech = TECHNIQUES[self.kind]
         for f in fields(self):
-            if f.default is not MISSING and f.name not in takes and getattr(self, f.name) != f.default:
+            if f.default is not MISSING and f.name not in tech.takes and getattr(self, f.name) != f.default:
                 raise InvalidParameter(f"{f.name} is not a parameter of the {self.kind} technique")
         if not self.phases:
-            object.__setattr__(self, "phases", TECHNIQUES[self.kind].phases)
+            object.__setattr__(self, "phases", tech.phases)
         if self.kind == "STA":
             frozen = self.sta_nominal or (self.omega0, self.beta, self.T)
             frozen = tuple(float(x) for x in frozen)
