@@ -33,19 +33,22 @@ __all__ = ["main"]
 
 
 def _keep_freed_arrays() -> None:
-    """Keep the multi-megabyte numpy temporaries of each point on the heap.
+    """Keep the numpy temporaries of each point on the heap.
 
     By default glibc serves blocks above a (dynamic) threshold with mmap and
     trims freed memory at the heap top back to the kernel, so the next point
-    faults the same 2-12 MB arrays in again, zeroing every page.  A certified
-    RE ``simulate`` at 250k steps took 15.5k minor faults per call (CAP
-    27.1k, UCP 38.8k), and about half of each point's time went to them.
-    Serving blocks up to 32 MiB from the heap (SP's 12 MB ``np.outer`` at
-    500k samples) and trimming only above 256 MiB leaves 0-17 faults per
-    point.  Either call switches off glibc's dynamic thresholds, so both are
-    set: the mmap threshold alone, with the default 128 KiB trim threshold,
-    took the CAP duration sweep of fig3 from 0 to about 70k faults per run.
-    Other C libraries keep their defaults.
+    faults the same arrays in again, zeroing every page.  Before long pulses
+    were propagated in blocks, a certified RE ``simulate`` at 250k steps took
+    15.5k minor faults per call (CAP 27.1k, UCP 38.8k) for its 2-12 MB
+    arrays, and about half of each point's time went to them.  Blocks of
+    32768 steps keep the largest array below 1 MB (SP's ``np.outer`` of a
+    block).  With blocks up to 32 MiB served from the heap and the heap
+    trimmed only above 256 MiB, a repeated certified point of any technique
+    takes 3-214 minor faults (0-26 before blocks).  Either call switches off
+    glibc's dynamic thresholds, so both are set: the mmap threshold alone,
+    with the default 128 KiB trim threshold, took the CAP duration sweep of
+    fig3 from 0 to about 70k faults per run.  Other C libraries keep their
+    defaults.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

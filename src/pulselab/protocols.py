@@ -77,7 +77,8 @@ class ProtocolSpec:
     """One technique plus its physical parameters.
 
     A field that :data:`TECHNIQUES` does not list for ``kind`` must keep its
-    default; empty ``phases`` take the technique's canonical list.
+    default, and ``omega0`` its canonical ``omega0_T / T``; empty ``phases``
+    take the technique's canonical list.
     ``sta_nominal`` is the frozen (omega0, beta, T) triple used to synthesize
     the counterdiabatic term; it defaults to the live values and is never
     touched by error channels.
@@ -113,6 +114,8 @@ class ProtocolSpec:
         for f in fields(self):
             if f.default is not MISSING and f.name not in tech.takes and getattr(self, f.name) != f.default:
                 raise InvalidParameter(f"{f.name} is not a parameter of the {self.kind} technique")
+        if "omega0" not in tech.takes and self.omega0 != tech.omega0_T / self.T:
+            raise InvalidParameter(f"omega0 is not a parameter of the {self.kind} technique")
         if not self.phases:
             object.__setattr__(self, "phases", tech.phases)
         if self.kind == "STA":
@@ -255,19 +258,23 @@ def _sampler(
 ) -> Callable[[np.ndarray, str], np.ndarray]:
     """``sample(t, name)``: one part at ``t``; with ``keep``, each part once per time array.
 
-    A kept part is held per time-array shape, together with a copy of the
-    times it was sampled at, and is reused only for a bitwise-equal time
-    array.  Without ``keep`` callers use the result inline, so that numpy can
-    reuse the fresh array for the arithmetic on top.
+    A kept part is held per time-array shape and first time, so that each
+    block of a long propagation (see :mod:`pulselab.integrator`) keeps its
+    own, together with the bytes of the times it was sampled at, and is
+    reused only for a bitwise-equal time array.  Without ``keep`` callers use
+    the result inline, so that numpy can reuse the fresh array for the
+    arithmetic on top.
     """
     if not keep:
         return lambda t, name: parts[name](t)
-    held: Dict[tuple, Tuple[np.ndarray, Dict[str, np.ndarray]]] = {}
+    held: Dict[tuple, Tuple[bytes, Dict[str, np.ndarray]]] = {}
 
     def sample(t: np.ndarray, name: str) -> np.ndarray:
-        slot = held.get(t.shape)
-        if slot is None or not np.array_equal(slot[0].view(np.uint64), t.view(np.uint64)):
-            slot = held[t.shape] = (t.copy(), {})
+        bits = t.tobytes()
+        key = (t.shape, bits[:8])
+        slot = held.get(key)
+        if slot is None or slot[0] != bits:
+            slot = held[key] = (bits, {})
         if name not in slot[1]:
             slot[1][name] = parts[name](t)
         return slot[1][name]

@@ -77,7 +77,7 @@ def test_spec_keys_set_exactly_the_fields_the_techniques_take():
 # a non-canonical value for every technique parameter, as config text and as a spec field
 KEY_TEXT = {"omega0": "2.0", "beta": "1.5", "phases": "0,1,0", "sp_coeffs": "-1.0",
             "sta_omega0a": "2.0", "sta_betaa": "1.5", "sta_ta": "1.2"}
-FIELD_VALUE = {"beta": 1.5, "phases": (0.0, 1.0, 0.0), "sp_coeffs": (-1.0,), "sta_nominal": (2.0, 1.5, 1.2)}
+FIELD_VALUE = {"omega0": 2.0, "beta": 1.5, "phases": (0.0, 1.0, 0.0), "sp_coeffs": (-1.0,), "sta_nominal": (2.0, 1.5, 1.2)}
 
 
 @pytest.mark.parametrize("key", KEY_TEXT)

@@ -1,10 +1,15 @@
 """Integrator oracles: closed-form Rabi physics and convergence behavior."""
+import os
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import ck_matrix, solve_ivp_ck
+from pulselab import integrator
 from pulselab.channels import ErrorVector, apply_errors
 from pulselab.core import InvalidWaveform, Waveform, transition_probability, unitarity_defect
 from pulselab.integrator import (
@@ -17,6 +22,7 @@ from pulselab.integrator import (
     propagate_sequence,
 )
 from pulselab.protocols import SQRT_PI, ProtocolSpec, nominal_spec
+from pulselab.sweep import SweepAxis, sweep1d
 
 # analytic value of the detuned-Rabi oracle at Omega = delta = 1/T, tau = pi*T:
 # P = (Omega^2/(Omega^2+delta^2)) * sin^2(sqrt(Omega^2+delta^2)*tau/2)
@@ -226,8 +232,6 @@ def test_nan_propagator_fails_both_tolerance_checks(monkeypatch):
         for renormalize in (False, True):
             with pytest.raises(UnitarityViolation):
                 propagate(blown, IntegratorConfig(steps_per_pulse=400, renormalize=renormalize))
-    from pulselab import integrator
-
     monkeypatch.setattr(integrator, "convergence_check", lambda *args, **kwargs: float("nan"))
     cfg = IntegratorConfig(steps_per_pulse=400, convergence_tol=1e-8)
     with pytest.raises(NonConvergent):
@@ -236,8 +240,6 @@ def test_nan_propagator_fails_both_tolerance_checks(monkeypatch):
 
 def _record_certificates(monkeypatch):
     """Steps of every raw run and every step-halving estimate, in call order."""
-    from pulselab import integrator
-
     steps, estimates = [], []
     raw, check = integrator._propagate_raw, integrator.convergence_check
 
@@ -334,6 +336,121 @@ def test_step_pairs_midpoints_and_spacing():
     # spacing h = 0.5: a pure-detuning step is exp(i*h*D/2)
     assert a == pytest.approx(np.full(4, np.exp(0.5j * 0.5 * 2.0)), abs=1e-15)
     assert np.all(b == 0)
+
+
+# ------------------------------------------------------------ long windows
+
+# four blocks, the last one short
+LONG_STEPS = 3 * integrator._BLOCK + 1234
+LONG_ERRORS = ErrorVector(alpha=1.07, delta=0.1, eta=0.05, sigma=0.1)
+
+
+def long_pulse(kind="UCP"):
+    """A pulse with a drive phase, every error channel on and its own center."""
+    return apply_errors(nominal_spec(kind), LONG_ERRORS).pulses[1 if kind in ("CAP", "UCP") else 0]
+
+
+def bits(u):
+    return np.array([u.a, u.b]).tobytes()
+
+
+def test_blocked_propagation_is_bitwise_on_repeat_and_with_one_thread(monkeypatch):
+    w = long_pulse()
+    u = integrator._propagate_raw(w, LONG_STEPS)
+    assert bits(integrator._propagate_raw(w, LONG_STEPS)) == bits(u)
+    monkeypatch.setattr(integrator.os, "cpu_count", lambda: 1)
+    assert bits(integrator._propagate_raw(w, LONG_STEPS)) == bits(u)
+
+
+@pytest.mark.parametrize("kind", ("RE", "AF", "STA", "SP", "CAP", "UCP"))
+def test_blocked_propagation_agrees_with_one_pass(kind):
+    w = long_pulse(kind)
+    blocked = integrator._propagate_raw(w, LONG_STEPS)
+    one_pass = integrator._reduce(*_step_pairs(w, LONG_STEPS))
+    assert max(abs(blocked.a - one_pass.a), abs(blocked.b - one_pass.b)) <= 1e-12
+
+
+def test_blocked_propagation_samples_on_the_calling_thread_in_time_order():
+    w = long_pulse("STA")
+    calls = []
+
+    def recorded(name, control):
+        def sample(t):
+            calls.append((name, threading.get_ident(), t.copy()))
+            return control(t)
+
+        return sample
+
+    logged = replace(w, rabi=recorded("rabi", w.rabi), detuning=recorded("detuning", w.detuning))
+    before = threading.active_count()
+    integrator._propagate_raw(logged, LONG_STEPS)
+    assert threading.active_count() == before
+    assert {ident for _, ident, _ in calls} == {threading.get_ident()}
+    assert [name for name, _, _ in calls] == ["rabi", "detuning"] * 4
+    rabi_times = [t for name, _, t in calls if name == "rabi"]
+    assert [len(t) for t in rabi_times] == [integrator._BLOCK] * 3 + [1234]
+    assert all(np.array_equal(t_rabi, t_det) for (_, _, t_rabi), (_, _, t_det) in zip(calls[::2], calls[1::2]))
+    # the midpoints of one pass over the window, bit for bit
+    t0, t1 = w.window
+    midpoints = t0 + (np.arange(LONG_STEPS) + 0.5) * ((t1 - t0) / LONG_STEPS)
+    assert np.concatenate(rabi_times).tobytes() == midpoints.tobytes()
+
+
+def test_blocked_propagation_uses_at_most_a_thread_per_block_and_cpu(monkeypatch):
+    made = []
+
+    class Recorded(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(integrator, "ThreadPoolExecutor", Recorded)
+    w = long_pulse()
+    want = bits(integrator._propagate_raw(w, LONG_STEPS))
+    first = min(4, os.cpu_count() or 1)
+    for cpus in (1, 3, 64, None):
+        monkeypatch.setattr(integrator.os, "cpu_count", lambda cpus=cpus: cpus)
+        assert bits(integrator._propagate_raw(w, LONG_STEPS)) == want
+    assert made == [first, 1, 3, 4, 1]
+    # one block is one pass: no executor
+    integrator._propagate_raw(w, integrator._BLOCK)
+    assert len(made) == 5
+    # a pool worker process leaves the cores to its pool
+    monkeypatch.setattr(integrator.multiprocessing, "parent_process", lambda: object())
+    assert bits(integrator._propagate_raw(w, LONG_STEPS)) == want
+    assert len(made) == 5
+
+
+def test_blocked_propagation_raises_a_worker_error_here_and_leaves_no_thread():
+    w = long_pulse("RE")
+    t_bad = w.window[0] + 0.9 * (w.window[1] - w.window[0])  # inside the last block
+    broken = replace(w, rabi=lambda t: np.where(t > t_bad, np.nan, w.rabi(t)))
+    before = threading.active_count()
+    with pytest.raises(InvalidWaveform):
+        integrator._propagate_raw(broken, LONG_STEPS)
+    assert threading.active_count() == before
+
+
+def test_blocked_propagation_is_followed_by_a_clean_pool_sweep(monkeypatch):
+    # a forked pool worker that tried to start threads would fail the sweep
+    parent = os.getpid()
+
+    class ParentOnly(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            if os.getpid() != parent:
+                raise AssertionError("a pool worker started threads")
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(integrator, "ThreadPoolExecutor", ParentOnly)
+    before = threading.active_count()
+    integrator._propagate_raw(long_pulse(), LONG_STEPS)
+    assert threading.active_count() == before
+    cfg = IntegratorConfig(steps_per_pulse=integrator._BLOCK + 100)
+    axis = SweepAxis("alpha", 0.9, 1.1, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pooled = sweep1d(nominal_spec("RE"), axis, cfg=cfg, workers=2)
+    assert pooled.values == sweep1d(nominal_spec("RE"), axis, cfg=cfg).values
 
 
 def test_integrator_config_invariants():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulselab import protocols
+from pulselab import integrator, protocols
 from pulselab import sweep as sweep_module
 from pulselab.channels import ErrorVector, apply_errors
 from pulselab.cli import main
@@ -561,9 +561,44 @@ def test_memo_hit_needs_bitwise_equal_times():
     assert kept is not first and len(calls) == 2
     fine = np.linspace(-1.0, 1.0, 9)
     assert sample(fine, "envelope") is sample(fine, "envelope") and len(calls) == 3
-    assert sample(signed, "envelope") is kept and len(calls) == 3  # one slot per time-array shape
+    assert sample(signed, "envelope") is kept and len(calls) == 3  # one slot per shape and first time
+    later = t + 2.0  # the next block of a long window: same shape, other first time
+    assert sample(later, "envelope") is sample(later, "envelope") and len(calls) == 4
+    assert sample(signed, "envelope") is kept and len(calls) == 4
     fresh = protocols._sampler({"envelope": envelope}, keep=False)
-    assert fresh(t, "envelope") is not fresh(t, "envelope") and len(calls) == 5
+    assert fresh(t, "envelope") is not fresh(t, "envelope") and len(calls) == 6
+
+
+@pytest.mark.parametrize("kind", ("SP", "CAP"))
+def test_long_sweep_keeps_each_part_once_per_block_and_is_bitwise_simulate(kind, monkeypatch, tmp_path):
+    # three blocks per pulse, two of the same size
+    steps = 2 * integrator._BLOCK + 1000
+    sampled = []
+    parts_of = protocols._nominal_parts
+
+    def logged(T_live, c, name, part):
+        def sample(t):
+            sampled.append((T_live, c, name, t.size, t[0]))
+            return part(t)
+
+        return sample
+
+    def logged_parts(spec, T_live, c, ce, sp):
+        return {name: logged(T_live, c, name, part) for name, part in parts_of(spec, T_live, c, ce, sp).items()}
+
+    monkeypatch.setattr(protocols, "_nominal_parts", logged_parts)
+    spec = nominal_spec(kind)
+    axes = (SweepAxis("duration_factor", 0.9, 1.1, 2), SweepAxis("alpha", 0.95, 1.05, 2))
+    res = sweep2d(spec, *axes, cfg=IntegratorConfig(steps_per_pulse=steps))
+    # two shape groups, envelope, detuning and tanh of every pulse, three blocks each
+    assert len(set(sampled)) == len(sampled) == 2 * spec.pulse_count * 3 * 3
+    for (d, a), value in zip(sweep_module._grid_points(axes), res.values):
+        out = tmp_path / "simulate.txt"
+        argv = ["simulate", "--protocol", kind, f"--steps-per-pulse={steps}",
+                f"--duration-factor={d!r}", f"--alpha={a!r}", "--output", str(out)]
+        assert main(argv) == 0
+        p = float(dict(line.split(" = ") for line in out.read_text().splitlines())["P"])
+        assert value == min(max(p, 0.0), 1.0)
 
 
 CERT_AXES = (SweepAxis("duration_factor", 0.6, 1.4, 3), SweepAxis("alpha", 0.5, 1.5, 5))
