@@ -6,15 +6,16 @@ matrix, so every step is exactly unitary and the only global unitarity drift
 is floating-point rounding.  The scheme is globally second order in the step
 size; ``convergence_check`` provides the step-halving certificate.
 
-A window of more than ``_BLOCK`` steps is walked in blocks of ``_BLOCK``
-steps, so that a block's arrays stay in cache.  The calling thread samples
-each block's controls in time order (``rabi`` then ``detuning``, at the same
-midpoints as one pass over the window), and worker threads turn the samples
-into step pairs and reduce them, while the next block is sampled.  The block
-products are then reduced in time order.  A call uses at most one thread per
-block and per CPU, and none in a pool worker process, whose pool already uses
-the cores; its threads end before it returns.  One block is one pass, as
-below ``_BLOCK`` steps, where no thread is started.  A blocked product
+One loop walks every window in blocks of at most ``_BLOCK`` steps, so that a
+block's arrays stay in cache; each block's product is its step pairs,
+reduced.  A window of one block is one direct pass, with no thread.  For
+more blocks, the calling thread samples each block's controls in time order
+(``rabi`` then ``detuning``, at the same midpoints as one pass over the
+window) and hands the block to worker threads, which form and reduce its step
+pairs while the next block is sampled.  The block products are then reduced
+in time order.  A call uses at most one thread per block and per CPU, and
+none in a pool worker process, whose pool already uses the cores: there the
+blocks run in turn.  Its threads end before it returns.  A blocked product
 differs from a one-pass one by rounding only, at the ulp level: numpy rounds
 some complex products differently by array size, so even a tree kept across
 blocks would not be bitwise.  Every result is bitwise the same for any
@@ -118,13 +119,6 @@ def _pairs(w: Waveform, h: float, rabi: np.ndarray, detuning: np.ndarray) -> Tup
     return a, b
 
 
-def _step_pairs(w: Waveform, steps: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-step CK pairs for the midpoint-sampled exact exponential, in one pass."""
-    t0, t1 = w.window
-    h = (t1 - t0) / steps
-    return _pairs(w, h, *_controls(w, h, 0, steps))
-
-
 def _reduce(a: np.ndarray, b: np.ndarray) -> CKPropagator:
     """Pairwise product of the per-step propagators, kept in time order."""
     while a.size > 1:
@@ -140,22 +134,24 @@ def _reduce(a: np.ndarray, b: np.ndarray) -> CKPropagator:
     return CKPropagator(complex(a[0]), complex(b[0]))
 
 
-def _block_product(w: Waveform, h: float, controls: Tuple[np.ndarray, np.ndarray]) -> CKPropagator:
-    return _reduce(*_pairs(w, h, *controls))
-
-
 def _propagate_raw(w: Waveform, steps: int) -> CKPropagator:
-    if steps <= _BLOCK:
-        return _reduce(*_step_pairs(w, steps))
     t0, t1 = w.window
     h = (t1 - t0) / steps
-    blocks = [(j, min(j + _BLOCK, steps)) for j in range(0, steps, _BLOCK)]
+    if steps <= _BLOCK:
+        return _reduce(*_pairs(w, h, *_controls(w, h, 0, steps)))
+    starts = range(0, steps, _BLOCK)
+    controls = (_controls(w, h, j, min(j + _BLOCK, steps)) for j in starts)
+
+    def product(c: Tuple[np.ndarray, np.ndarray]) -> CKPropagator:
+        return _reduce(*_pairs(w, h, *c))
+
     if multiprocessing.parent_process() is not None:
-        products = [_block_product(w, h, _controls(w, h, *block)) for block in blocks]
+        products = list(map(product, controls))
     else:
-        with ThreadPoolExecutor(min(len(blocks), os.cpu_count() or 1)) as threads:
-            futures = [threads.submit(_block_product, w, h, _controls(w, h, *block)) for block in blocks]
-            products = [f.result() for f in futures]
+        # Executor.map submits every block before it returns, so all sampling
+        # stays on this thread, in time order
+        with ThreadPoolExecutor(min(len(starts), os.cpu_count() or 1)) as threads:
+            products = list(threads.map(product, controls))
     return _reduce(np.array([u.a for u in products]), np.array([u.b for u in products]))
 
 

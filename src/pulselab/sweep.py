@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -90,6 +91,8 @@ class SweepAxis:
             raise InvalidParameter(f"channel must be one of {SWEEP_CHANNELS}, got {self.channel!r}")
         if self.points < 1:
             raise InvalidParameter(f"points must be >= 1, got {self.points}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise InvalidParameter(f"axis bounds must be finite, got [{self.lo}, {self.hi}]")
         if self.points == 1:
             if self.lo != self.hi:
                 raise InvalidParameter("a 1-point axis must have lo == hi")
@@ -164,9 +167,9 @@ def _eval_chunk(tasks: List[_Task]) -> List[float]:
 
 
 def _resolve_workers(workers: int, tasks: int) -> int:
-    """Worker count to use: ``PULSE_WORKERS`` or ``workers``, at most one per task and CPU."""
+    """Worker count to use: a non-empty ``PULSE_WORKERS`` or ``workers``, at most one per task and CPU."""
     env = os.environ.get("PULSE_WORKERS")
-    if env is not None:
+    if env:
         try:
             workers = int(env)
         except ValueError as exc:

@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 
 from conftest import ck_matrix, solve_ivp_ck
-from pulselab import integrator
+from pulselab import cli, integrator
 from pulselab.channels import ErrorVector, apply_errors
 from pulselab.core import InvalidWaveform, Waveform, transition_probability, unitarity_defect
 from pulselab.integrator import (
     IntegratorConfig,
     NonConvergent,
     UnitarityViolation,
-    _step_pairs,
     convergence_check,
     propagate,
     propagate_sequence,
@@ -107,6 +106,36 @@ def test_phase_commutes_with_propagation(fast_cfg):
     u0, u1 = propagate(w0, fast_cfg), propagate(w1, fast_cfg)
     assert u1.a == pytest.approx(u0.a, abs=1e-12)
     assert u1.b == pytest.approx(u0.b * np.exp(0.9j), abs=1e-12)
+
+
+def demkov_kunike(omega0, delta0, b):
+    """Omega0 sech(t) with detuning Delta0 + B tanh(t) (T = 1), and its closed-form P.
+
+    Demkov & Kunike, Vestn. Leningr. Univ. Fiz. Khim. 16, 39 (1969); the root
+    is imaginary for B > Omega0, and B = 0 is Rosen & Zener, Phys. Rev. 40,
+    502 (1932).  The window of +-40 leaves sech(40) ~ 8e-18 outside it.
+    """
+    w = Waveform(
+        rabi=lambda t: omega0 / np.cosh(t),
+        detuning=lambda t: delta0 + b * np.tanh(t),
+        window=(-40.0, 40.0),
+    )
+    root = np.sqrt(complex(omega0**2 - b**2))
+    p = (np.cosh(np.pi * b) - np.cos(np.pi * root).real) / (np.cosh(np.pi * b) + np.cosh(np.pi * delta0))
+    return w, p
+
+
+def test_demkov_kunike_closed_form_at_second_order():
+    rng = np.random.default_rng(7)
+    pulses = [demkov_kunike(rng.uniform(0.2, 4.0), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(40)]
+    worst = {}
+    for steps in (4000, 20000):
+        cfg = IntegratorConfig(steps_per_pulse=steps)
+        worst[steps] = max(abs(transition_probability(propagate(w, cfg)) - p) for w, p in pulses)
+    assert worst[4000] <= 1e-5
+    assert worst[20000] <= 5e-7
+    # 5x the steps, 25x less error at second order
+    assert worst[4000] >= 20 * worst[20000]
 
 
 # ------------------------------------------------------------------ sequence
@@ -331,7 +360,7 @@ def test_step_pairs_midpoints_and_spacing():
         detuning=lambda t: 2.0 + 0.0 * t,
         window=(-1.0, 1.0),
     )
-    a, b = _step_pairs(w, 4)
+    a, b = integrator._pairs(w, 0.5, *integrator._controls(w, 0.5, 0, 4))
     assert seen[0] == pytest.approx([-0.75, -0.25, 0.25, 0.75])
     # spacing h = 0.5: a pure-detuning step is exp(i*h*D/2)
     assert a == pytest.approx(np.full(4, np.exp(0.5j * 0.5 * 2.0)), abs=1e-15)
@@ -366,7 +395,8 @@ def test_blocked_propagation_is_bitwise_on_repeat_and_with_one_thread(monkeypatc
 def test_blocked_propagation_agrees_with_one_pass(kind):
     w = long_pulse(kind)
     blocked = integrator._propagate_raw(w, LONG_STEPS)
-    one_pass = integrator._reduce(*_step_pairs(w, LONG_STEPS))
+    h = (w.window[1] - w.window[0]) / LONG_STEPS
+    one_pass = integrator._reduce(*integrator._pairs(w, h, *integrator._controls(w, h, 0, LONG_STEPS)))
     assert max(abs(blocked.a - one_pass.a), abs(blocked.b - one_pass.b)) <= 1e-12
 
 
@@ -451,6 +481,49 @@ def test_blocked_propagation_is_followed_by_a_clean_pool_sweep(monkeypatch):
         warnings.simplefilter("error")
         pooled = sweep1d(nominal_spec("RE"), axis, cfg=cfg, workers=2)
     assert pooled.values == sweep1d(nominal_spec("RE"), axis, cfg=cfg).values
+
+
+@pytest.mark.parametrize("kind", ("SP", "UCP"))
+def test_traced_certified_simulate_samples_blocks_in_order_on_the_main_thread(kind, monkeypatch, capsys):
+    # the benchmark's traced runs wrap every pulse's controls the same way, and
+    # fail when two runs of the same inputs count different calls
+    calls = []
+
+    def traced(name, control):
+        def sample(t):
+            calls.append((name, np.size(t), threading.current_thread() is threading.main_thread()))
+            return control(t)
+
+        return sample
+
+    def traced_apply_errors(*args, **kwargs):
+        seq = apply_errors(*args, **kwargs)
+        return type(seq)(
+            tuple(replace(w, rabi=traced("rabi", w.rabi), detuning=traced("detuning", w.detuning)) for w in seq.pulses)
+        )
+
+    monkeypatch.setattr(cli, "apply_errors", traced_apply_errors)
+    steps = 2 * integrator._BLOCK + 1000
+    argv = ["simulate", "--protocol", kind, "--alpha=1.07", "--delta=0.1", "--eta=0.05", "--sigma=0.1"]
+    argv += [f"--steps-per-pulse={steps}", "--convergence-tol=1e-6"]
+    before = threading.active_count()
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        assert cli.main(argv) == 0
+        runs.append([(name, n) for name, n, _ in calls])
+        assert all(on_main for _, _, on_main in calls)
+    assert threading.active_count() == before
+    assert runs[0] == runs[1]
+    assert capsys.readouterr().out.count("P = ") == 2
+
+    def blocks(n):
+        sizes = [integrator._BLOCK] * (n // integrator._BLOCK) + [n % integrator._BLOCK]
+        return [(name, size) for size in sizes for name in ("rabi", "detuning")]
+
+    # the first pulse is certified at twice the steps, and the rest share its shape
+    stepped = blocks(steps) + blocks(2 * steps) + blocks(steps) * (nominal_spec(kind).pulse_count - 1)
+    assert runs[0][: len(stepped)] == stepped
 
 
 def test_integrator_config_invariants():

@@ -1,6 +1,8 @@
 """Sweep engine: grids, determinism, worker invariance, robustness table."""
 import functools
+import json
 import os
+import warnings
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -17,6 +19,7 @@ from pulselab.cli import main
 from pulselab.core import InvalidParameter
 from pulselab.integrator import IntegratorConfig, NonConvergent
 from pulselab.protocols import SQRT_PI, ProtocolSpec, nominal_spec
+from pulselab.serialize import read_result, write_result
 from pulselab.sweep import (
     CHANNEL_NOMINALS,
     DEFAULT_PROBES,
@@ -116,6 +119,17 @@ def test_pulse_workers_env_override(fast_cfg, monkeypatch):
         sweep1d(RE, axis, cfg=fast_cfg)
 
 
+def test_empty_pulse_workers_means_unset(fast_cfg, monkeypatch, capsys):
+    axis = SweepAxis("alpha", 0.0, 2.0, 5)
+    serial = sweep1d(RE, axis, cfg=fast_cfg, workers=1)
+    monkeypatch.setenv("PULSE_WORKERS", "")
+    unset = sweep1d(RE, axis, cfg=fast_cfg, workers=1)
+    assert unset.values == serial.values and unset.meta["workers"] == 1
+    argv = ["sweep", "--protocol", "RE", "--sweep-channel", "alpha", "--sweep-lo", "0.5", "--sweep-hi", "1.5"]
+    assert main([*argv, "--sweep-points", "3", "--steps-per-pulse", "400"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "alpha,P"
+
+
 def test_axis_invariants():
     with pytest.raises(InvalidParameter):
         SweepAxis("frequency", 0.0, 1.0, 5)
@@ -126,6 +140,27 @@ def test_axis_invariants():
     with pytest.raises(InvalidParameter):
         SweepAxis("alpha", 0.0, 1.0, 1)
     assert SweepAxis("alpha", 0.7, 0.7, 1).values() == pytest.approx([0.7])
+
+
+@pytest.mark.parametrize(
+    "channel, lo, hi, points",
+    [("delta", -np.inf, np.inf, 3), ("alpha", 0.5, np.inf, 3), ("alpha", np.nan, np.nan, 1)],
+)
+def test_axis_rejects_non_finite_bounds(channel, lo, hi, points, capsys):
+    with pytest.raises(InvalidParameter, match=r"axis bounds must be finite, got \["):
+        SweepAxis(channel, lo, hi, points)
+    argv = ["sweep", "--protocol", "RE", "--sweep-channel", channel, f"--sweep-lo={lo}", f"--sweep-hi={hi}"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--sweep-points", str(points), "--steps-per-pulse", "400"]) == 2
+    err = capsys.readouterr().err
+    assert caught == [] and "Warning" not in err
+    assert "axis bounds must be finite" in err
+    one_point = sweep1d(RE, SweepAxis(channel, 0.5, 0.5, 1), cfg=IntegratorConfig(steps_per_pulse=400))
+    doc = json.loads(write_result(one_point, "json"))
+    doc["axes"][0].update(lo=lo, hi=hi, points=points)
+    with pytest.raises(ValueError, match="axis bounds must be finite"):
+        read_result(json.dumps(doc), "json")
 
 
 def test_result_invariants():
