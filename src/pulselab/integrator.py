@@ -8,8 +8,8 @@ size; ``convergence_check`` provides the step-halving certificate.
 
 One loop walks every window in blocks of at most ``_BLOCK`` steps, so that a
 block's arrays stay in cache; each block's product is its step pairs,
-reduced.  A window of one block is one direct pass, with no thread.  For
-more blocks, the calling thread samples each block's controls in time order
+reduced.  A window of one block goes through the same loop, with no thread.
+For more blocks, the calling thread samples each block's controls in time order
 (``rabi`` then ``detuning``, at the same midpoints as one pass over the
 window) and hands the block to worker threads, which form and reduce its step
 pairs while the next block is sampled.  The block products are then reduced
@@ -137,15 +137,13 @@ def _reduce(a: np.ndarray, b: np.ndarray) -> CKPropagator:
 def _propagate_raw(w: Waveform, steps: int) -> CKPropagator:
     t0, t1 = w.window
     h = (t1 - t0) / steps
-    if steps <= _BLOCK:
-        return _reduce(*_pairs(w, h, *_controls(w, h, 0, steps)))
     starts = range(0, steps, _BLOCK)
     controls = (_controls(w, h, j, min(j + _BLOCK, steps)) for j in starts)
 
     def product(c: Tuple[np.ndarray, np.ndarray]) -> CKPropagator:
         return _reduce(*_pairs(w, h, *c))
 
-    if multiprocessing.parent_process() is not None:
+    if len(starts) == 1 or multiprocessing.parent_process() is not None:
         products = list(map(product, controls))
     else:
         # Executor.map submits every block before it returns, so all sampling

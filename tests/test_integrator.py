@@ -442,7 +442,7 @@ def test_blocked_propagation_uses_at_most_a_thread_per_block_and_cpu(monkeypatch
         monkeypatch.setattr(integrator.os, "cpu_count", lambda cpus=cpus: cpus)
         assert bits(integrator._propagate_raw(w, LONG_STEPS)) == want
     assert made == [first, 1, 3, 4, 1]
-    # one block is one pass: no executor
+    # one block starts no executor
     integrator._propagate_raw(w, integrator._BLOCK)
     assert len(made) == 5
     # a pool worker process leaves the cores to its pool
@@ -491,7 +491,8 @@ def test_traced_certified_simulate_samples_blocks_in_order_on_the_main_thread(ki
 
     def traced(name, control):
         def sample(t):
-            calls.append((name, np.size(t), threading.current_thread() is threading.main_thread()))
+            on_main = threading.current_thread() is threading.main_thread()
+            calls.append((name, np.size(t), on_main, float(np.ravel(t)[0])))
             return control(t)
 
         return sample
@@ -511,8 +512,8 @@ def test_traced_certified_simulate_samples_blocks_in_order_on_the_main_thread(ki
     for _ in range(2):
         calls.clear()
         assert cli.main(argv) == 0
-        runs.append([(name, n) for name, n, _ in calls])
-        assert all(on_main for _, _, on_main in calls)
+        runs.append([(name, n) for name, n, _, _ in calls])
+        assert all(on_main for _, _, on_main, _ in calls)
     assert threading.active_count() == before
     assert runs[0] == runs[1]
     assert capsys.readouterr().out.count("P = ") == 2
@@ -522,8 +523,16 @@ def test_traced_certified_simulate_samples_blocks_in_order_on_the_main_thread(ki
         return [(name, size) for size in sizes for name in ("rabi", "detuning")]
 
     # the first pulse is certified at twice the steps, and the rest share its shape
-    stepped = blocks(steps) + blocks(2 * steps) + blocks(steps) * (nominal_spec(kind).pulse_count - 1)
+    propagations = [steps, 2 * steps] + [steps] * (nominal_spec(kind).pulse_count - 1)
+    stepped = [call for n in propagations for call in blocks(n)]
     assert runs[0][: len(stepped)] == stepped
+    # each propagation samples its blocks in time order, rabi and detuning from the same first time
+    first = 0
+    for n in propagations:
+        starts = [t for _, _, _, t in calls[first : first + len(blocks(n))]]
+        assert starts[0::2] == starts[1::2]
+        assert all(a < b for a, b in zip(starts[0::2], starts[2::2]))
+        first += len(blocks(n))
 
 
 def test_integrator_config_invariants():

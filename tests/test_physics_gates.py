@@ -23,14 +23,14 @@ a regenerated file does not.
 """
 import csv
 import functools
-import itertools
 import pathlib
 
 import numpy as np
 import pytest
 
 from pulselab.core import CKPropagator, compose, phase_shifted, transition_probability
-from pulselab.protocols import UCP_PHASES
+from pulselab.protocols import UCP_PHASES, nominal_spec
+from pulselab.serialize import read_result
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDENS = ROOT / "goldens"
@@ -41,19 +41,18 @@ MIRRORED = ("delta", "sigma")
 UNCHIRPED = ("RE", "UCP")
 
 
-def _grid(path, header):
-    """Axis values and the P grid of a sweep CSV whose columns are ``header``."""
-    lines = pathlib.Path(path).read_text().splitlines()
-    assert lines[0].split(",") == header, f"{path} has columns {lines[0]!r}, expected {header}"
-    data = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-    axes = [np.unique(column) for column in data[:, :-1].T]
-    assert np.array_equal(np.array(list(itertools.product(*axes))), data[:, :-1]), "not a row-major grid"
-    return axes, data[:, -1].reshape([len(axis) for axis in axes])
+def _grid(path, channels):
+    """Axis values and the P grid of a sweep CSV over ``channels``."""
+    # a CSV does not record its technique, and the gates read only the grid
+    result = read_result(pathlib.Path(path).read_text(), "csv", protocol=nominal_spec("RE"))
+    assert [axis.channel for axis in result.axes] == channels, f"{path} sweeps {result.axes}, expected {channels}"
+    p = np.array(result.values).reshape([axis.points for axis in result.axes])
+    return [axis.values() for axis in result.axes], p
 
 
 def ucp_resonant_rotations(path):
     """fig2: |P - P of five rotations by pi*alpha about the UCP phases| per alpha."""
-    (alpha,), p = _grid(path, ["alpha", "P"])
+    (alpha,), p = _grid(path, ["alpha"])
     exact = []
     for a in alpha:
         half = 0.5 * np.pi * a
@@ -67,16 +66,16 @@ def ucp_resonant_rotations(path):
 
 def re_area_law(path):
     """fig4: |P - sin^2(pi*alpha*d/2)| per (alpha, duration_factor)."""
-    (alpha, d), p = _grid(path, ["alpha", "duration_factor", "P"])
+    (alpha, d), p = _grid(path, ["alpha", "duration_factor"])
     return np.abs(p - np.sin(0.5 * np.pi * np.outer(alpha, d)) ** 2).ravel()
 
 
-def mirror(path, header):
+def mirror(path, channels):
     """fig5, fig6, fig7: |P - P mirrored along every delta and sigma axis| per point."""
-    axes, p = _grid(path, header)
-    flipped = tuple(i for i, channel in enumerate(header[:-1]) if channel in MIRRORED)
+    axes, p = _grid(path, channels)
+    flipped = tuple(i for i, channel in enumerate(channels) if channel in MIRRORED)
     for i in flipped:
-        assert np.max(np.abs(axes[i] + axes[i][::-1])) <= TOL, f"the {header[i]} axis is not symmetric"
+        assert np.max(np.abs(axes[i] + axes[i][::-1])) <= TOL, f"the {channels[i]} axis is not symmetric"
     return np.abs(p - np.flip(p, flipped)).ravel()
 
 
@@ -95,9 +94,9 @@ def symmetric_intervals(path):
 GOLDEN_GATES = {
     "fig2": ucp_resonant_rotations,
     "fig4": re_area_law,
-    "fig5": functools.partial(mirror, header=["delta", "P"]),
-    "fig6": functools.partial(mirror, header=["alpha", "delta", "P"]),
-    "fig7": functools.partial(mirror, header=["sigma", "P"]),
+    "fig5": functools.partial(mirror, channels=["delta"]),
+    "fig6": functools.partial(mirror, channels=["alpha", "delta"]),
+    "fig7": functools.partial(mirror, channels=["sigma"]),
 }
 
 
