@@ -17,6 +17,11 @@ a regenerated file does not.
   symmetric envelope with an odd chirp gives P(delta, eta, sigma) =
   P(-delta, eta, -sigma).  Points pair by index, i with n-1-i, because
   ``linspace`` grids are not bitwise symmetric.
+- Width rescaling (fig3, SP): a pulse d times wider is the same problem, at
+  width factor 1, with the drive times d (SP's amplitude carries 1/T, so its
+  alpha stays), delta times d, and eta times d^2 plus (d - 1)*beta/T for the
+  nominal chirp beta*(t - t_k)/T.  fig3's CAP points are recomputed at width
+  factor 1; SP is checked at seeded points.
 - Table: the mirror makes the delta and sigma intervals symmetric, lo = -hi.
   For an unchirped technique (RE, UCP), sigma_x conjugation alone gives
   P(delta, eta) = P(-delta, -eta), so its eta intervals are symmetric too.
@@ -24,15 +29,21 @@ a regenerated file does not.
 import csv
 import functools
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pulselab.channels import ErrorVector
+from pulselab.config import parse_config
 from pulselab.core import CKPropagator, compose, phase_shifted, transition_probability
+from pulselab.integrator import IntegratorConfig
 from pulselab.protocols import UCP_PHASES, nominal_spec
 from pulselab.serialize import read_result
+from pulselab.sweep import evaluate_point
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 GOLDENS = ROOT / "goldens"
 TABLE = ROOT / "perfbench" / "reference" / "table.csv"
 TOL = 1e-12
@@ -79,6 +90,30 @@ def mirror(path, channels):
     return np.abs(p - np.flip(p, flipped)).ravel()
 
 
+def unit_width(spec, err):
+    """The error vector posing at width factor 1 the problem ``err`` poses at its width factor d."""
+    d = err.duration_factor
+    return replace(
+        err,
+        duration_factor=1.0,
+        alpha=err.alpha if spec.kind == "SP" else err.alpha * d,
+        delta=err.delta * d,
+        eta=err.eta * d * d + (d - 1.0) * spec.beta / spec.T,
+    )
+
+
+def cap_width_rescaling(path, points=12):
+    """fig3: |P - P recomputed at width factor 1| at ``points`` widths spread over the axis."""
+    run = parse_config((CONFIGS / "fig3.cfg").read_text())
+    (d,), p = _grid(path, ["duration_factor"])
+    picked = np.linspace(0, d.size - 1, points).round().astype(int)
+    recomputed = [
+        evaluate_point(run.protocol, unit_width(run.protocol, replace(run.errors, duration_factor=d[i])), run.integrator)
+        for i in picked
+    ]
+    return np.abs(p[picked] - recomputed)
+
+
 def symmetric_intervals(path):
     """Reference table: |lo + hi| per delta and sigma row, and per RE/UCP eta row, with an interval."""
     with open(path, newline="") as fh:
@@ -93,6 +128,7 @@ def symmetric_intervals(path):
 
 GOLDEN_GATES = {
     "fig2": ucp_resonant_rotations,
+    "fig3": cap_width_rescaling,
     "fig4": re_area_law,
     "fig5": functools.partial(mirror, channels=["delta"]),
     "fig6": functools.partial(mirror, channels=["alpha", "delta"]),
@@ -113,3 +149,15 @@ def test_reference_table_intervals_are_symmetric():
     # below threshold at nominal and have no interval
     assert deviations.size == 36
     assert deviations.max() <= TOL
+
+
+def test_sp_width_rescaling_at_seeded_points():
+    spec, cfg = nominal_spec("SP"), IntegratorConfig(steps_per_pulse=4000)
+    draws = np.random.default_rng(16).uniform([0.3, 0.5, -2.0, -1.0, -0.5], [1.7, 2.0, 2.0, 1.0, 0.5], (6, 5))
+    deviations, probabilities = [], []
+    for alpha, d, delta, eta, sigma in draws:
+        err = ErrorVector(alpha=alpha, duration_factor=d, delta=delta, eta=eta, sigma=sigma)
+        probabilities.append(evaluate_point(spec, err, cfg))
+        deviations.append(abs(probabilities[-1] - evaluate_point(spec, unit_width(spec, err), cfg)))
+    assert np.ptp(probabilities) > 0.1  # the draws span distinct problems
+    assert max(deviations) <= TOL
