@@ -106,16 +106,38 @@ def _controls(w: Waveform, h: float, start: int, stop: int) -> Tuple[np.ndarray,
 
 
 def _pairs(w: Waveform, h: float, rabi: np.ndarray, detuning: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-step CK pairs of the exact exponential at the sampled controls."""
+    """Per-step CK pairs of the exact exponential at the sampled controls.
+
+    With lam = sqrt(|W|^2 + D^2), th = h*lam/2 and s = sin(th)/lam, the pair
+    is a = cos(th) + i*D*s and b = -i*W*s.  Both are written component by
+    component, in the floating-point operations numpy's complex arithmetic
+    performs on them, so they are bitwise that arithmetic up to the sign of
+    an exact zero.  A drive whose square overflows gives a NaN pair, which
+    :func:`propagate` reports as a unitarity violation.
+    """
     W = np.asarray(rabi, dtype=complex) * np.exp(1j * w.phase)
     D = np.asarray(detuning, dtype=float)
-    if not (np.all(np.isfinite(W.real)) and np.all(np.isfinite(W.imag)) and np.all(np.isfinite(D))):
+    if not (np.isfinite(W).all() and np.isfinite(D).all()):
         raise InvalidWaveform("controls returned NaN/Inf inside the pulse window")
-    lam = np.sqrt(np.abs(W) ** 2 + D * D)
-    th = 0.5 * h * lam
-    s = 0.5 * h * np.sinc(th / np.pi)  # sin(th)/lam, finite at lam = 0
-    a = np.cos(th) + 1j * D * s
-    b = -1j * W * s
+    with np.errstate(over="ignore", invalid="ignore"):
+        th = np.abs(W)  # numpy's complex abs: np.hypot is not bitwise the same
+        th *= th
+        th += D * D
+        np.sqrt(th, out=th)
+        th *= 0.5 * h
+        # s = 0.5*h*np.sinc(th/pi), finite at lam = 0, in np.sinc's own operations
+        y = th / np.pi
+        y *= np.pi
+        y[y == 0] = np.finfo(float).eps
+        s = np.sin(y)
+        s /= y
+        s *= 0.5 * h
+        a, b = np.empty_like(W), np.empty_like(W)
+        np.cos(th, out=a.real)
+        np.multiply(D, s, out=a.imag)
+        np.multiply(W.imag, s, out=b.real)
+        np.negative(W.real, out=b.imag)
+        b.imag *= s
     return a, b
 
 

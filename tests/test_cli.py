@@ -226,11 +226,25 @@ _BLOWN = ["--protocol", "RE", "--steps-per-pulse", "400"]
 def test_nan_propagator_is_a_numerical_failure(argv, capsys):
     # the overflowing drive gives a NaN pair; it must not print P = nan
     # or pass as a configuration error
-    with np.errstate(all="ignore"):
-        assert main(argv) == 3
+    assert main(argv) == 3
     captured = capsys.readouterr()
     assert "numerical failure" in captured.err
     assert "nan" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    (["--protocol", "RE", "--T", "1e-300"], ["--protocol", "AF", "--T", "1e-160"], ["--protocol", "RE", "--omega0", "1e200"]),
+    ids=lambda flags: f"{flags[1]}-{flags[2][2:]}-{flags[3]}",
+)
+def test_overflowing_magnitudes_fail_with_one_line_and_no_warning(flags, capsys):
+    # the squares overflow in the step pairs at the default resolution, whose
+    # blocks run on threads; any numpy warning would fail this test
+    assert main(["simulate", *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("numerical failure")
 
 
 @pytest.mark.parametrize("flag", ["--alpha", "--omega0", "--T", "--duration-factor"])

@@ -20,7 +20,7 @@ from pulselab.integrator import (
     propagate,
     propagate_sequence,
 )
-from pulselab.protocols import SQRT_PI, ProtocolSpec, nominal_spec
+from pulselab.protocols import SQRT_PI, TECHNIQUES, ProtocolSpec, nominal_spec
 from pulselab.sweep import SweepAxis, sweep1d
 
 # analytic value of the detuned-Rabi oracle at Omega = delta = 1/T, tau = pi*T:
@@ -257,10 +257,9 @@ def test_nan_propagator_fails_both_tolerance_checks(monkeypatch):
     # an overflowing drive gives a NaN pair, whose defect compares False
     # against any tolerance; it must fail the check, not slip through it
     blown = gaussian_chirped(1e200, 0.0)
-    with np.errstate(all="ignore"):
-        for renormalize in (False, True):
-            with pytest.raises(UnitarityViolation):
-                propagate(blown, IntegratorConfig(steps_per_pulse=400, renormalize=renormalize))
+    for renormalize in (False, True):
+        with pytest.raises(UnitarityViolation):
+            propagate(blown, IntegratorConfig(steps_per_pulse=400, renormalize=renormalize))
     monkeypatch.setattr(integrator, "convergence_check", lambda *args, **kwargs: float("nan"))
     cfg = IntegratorConfig(steps_per_pulse=400, convergence_tol=1e-8)
     with pytest.raises(NonConvergent):
@@ -365,6 +364,38 @@ def test_step_pairs_midpoints_and_spacing():
     # spacing h = 0.5: a pure-detuning step is exp(i*h*D/2)
     assert a == pytest.approx(np.full(4, np.exp(0.5j * 0.5 * 2.0)), abs=1e-15)
     assert np.all(b == 0)
+
+
+def complex_pairs(w, h, rabi, detuning):
+    """The step pairs as the complex expressions that ``integrator._pairs`` writes out by component."""
+    W = np.asarray(rabi, dtype=complex) * np.exp(1j * w.phase)
+    D = np.asarray(detuning, dtype=float)
+    lam = np.sqrt(np.abs(W) ** 2 + D * D)
+    th = 0.5 * h * lam
+    s = 0.5 * h * np.sinc(th / np.pi)
+    return np.cos(th) + 1j * D * s, -1j * W * s
+
+
+def zero_signless(*values):
+    """The bytes of ``values`` with -0.0 read as +0.0: the one difference the two may show."""
+    return (np.array(values, dtype=complex) + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("kind", TECHNIQUES)
+def test_step_pairs_are_bitwise_the_complex_expressions(kind):
+    # UCP and CAP carry drive phases, STA a complex envelope; alpha = delta = 0
+    # zeroes every RE step's lam, which takes np.sinc's eps branch
+    vectors = (ErrorVector(), ErrorVector(alpha=1.07, delta=0.1, eta=0.05, sigma=0.1), ErrorVector(alpha=0.0))
+    for steps in (4000, integrator._BLOCK, 4097):
+        for w in (w for err in vectors for w in apply_errors(nominal_spec(kind), err).pulses):
+            h = (w.window[1] - w.window[0]) / steps
+            controls = integrator._controls(w, h, 0, steps)
+            a, b = integrator._pairs(w, h, *controls)
+            want_a, want_b = complex_pairs(w, h, *controls)
+            assert zero_signless(a) == zero_signless(want_a)
+            assert zero_signless(b) == zero_signless(want_b)
+            u, want = integrator._reduce(a, b), integrator._reduce(want_a, want_b)
+            assert zero_signless(u.a, u.b) == zero_signless(want.a, want.b)
 
 
 # ------------------------------------------------------------ long windows
