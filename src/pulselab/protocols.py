@@ -15,7 +15,7 @@ re-centered on its own pulse.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
-from typing import Callable, Dict, FrozenSet, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -175,6 +175,21 @@ def mixing_angle_rate(t: np.ndarray, omega0: float, beta: float, T: float) -> np
         return num / den
 
 
+def _harmonics(sin_th: np.ndarray, cos_th: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """cos(2 n theta) and sin(2 n theta) for n = 1, 2, ..., from sin(theta) and cos(theta).
+
+    The double angle is cos(2 theta) = 1 - 2 sin(theta)^2 and
+    sin(2 theta) = 2 sin(theta) cos(theta); each further harmonic adds it by
+    the angle-addition formulas, so the rounding error grows about linearly
+    in n.  A harmonic is computed only when it is asked for.
+    """
+    cos_2, sin_2 = 1.0 - 2.0 * sin_th * sin_th, 2.0 * sin_th * cos_th
+    cos_2n, sin_2n = cos_2, sin_2
+    while True:
+        yield cos_2n, sin_2n
+        cos_2n, sin_2n = cos_2n * cos_2 - sin_2n * sin_2, sin_2n * cos_2 + cos_2n * sin_2
+
+
 def _sp_shape_functions(
     T: float, coeffs: Sequence[float]
 ) -> Tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
@@ -190,10 +205,12 @@ def _sp_shape_functions(
                    - theta_dot * g * cos(theta)
 
     with g' = dg/d(theta).  Both controls are finite and smooth on the closed
-    window, including the edges theta -> 0, pi.
+    window, including the edges theta -> 0, pi.  The harmonics cos(2 n theta)
+    and sin(2 n theta) come from sin(theta) and cos(theta) by angle addition
+    (see :func:`_harmonics`), so a sample takes one sin and one cos whatever
+    the number of coefficients; an empty list gives g = 2 and g' = 0.
     """
-    cs = np.asarray(coeffs, dtype=float)
-    ns = np.arange(1, len(cs) + 1, dtype=float)
+    cs = tuple(float(c) for c in coeffs)
 
     # The control not yet asked for, with a copy of the times it was sampled
     # at: held from the first control's call until the second one takes it.
@@ -201,9 +218,11 @@ def _sp_shape_functions(
 
     def controls(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         th = np.clip(0.5 * np.pi * (erf(t / T) + 1.0), 0.0, np.pi)
-        gg = 2.0 + np.sum(2.0 * ns[:, None] * cs[:, None] * np.cos(2.0 * np.outer(ns, th)), axis=0)
-        gp = np.sum(-4.0 * ns[:, None] ** 2 * cs[:, None] * np.sin(2.0 * np.outer(ns, th)), axis=0)
         sin_th, cos_th = np.sin(th), np.cos(th)
+        gg, gp = np.full_like(th, 2.0), np.zeros_like(th)
+        for n, (c, (cos_2n, sin_2n)) in enumerate(zip(cs, _harmonics(sin_th, cos_th)), 1):
+            gg += (2.0 * n * c) * cos_2n
+            gp -= (4.0 * n * n * c) * sin_2n
         x = sin_th * gg
         q = 1.0 + x * x
         td = (SQRT_PI / T) * np.exp(-((t / T) ** 2))

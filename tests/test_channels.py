@@ -281,7 +281,9 @@ _BIT_OFFSETS = {"CAP": (0.05, -0.1, 0.2), "UCP": (0.05, -0.1, 0.2, 0.0, -0.3)}
 # SHA-256 of every pulse's rabi and detuning samples (dtype and bytes) on the
 # integrator's 4000-step midpoint grid, then its phase and window, recorded
 # from the sequence builder as it stood before the error channels moved into
-# apply_errors.  A change of any control bit changes these.
+# apply_errors; the SP entries since its harmonics are summed by angle
+# addition (see protocols._harmonics).  A change of any control bit changes
+# these.
 _CONTROL_DIGESTS = {
     ("RE", "nominal"): "4b1b8eac7b630dc9d270e2ef6ffdc12583a378e99eca19e3f64af17a6bcbe18c",
     ("RE", "mixed"): "2e44ada80d7daaf3f29744b448de5a585ca273839b5838957fd0d93d360271af",
@@ -292,9 +294,9 @@ _CONTROL_DIGESTS = {
     ("STA", "nominal"): "ffe47d979dd0fed60f3dbb503439753a4c74dc78a928cf5268a64a965578099d",
     ("STA", "mixed"): "5bbc8f5a6f540f64682df8a8fa9df17aaeabd5f0c5a75f7a6bcb742641a2f32c",
     ("STA", "global"): "744262a7455640ba57a6453bce492a1942f32d189147ce21f3f0c4e5a1706c94",
-    ("SP", "nominal"): "2f5c2518ad43fe5075d117ba663e32c6619042aa6af64c0d9ccd07c3c35d74a1",
-    ("SP", "mixed"): "1f99f3861ac559c7aba7d38482063b2d149fa1ebc19f3ce7a8cfc2858757791b",
-    ("SP", "global"): "1d8433949950c6bfd36e44fa9f8da649fae069bef80d42c9d50b675d848c314f",
+    ("SP", "nominal"): "e0a3bdfb1b54c80ce9591c9164d40b82d4dabb906347274200355f7210057b8c",
+    ("SP", "mixed"): "ef24e833f69eefa20df5bc5d99f881b3d25c12d55e2961c3dd2f841e6e021577",
+    ("SP", "global"): "553c6893eb1ce73d17c8c584ad38f8a050529d5a6d517e56625429601de8f864",
     ("CAP", "nominal"): "9cc525496afcbe9ee4993b270404adf30778d4038fb88f211ee2427115c80d8c",
     ("CAP", "mixed"): "a02e7f449b28caa417d07d68a344938abcd5d77b245d854aede04018bfe464dd",
     ("CAP", "global"): "7710861632f68048c016b467b979f1eaea72d4378b7d410293b0afa6a34f7ac3",

@@ -169,27 +169,50 @@ def _sp_controls_one_at_a_time(T, coeffs):
     """The shaped-pulse formulas as each control evaluated them on its own."""
     from scipy.special import erf
 
-    cs = np.asarray(coeffs, dtype=float)
-    ns = np.arange(1, len(cs) + 1, dtype=float)
-
     def schedule(t):
         th = np.clip(0.5 * np.pi * (erf(t / T) + 1.0), 0.0, np.pi)
-        g = 2.0 + np.sum(2.0 * ns[:, None] * cs[:, None] * np.cos(2.0 * np.outer(ns, th)), axis=0)
-        return th, g, (SQRT_PI / T) * np.exp(-((t / T) ** 2))
+        sin_th, cos_th = np.sin(th), np.cos(th)
+        # cos(2 n th) and sin(2 n th) by angle addition from the double angle
+        cos_2, sin_2 = 1.0 - 2.0 * sin_th * sin_th, 2.0 * sin_th * cos_th
+        cos_2n, sin_2n = cos_2, sin_2
+        g, gp = np.full_like(th, 2.0), np.zeros_like(th)
+        for n, c in enumerate(coeffs, 1):
+            if n > 1:
+                cos_2n, sin_2n = cos_2n * cos_2 - sin_2n * sin_2, sin_2n * cos_2 + cos_2n * sin_2
+            g += (2.0 * n * c) * cos_2n
+            gp -= (4.0 * n * n * c) * sin_2n
+        return sin_th, cos_th, g, gp, (SQRT_PI / T) * np.exp(-((t / T) ** 2))
 
     def envelope(t):
-        th, g, td = schedule(t)
-        x = np.sin(th) * g
+        sin_th, _, g, _, td = schedule(t)
+        x = sin_th * g
         return td * np.sqrt(1.0 + x * x)
 
     def detuning(t):
-        th, g, td = schedule(t)
-        x = np.sin(th) * g
-        gp = np.sum(-4.0 * ns[:, None] ** 2 * cs[:, None] * np.sin(2.0 * np.outer(ns, th)), axis=0)
-        phi_dot = -td * (np.cos(th) * g + np.sin(th) * gp) / (1.0 + x * x)
-        return phi_dot - td * g * np.cos(th)
+        sin_th, cos_th, g, gp, td = schedule(t)
+        x = sin_th * g
+        phi_dot = -td * (cos_th * g + sin_th * gp) / (1.0 + x * x)
+        return phi_dot - td * g * cos_th
 
     return envelope, detuning
+
+
+EIGHT_COEFFS = (-3.46, -1.365, -0.5, 0.2, -0.1, 0.05, -0.02, 0.01)
+
+
+@pytest.mark.parametrize("coeffs", (A7_COEFFS, EIGHT_COEFFS), ids=("A7", "eight"))
+def test_sp_harmonics_by_angle_addition_match_the_trig_functions(coeffs):
+    from pulselab.protocols import _harmonics, _sp_shape_functions
+
+    th = np.linspace(0.0, np.pi, 10001)
+    harmonics = [h for _, h in zip(coeffs, _harmonics(np.sin(th), np.cos(th)))]
+    for n, (cos_2n, sin_2n) in enumerate(harmonics, 1):
+        assert np.max(np.abs(cos_2n - np.cos(2.0 * n * th))) <= 1e-14 * n
+        assert np.max(np.abs(sin_2n - np.sin(2.0 * n * th))) <= 1e-14 * n
+    # and the controls are built from exactly these harmonics
+    t = np.linspace(-6.0, 6.0, 4001)
+    for control, reference in zip(_sp_shape_functions(1.0, coeffs), _sp_controls_one_at_a_time(1.0, coeffs)):
+        assert control(t).tobytes() == reference(t).tobytes()
 
 
 def test_sp_controls_share_one_schedule_per_time_array(monkeypatch):
@@ -258,11 +281,18 @@ def test_sp_schedule_lives_and_dies_with_its_sequence():
     assert left < 64 * 1024
 
 
-def test_sp_zero_coefficients_are_regular(fast_cfg):
+def test_sp_zero_coefficients_are_regular():
+    from scipy.special import erf
+
     seq = apply_errors(ProtocolSpec("SP", SQRT_PI, 1.0, sp_coeffs=()))
     t = np.linspace(-6.0, 6.0, 10001)
-    assert np.all(np.isfinite(np.asarray(seq.pulses[0].rabi(t))))
-    assert np.all(np.isfinite(np.asarray(seq.pulses[0].detuning(t))))
+    rabi, detuning = np.asarray(seq.pulses[0].rabi(t)), np.asarray(seq.pulses[0].detuning(t))
+    assert np.all(np.isfinite(rabi)) and np.all(np.isfinite(detuning))
+    # g = 2 and g' = 0
+    th = np.clip(0.5 * np.pi * (erf(t) + 1.0), 0.0, np.pi)
+    td, x = SQRT_PI * np.exp(-(t**2)), 2.0 * np.sin(th)
+    assert rabi.tobytes() == (td * np.sqrt(1.0 + x * x)).tobytes()
+    assert detuning.tobytes() == (-td * (2.0 * np.cos(th)) / (1.0 + x * x) - td * 2.0 * np.cos(th)).tobytes()
 
 
 def test_sp_singular_coefficients_raise():
