@@ -210,7 +210,6 @@ def _sp_shape_functions(
     (see :func:`_harmonics`), so a sample takes one sin and one cos whatever
     the number of coefficients; an empty list gives g = 2 and g' = 0.
     """
-    cs = tuple(float(c) for c in coeffs)
 
     # The control not yet asked for, with a copy of the times it was sampled
     # at: held from the first control's call until the second one takes it.
@@ -220,7 +219,7 @@ def _sp_shape_functions(
         th = np.clip(0.5 * np.pi * (erf(t / T) + 1.0), 0.0, np.pi)
         sin_th, cos_th = np.sin(th), np.cos(th)
         gg, gp = np.full_like(th, 2.0), np.zeros_like(th)
-        for n, (c, (cos_2n, sin_2n)) in enumerate(zip(cs, _harmonics(sin_th, cos_th)), 1):
+        for n, (c, (cos_2n, sin_2n)) in enumerate(zip(coeffs, _harmonics(sin_th, cos_th)), 1):
             gg += (2.0 * n * c) * cos_2n
             gp -= (4.0 * n * n * c) * sin_2n
         x = sin_th * gg
