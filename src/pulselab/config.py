@@ -15,7 +15,7 @@ from .channels import ErrorVector
 from .core import InvalidParameter
 from .integrator import IntegratorConfig
 from .protocols import PROTOCOL_KINDS, TECHNIQUES, ProtocolSpec, nominal_spec
-from .sweep import SWEEP_CHANNELS, SweepAxis
+from .sweep import SWEEP_CHANNELS, SweepAxis, check_grid_size
 
 __all__ = [
     "ParseError", "ValidationError", "RunConfig", "parse_config", "parse_kv", "build_config", "CONFIG_KEYS",
@@ -219,6 +219,7 @@ def _build_axes(values: Dict[str, object]) -> Tuple[SweepAxis, ...]:
         seen.append(prefix)
     if seen == ["sweep2"]:
         raise ValidationError("sweep2_* keys require the sweep_* axis")
+    check_grid_size(axes)
     return tuple(axes)
 
 

@@ -24,13 +24,13 @@ workers receive the checked spec); its schedule is built with each shape and
 is dropped with it.
 
 :func:`comparison_table` evaluates all of its (technique, channel) sweeps
-together, outward from each nominal point in waves: first every nominal
-point, then blocks of ``_WALK_BLOCK`` points on each side that is still at or
-above the lowest threshold.  A side stops at its first point below it, since
-no row reads past that point, so the rows are those of the full probe grids.
-Every wave runs on the same pool, so the table starts at most one, and a
-wave's shape groups span the sweeps of a technique: its alpha, delta, eta and
-sigma points share the nominal shape.
+together, outward from each nominal point: every nominal point first, then,
+as each result returns, the next block of ``_WALK_BLOCK`` points on each side
+whose points so far all reach the lowest threshold.  A side stops at its first
+point below it, since no row reads past that point, so the rows are those of
+the full probe grids.  The sides do not wait for one another, each has at
+most one block in flight, and every block runs on the same pool, so the table
+starts at most one.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ import itertools
 import math
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
@@ -65,12 +65,21 @@ __all__ = [
     "half_width",
     "comparison_table",
     "DEFAULT_PROBES",
+    "MAX_AXIS_POINTS",
+    "MAX_GRID_POINTS",
+    "check_grid_size",
 ]
 
 SWEEP_CHANNELS = ("alpha", "duration_factor", "delta", "eta", "sigma")
 
 # Channel value at which the sequence is nominal: the error-free vector's.
 CHANNEL_NOMINALS: Dict[str, float] = {channel: getattr(ErrorVector(), channel) for channel in SWEEP_CHANNELS}
+
+# Size bounds of a sweep, checked before anything is allocated: about 50x the
+# table's 201-point probes per axis, and about 10x the 101 x 101 maps of
+# scripts/make_figures.py per grid (its task list takes about 0.3 kB a point).
+MAX_AXIS_POINTS = 10_000
+MAX_GRID_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -89,8 +98,8 @@ class SweepAxis:
     def __post_init__(self) -> None:
         if self.channel not in SWEEP_CHANNELS:
             raise InvalidParameter(f"channel must be one of {SWEEP_CHANNELS}, got {self.channel!r}")
-        if self.points < 1:
-            raise InvalidParameter(f"points must be >= 1, got {self.points}")
+        if not 1 <= self.points <= MAX_AXIS_POINTS:
+            raise InvalidParameter(f"points must be in [1, {MAX_AXIS_POINTS}], got {self.points}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise InvalidParameter(f"axis bounds must be finite, got [{self.lo}, {self.hi}]")
         if self.points == 1:
@@ -223,10 +232,19 @@ def _meta(cfg: IntegratorConfig, base_err: ErrorVector, workers: int) -> Dict[st
     }
 
 
+def check_grid_size(axes: Sequence[SweepAxis]) -> None:
+    """Raise :class:`InvalidParameter` if the grid of ``axes`` has more than ``MAX_GRID_POINTS`` points."""
+    total = math.prod(ax.points for ax in axes)
+    if total > MAX_GRID_POINTS:
+        shape = " x ".join(str(ax.points) for ax in axes)
+        raise InvalidParameter(f"a sweep grid has at most {MAX_GRID_POINTS} points, got {shape} = {total}")
+
+
 def _grid_tasks(
     spec: ProtocolSpec, axes: Sequence[SweepAxis], base_err: ErrorVector, cfg: IntegratorConfig
 ) -> List[_Task]:
     """One task per grid point of ``axes``, in :func:`_grid_points` order."""
+    check_grid_size(axes)
     channels = [ax.channel for ax in axes]
     return [
         (spec, replace(base_err, **dict(zip(channels, point))), cfg)
@@ -317,7 +335,7 @@ DEFAULT_PROBES: Dict[str, SweepAxis] = {
 }
 
 
-# Probe points by which each still-passing side of a table sweep grows per wave.
+# Probe points by which a still-passing side of a table sweep grows per block.
 _WALK_BLOCK = 8
 
 
@@ -326,6 +344,18 @@ def _block(j: int, step: int, n: int) -> range:
     if step > 0:
         return range(j + 1, min(j + 1 + _WALK_BLOCK, n))
     return range(j - 1, max(j - 1 - _WALK_BLOCK, -1), -1)
+
+
+def _submit(pool: ProcessPoolExecutor | None, tasks: List[_Task]) -> Future:
+    """The future of ``tasks``' values: run on ``pool``, or, without one, here before returning."""
+    if pool is not None:
+        return pool.submit(_eval_chunk, tasks)
+    future: Future = Future()
+    try:
+        future.set_result(_eval_chunk(tasks))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
 
 
 def _walk_out(
@@ -337,39 +367,51 @@ def _walk_out(
 ) -> List[np.ndarray]:
     """P of each (spec, axis, nominal) sweep on the points its table rows read; NaN elsewhere.
 
-    The first wave evaluates every sweep's nominal point, the one
-    :func:`half_width` starts from.  Each later wave extends every side whose
-    points so far all reach the lowest threshold by its next block of points.
-    A side stops at its first point below every threshold or at the grid edge,
-    so :func:`half_width` never needs a point left NaN (not evaluated).  All
-    waves share one pool, sized once over the full probe count.
+    Every sweep's nominal point, the one :func:`half_width` starts from, is
+    submitted first.  When it returns at or above the lowest threshold, the
+    first block of each of its two sides is submitted; when a side's block
+    returns with all its points at or above it, that side's next block is
+    submitted at once, whatever the other sides are doing.  A side stops at
+    its first point below every threshold or at the grid edge, so
+    :func:`half_width` never needs a point left NaN (not evaluated).  Each
+    side has at most one block in flight, and all blocks share one pool,
+    sized once over the full probe count.
+
+    A point that raises ends the walk: once its exception is seen no block is
+    submitted, the blocks not yet started are cancelled, and the exception
+    propagates.  When several points raise, which one propagates can depend
+    on the order in which blocks complete; that one does cannot.
     """
     grids = [axis.values() for _, axis, _ in sweeps]
     probs = [np.full(len(grid), np.nan) for grid in grids]
-    starts = [int(np.argmin(np.abs(grid - nominal))) for grid, (_, _, nominal) in zip(grids, sweeps)]
-
-    def passes(s: int, j: int) -> bool:
-        return any(probs[s][j] >= t for t in thresholds)
+    floor = min(thresholds)
 
     workers = _resolve_workers(workers, sum(len(grid) for grid in grids))
     with _open_pool(workers) as pool:
+        # future in flight -> (sweep, step, indices): step 0 for the nominal
+        # point, else the direction in which its side grows
+        flight: Dict[Future, Tuple[int, int, Sequence[int]]] = {}
 
-        def run(points: List[Tuple[int, int]]) -> None:
-            tasks = [
-                (sweeps[s][0], replace(base_err, **{sweeps[s][1].channel: float(grids[s][j])}), cfg)
-                for s, j in points
-            ]
-            for (s, j), p in zip(points, _evaluate(tasks, workers, pool)):
-                probs[s][j] = p
+        def submit(s: int, step: int, block: Sequence[int]) -> None:
+            spec, axis, _ = sweeps[s]
+            tasks = [(spec, replace(base_err, **{axis.channel: float(grids[s][j])}), cfg) for j in block]
+            flight[_submit(pool, tasks)] = (s, step, block)
 
-        run(list(enumerate(starts)))
-        # a side is (sweep, last index evaluated, step); it grows while all its points
-        # pass and until it reaches its grid edge
-        sides = [(s, j, step) for s, j in enumerate(starts) if passes(s, j) for step in (-1, 1)]
-        while sides := [(s, j, step) for s, j, step in sides if 0 <= j + step < len(grids[s])]:
-            blocks = [(s, _block(j, step, len(grids[s])), step) for s, j, step in sides]
-            run([(s, j) for s, block, _ in blocks for j in block])
-            sides = [(s, block[-1], step) for s, block, step in blocks if all(passes(s, j) for j in block)]
+        for s, (grid, (_, _, nominal)) in enumerate(zip(grids, sweeps)):
+            submit(s, 0, [int(np.argmin(np.abs(grid - nominal)))])
+        try:
+            while flight:
+                done, _ = wait(flight, return_when=FIRST_COMPLETED)
+                for future in [f for f in flight if f in done]:  # in submission order
+                    s, step, block = flight.pop(future)
+                    probs[s][block] = future.result()
+                    if all(probs[s][j] >= floor for j in block):
+                        for side in (step,) if step else (-1, 1):
+                            if following := _block(block[-1], side, len(grids[s])):
+                                submit(s, side, following)
+        finally:
+            for future in flight:
+                future.cancel()
     return probs
 
 
@@ -389,10 +431,11 @@ def comparison_table(
     be keyed by its own channel and contain that channel's nominal value.
 
     The sweeps are evaluated outward from the nominal point in blocks of
-    ``_WALK_BLOCK`` points, each side stopping at its first point below the
-    lowest threshold, so only the points a row can depend on are computed.
-    The rows are those of the full probe grids, and at most one pool is
-    started for the whole table.
+    ``_WALK_BLOCK`` points, each side growing as soon as its last block
+    returns and stopping at its first point below the lowest threshold, so
+    only the points a row can depend on are computed.  The rows are those of
+    the full probe grids, and at most one pool is started for the whole
+    table.
     """
     probes = dict(DEFAULT_PROBES if probes is None else probes)
     for channel, axis in probes.items():

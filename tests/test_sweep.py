@@ -1,7 +1,9 @@
 """Sweep engine: grids, determinism, worker invariance, robustness table."""
 import functools
 import json
+import multiprocessing
 import os
+import re
 import warnings
 import weakref
 from collections import Counter
@@ -23,6 +25,9 @@ from pulselab.serialize import read_result, write_result
 from pulselab.sweep import (
     CHANNEL_NOMINALS,
     DEFAULT_PROBES,
+    MAX_AXIS_POINTS,
+    MAX_GRID_POINTS,
+    SWEEP_CHANNELS,
     RobustnessRow,
     SweepAxis,
     SweepResult,
@@ -161,6 +166,32 @@ def test_axis_rejects_non_finite_bounds(channel, lo, hi, points, capsys):
     doc["axes"][0].update(lo=lo, hi=hi, points=points)
     with pytest.raises(ValueError, match="axis bounds must be finite"):
         read_result(json.dumps(doc), "json")
+
+
+def test_grid_size_is_bounded_before_anything_is_allocated(monkeypatch, capsys):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("a grid was allocated")
+
+    monkeypatch.setattr(sweep_module.np, "linspace", no_allocation)
+    monkeypatch.setattr(sweep_module, "evaluate_point", no_allocation)
+    too_many = rf"points must be in \[1, {MAX_AXIS_POINTS}\], got 1000000000"
+    with pytest.raises(InvalidParameter, match=too_many):
+        SweepAxis("alpha", 0.0, 2.0, 10**9)
+    axis = SweepAxis("alpha", 0.0, 2.0, MAX_AXIS_POINTS)
+    with pytest.raises(InvalidParameter, match=f"at most {MAX_GRID_POINTS} points, got 10000 x 11 = 110000"):
+        sweep2d(RE, axis, SweepAxis("delta", -1.0, 1.0, 11))
+    argv = ["sweep", "--protocol", "RE", "--sweep-channel", "alpha", "--sweep-lo", "0", "--sweep-hi", "2"]
+    assert main([*argv, "--sweep-points", "1000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and re.search(too_many, err) and err.count("\n") == 1
+    second = ["--sweep2-channel", "delta", "--sweep2-lo", "-1", "--sweep2-hi", "1", "--sweep2-points", "1000"]
+    assert main([*argv, "--sweep-points", "1000", *second]) == 2
+    assert "at most 100000 points, got 1000 x 1000 = 1000000" in capsys.readouterr().err
+    # the largest documented runs fit with room to spare: the table's probes
+    # and the 101 x 101 maps of scripts/make_figures.py
+    assert all(10 * ax.points <= MAX_AXIS_POINTS for ax in DEFAULT_PROBES.values())
+    sweep_module.check_grid_size([SweepAxis("alpha", 0.0, 2.0, 101), SweepAxis("delta", -1.0, 1.0, 101)])
+    assert 9 * 101 * 101 <= MAX_GRID_POINTS
 
 
 def test_result_invariants():
@@ -405,6 +436,136 @@ def test_a_probe_keyed_by_another_channel_is_rejected(point_log):
 def test_default_probes_cover_all_channels():
     assert set(DEFAULT_PROBES) == {"alpha", "duration_factor", "delta", "eta", "sigma"}
     assert all(ax.lo <= CHANNEL_NOMINALS[c] <= ax.hi for c, ax in DEFAULT_PROBES.items())
+
+
+# P = level - k * (distance from nominal)^2, floored at 0: a plateau around every
+# nominal point whose width depends on the technique (STA is below at nominal)
+SYNTHETIC_SHAPE = {"RE": (1.0, 0.5), "AF": (1.0, 5.0), "STA": (0.98, 0.0), "SP": (1.0, 0.01)}
+SYNTHETIC_PROBES = {  # dyadic cells, so each grid holds its nominal value exactly
+    "alpha": SweepAxis("alpha", 0.0, 2.0, 65),
+    "duration_factor": SweepAxis("duration_factor", 0.25, 1.75, 49),
+    "delta": SweepAxis("delta", -4.0, 4.0, 65),
+}
+SYNTHETIC_THRESHOLDS = (0.99, 0.999)
+
+
+def synthetic_point(spec, err, cfg, shapes=None, shape=SYNTHETIC_SHAPE):
+    level, k = shape[spec.kind]
+    d = sum(abs(getattr(err, c) - CHANNEL_NOMINALS[c]) for c in SYNTHETIC_PROBES)
+    return max(level - k * d * d, 0.0)
+
+
+def submission_log(monkeypatch):
+    """Events in the parent, in order: ("submit", side) per block and ("result", side) when it is read.
+
+    A side is (technique, channel, direction); a nominal point is side None.
+    A result that raises is logged as ("raised", side).
+    """
+    events = []
+    submit = sweep_module._submit
+
+    def side(task):
+        spec, err, _ = task
+        for channel in SWEEP_CHANNELS:
+            offset = getattr(err, channel) - CHANNEL_NOMINALS[channel]
+            if offset:
+                return spec.kind, channel, int(np.sign(offset))
+        return None
+
+    def logged(pool, tasks):
+        future = submit(pool, tasks)
+        key = side(tasks[0])
+        assert all(side(task) == key for task in tasks)
+        events.append(("submit", key))
+        result = future.result
+
+        def logged_result(timeout=None):
+            try:
+                values = result(timeout)
+            except Exception:
+                events.append(("raised", key))
+                raise
+            events.append(("result", key))
+            return values
+
+        future.result = logged_result
+        return future
+
+    monkeypatch.setattr(sweep_module, "_submit", logged)
+    return events
+
+
+def assert_one_block_in_flight_per_side(events):
+    flight = Counter()
+    for event, key in events:
+        if key is None:
+            continue
+        flight[key] += 1 if event == "submit" else -1
+        assert flight[key] in (0, 1), f"{key} has two blocks in flight"
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_the_pool_walk_evaluates_exactly_the_in_process_point_set(workers, monkeypatch):
+    monkeypatch.delenv("PULSE_WORKERS", raising=False)
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sweep_module, "evaluate_point", synthetic_point)  # forked workers inherit it
+    for channel, axis in SYNTHETIC_PROBES.items():
+        assert CHANNEL_NOMINALS[channel] in axis.values()
+    specs = [nominal_spec(kind) for kind in SYNTHETIC_SHAPE]
+    sweeps = [(spec, axis, CHANNEL_NOMINALS[c]) for spec in specs for c, axis in SYNTHETIC_PROBES.items()]
+    cfg = IntegratorConfig(steps_per_pulse=100)
+    in_process = sweep_module._walk_out(sweeps, SYNTHETIC_THRESHOLDS, ErrorVector(), cfg, 1)
+    events = submission_log(monkeypatch)
+    walked = sweep_module._walk_out(sweeps, SYNTHETIC_THRESHOLDS, ErrorVector(), cfg, workers)
+    for got, want in zip(walked, in_process):
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_array_equal(got[~np.isnan(got)], want[~np.isnan(want)])
+    # several blocks per side, sides that reach the probe edge, and a technique
+    # below threshold at nominal all occur
+    assert max(Counter(key for event, key in events if event == "submit" and key).values()) >= 3
+    assert any(not np.isnan(p[[0, -1]]).any() for p in walked)
+    assert [np.count_nonzero(~np.isnan(p)) for p in walked[6:9]] == [1, 1, 1]
+    assert_one_block_in_flight_per_side(events)
+    assert len([e for e in events if e[0] == "submit"]) == len([e for e in events if e[0] == "result"])
+
+    rows = comparison_table(specs, SYNTHETIC_PROBES, SYNTHETIC_THRESHOLDS, cfg=cfg, workers=workers)
+    full = {
+        (spec.kind, c): [synthetic_point(spec, replace(ErrorVector(), **{c: v}), cfg) for v in axis.values()]
+        for spec in specs
+        for c, axis in SYNTHETIC_PROBES.items()
+    }
+    assert rows == full_grid_rows(SYNTHETIC_PROBES, SYNTHETIC_THRESHOLDS, SYNTHETIC_SHAPE, full)
+
+
+def failing_on_the_upper_re_alpha_side(spec, err, cfg, shapes=None):
+    if spec.kind == "RE" and err.alpha >= 1.3:
+        raise NonConvergent("synthetic failure at alpha >= 1.3")
+    # RE's plateau reaches past alpha = 1.3
+    return synthetic_point(spec, err, cfg, shape=dict(SYNTHETIC_SHAPE, RE=(1.0, 0.01)))
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_a_failing_point_ends_the_walk(workers, monkeypatch, capsys):
+    monkeypatch.delenv("PULSE_WORKERS", raising=False)
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sweep_module, "evaluate_point", failing_on_the_upper_re_alpha_side)
+    events = submission_log(monkeypatch)
+    specs = [nominal_spec(kind) for kind in SYNTHETIC_SHAPE]
+    cfg = IntegratorConfig(steps_per_pulse=100)
+    with pytest.raises(NonConvergent, match="alpha >= 1.3"):
+        comparison_table(specs, SYNTHETIC_PROBES, SYNTHETIC_THRESHOLDS, cfg=cfg, workers=workers)
+    kinds = [event for event, _ in events]
+    assert kinds.count("raised") == 1 and "submit" not in kinds[kinds.index("raised"):]
+    # the failing block is the upper alpha side's second (alpha = 1.28125 .. 1.5)
+    assert events.count(("submit", ("RE", "alpha", 1))) == 2
+    assert_one_block_in_flight_per_side(events)
+    assert multiprocessing.active_children() == []
+
+    argv = ["table", "--protocols", "RE,SP", "--steps-per-pulse", "100", "--workers", str(workers)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure") and "alpha >= 1.3" in err[0]
+    assert multiprocessing.active_children() == []
 
 
 # ------------------------------------------------------------- worker count
