@@ -379,8 +379,9 @@ def _walk_out(
 
     A point that raises ends the walk: once its exception is seen no block is
     submitted, the blocks not yet started are cancelled, and the exception
-    propagates.  When several points raise, which one propagates can depend
-    on the order in which blocks complete; that one does cannot.
+    propagates.  When several points raise, which exception propagates (and
+    so which point an error message names) can depend on the order in which
+    blocks complete; that the walk fails, and so the exit code, cannot.
     """
     grids = [axis.values() for _, axis, _ in sweeps]
     probs = [np.full(len(grid), np.nan) for grid in grids]
@@ -397,9 +398,9 @@ def _walk_out(
             tasks = [(spec, replace(base_err, **{axis.channel: float(grids[s][j])}), cfg) for j in block]
             flight[_submit(pool, tasks)] = (s, step, block)
 
-        for s, (grid, (_, _, nominal)) in enumerate(zip(grids, sweeps)):
-            submit(s, 0, [int(np.argmin(np.abs(grid - nominal)))])
         try:
+            for s, (grid, (_, _, nominal)) in enumerate(zip(grids, sweeps)):
+                submit(s, 0, [int(np.argmin(np.abs(grid - nominal)))])
             while flight:
                 done, _ = wait(flight, return_when=FIRST_COMPLETED)
                 for future in [f for f in flight if f in done]:  # in submission order
