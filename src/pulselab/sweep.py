@@ -30,7 +30,8 @@ whose points so far all reach the lowest threshold.  A side stops at its first
 point below it, since no row reads past that point, so the rows are those of
 the full probe grids.  The sides do not wait for one another, each has at
 most one block in flight, and every block runs on the same pool, so the table
-starts at most one.
+starts at most one.  A block is one pool chunk, and its points share their
+nominal shape unless they step ``duration_factor``.
 """
 from __future__ import annotations
 
