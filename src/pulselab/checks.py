@@ -148,11 +148,9 @@ _CHECKS: List[Callable[[], CheckResult]] = [
 def run_checks() -> List[CheckResult]:
     """Run the oracle suite; prints one PASS/FAIL line per check with its wall time.
 
-    The suite always samples a shaped pulse, so ``scipy.special`` is imported
-    before the first timing instead of inside whichever check samples it first.
+    Nothing is imported on first use inside a check, so each time is the
+    check's own work.
     """
-    import scipy.special  # noqa: F401
-
     results = []
     for fn in _CHECKS:
         start = time.perf_counter()

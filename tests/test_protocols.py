@@ -165,6 +165,30 @@ def test_sp_controls_finite_and_continuous_on_closed_window():
     assert np.max(np.abs(np.asarray(w.rabi(t)))) < 1e-12
 
 
+def test_erf_is_scipys_bit_for_bit():
+    import warnings
+
+    from scipy.special import erf as scipy_erf
+
+    from pulselab.protocols import erf
+
+    tiny = np.finfo(float).smallest_normal
+    special = [0.0, 30.0, np.inf, 5e-324, 1e-310, np.nextafter(tiny, 0.0), tiny]
+    for edge in (1.0, 8.0):  # the branch edges, each +-1 ulp
+        special += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
+    x = np.array(special)
+    rng = np.random.default_rng(20130731)
+    samples = [np.concatenate([x, -x])] + [scale * rng.standard_normal(100_000) for scale in (0.5, 2.0, 4.0)]
+    # the shaped pulse's schedule: a real vectorised exp moves some of these by an ulp
+    samples.append(np.linspace(-6.0, 6.0, 32768))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in samples:
+            assert erf(x).view(np.uint64).tobytes() == scipy_erf(x).view(np.uint64).tobytes()
+        assert np.signbit(erf(np.array([0.0, -0.0]))).tolist() == [False, True]
+        assert np.isnan(erf(np.array([np.nan, -np.nan]))).all()
+
+
 def _sp_controls_one_at_a_time(T, coeffs):
     """The shaped-pulse formulas as each control evaluated them on its own."""
     from scipy.special import erf

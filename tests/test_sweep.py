@@ -390,11 +390,22 @@ def test_walk_out_reads_only_what_the_rows_need(case):
         assert cost <= run + 2 + 2 * (WALK_BLOCK - 1)
 
 
-def test_a_technique_below_threshold_at_nominal_costs_one_point_per_channel(fast_cfg, point_log):
+def test_a_technique_below_threshold_at_nominal_costs_one_point(fast_cfg, point_log):
     rows = comparison_table([nominal_spec("AF")], cfg=fast_cfg, workers=1)
-    assert point_log == [("AF", ErrorVector())] * len(DEFAULT_PROBES)
+    assert point_log == [("AF", ErrorVector())]  # its five sweeps share the nominal point
     assert len(rows) == 3 * len(DEFAULT_PROBES)
     assert all(r.half_width == 0.0 and r.lo is None and not r.censored for r in rows)
+
+
+def test_sweeps_share_a_nominal_point_only_when_its_task_is_bitwise_the_same(fast_cfg, point_log):
+    base = ErrorVector(alpha=1.1, delta=-0.0)  # P = sin^2(0.55 pi) < 0.99 off the alpha sweep
+    comparison_table([RE], base_err=base, cfg=fast_cfg, workers=1)
+    # the alpha sweep's nominal point, the one the other sweeps share, and the
+    # delta sweep's, whose grid holds +0.0
+    nominal = [replace(base, alpha=1.0), base, replace(base, delta=0.0)]
+    assert point_log[:3] == [("RE", err) for err in nominal]
+    assert np.signbit([err.delta for _, err in point_log[:3]]).tolist() == [True, True, False]
+    assert all(err.alpha != 1.1 for _, err in point_log[3:])
 
 
 def test_a_sweep_above_threshold_edge_to_edge_is_evaluated_whole_and_censored(fast_cfg, point_log):
