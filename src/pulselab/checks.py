@@ -4,13 +4,14 @@ Every check compares the integrator or the builders against an independent
 reference: closed-form resonant and detuned Rabi formulas, quadrature
 identities of the counterdiabatic term, the shaped-pulse area, the area
 left unchanged by the shape distortion, and the step-halving convergence
-certificate.  Runs in a few seconds.
+certificate.  Runs in a few seconds.  :func:`run_checks` yields each
+result as its check finishes and prints nothing: the CLI writes the lines.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -145,17 +146,13 @@ _CHECKS: List[Callable[[], CheckResult]] = [
 ]
 
 
-def run_checks() -> List[CheckResult]:
-    """Run the oracle suite; prints one PASS/FAIL line per check with its wall time.
+def run_checks() -> Iterator[Tuple[CheckResult, float]]:
+    """Run the oracle suite, yielding each check's result and wall seconds as it finishes.
 
     Nothing is imported on first use inside a check, so each time is the
     check's own work.
     """
-    results = []
     for fn in _CHECKS:
         start = time.perf_counter()
         res = fn()
-        elapsed = time.perf_counter() - start
-        results.append(res)
-        print(f"{'PASS' if res.ok else 'FAIL'}  {res.name}: {res.detail} [{elapsed:.3f} s]")
-    return results
+        yield res, time.perf_counter() - start

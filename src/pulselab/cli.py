@@ -3,7 +3,7 @@
 Flags mirror configuration keys and override values from ``--config``.  Exit
 codes: 0 success; 2 configuration error; 3 numerical failure
 (non-convergence, unitarity loss, singular controls, or a failing ``check``
-suite); 4 I/O error.
+suite); 4 I/O error, also on a closed stdout.
 
 Importing this module sets glibc's heap policy for the process (see
 ``_keep_freed_arrays``): the program, not the library, owns that decision.
@@ -43,9 +43,9 @@ def _keep_freed_arrays() -> None:
     faults the same arrays in again, zeroing every page.  Before long pulses
     were propagated in blocks, a certified RE ``simulate`` at 250k steps took
     15.5k minor faults per call (CAP 27.1k, UCP 38.8k) for its 2-12 MB
-    arrays, and about half of each point's time went to them.  Blocks of
-    32768 steps keep the largest array below 1 MB (SP's ``np.outer`` of a
-    block).  With blocks up to 32 MiB served from the heap and the heap
+    arrays, and about half of each point's time went to them.  The largest
+    array of a block of 32768 steps is a complex128 array of 32768 values
+    (512 KiB).  With blocks up to 32 MiB served from the heap and the heap
     trimmed only above 256 MiB, a repeated certified point of any technique
     takes 3-214 minor faults (0-26 before blocks).  Either call switches off
     glibc's dynamic thresholds, so both are set: the mmap threshold alone,
@@ -166,11 +166,7 @@ def _write_gnuplot(path: str, cfg: RunConfig) -> None:
             "set pm3d map",
             f"splot '{data}' skip 1 using 2:1:3 with pm3d title '{cfg.protocol.kind}'",
         ]
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path!r}: {exc}") from exc
+    write_output(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -190,26 +186,28 @@ def _cmd_table(args: argparse.Namespace) -> int:
     rows = comparison_table(
         specs, base_err=cfg.errors, cfg=cfg.integrator, workers=cfg.workers
     )
-    if cfg.output != "-" or "format" in raw:
-        write_output(cfg.output, write_table(rows, cfg.fmt))
-    else:
-        _print_table(rows)
+    human = cfg.output == "-" and "format" not in raw  # the aligned text table, for a reader
+    write_output(cfg.output, _table_text(rows) if human else write_table(rows, cfg.fmt))
     return 0
 
 
-def _print_table(rows) -> None:
-    print(f"{'channel':<16} {'protocol':<9} {'threshold':<10} {'half_width':<12} interval")
+def _table_text(rows) -> bytes:
+    lines = [f"{'channel':<16} {'protocol':<9} {'threshold':<10} {'half_width':<12} interval"]
     for r in rows:
         if r.lo is None:
             interval = "below threshold at nominal"
         else:
             interval = f"[{r.lo:g}, {r.hi:g}]" + (" (censored)" if r.censored else "")
-        print(f"{r.channel:<16} {r.protocol:<9} {r.threshold:<10g} {r.half_width:<12.4g} {interval}")
+        lines.append(f"{r.channel:<16} {r.protocol:<9} {r.threshold:<10g} {r.half_width:<12.4g} {interval}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    results = run_checks()
-    return 0 if all(r.ok for r in results) else 3
+    ok = True
+    for r, seconds in run_checks():
+        write_output("-", f"{'PASS' if r.ok else 'FAIL'}  {r.name}: {r.detail} [{seconds:.3f} s]\n".encode())
+        ok &= r.ok
+    return 0 if ok else 3
 
 
 @functools.cache

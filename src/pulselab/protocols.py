@@ -121,8 +121,12 @@ class ProtocolSpec:
         if self.kind == "STA":
             frozen = self.sta_nominal or (self.omega0, self.beta, self.T)
             frozen = tuple(float(x) for x in frozen)
-            if len(frozen) != 3 or not all(np.isfinite(frozen)):
-                raise InvalidParameter("sta_nominal must be a finite (omega0, beta, T) triple")
+            # the frozen triple is held to the rules of the live omega0, beta and T above
+            om_a, beta_a, T_a = frozen if len(frozen) == 3 else (np.nan,) * 3
+            if not (0 < om_a < np.inf and np.isfinite(beta_a) and 0 < T_a < np.inf):
+                raise InvalidParameter(
+                    f"sta_nominal must be a finite (omega0, beta, T) triple, omega0 and T positive; got {frozen}"
+                )
             object.__setattr__(self, "sta_nominal", frozen)
         if self.kind == "SP":
             if not all(np.isfinite(self.sp_coeffs)):
@@ -217,9 +221,11 @@ def mixing_angle_rate(t: np.ndarray, omega0: float, beta: float, T: float) -> np
     |t|/T (wide windows over a frozen narrow shortcut).
     """
     t = np.asarray(t, dtype=float)
-    x = (t / T) ** 2
-    num = -omega0 * (beta / T) * (2.0 * t * t + T * T)
-    with np.errstate(over="ignore"):  # exp overflow far in the tail is the 0 limit
+    # exp overflow far in the tail is the 0 limit; at extreme widths the products
+    # overflow to inf and nan, which the integrator reports as a numerical failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (t / T) ** 2
+        num = -omega0 * (beta / T) * (2.0 * t * t + T * T)
         den = 2.0 * (beta * beta * t * t * np.exp(x) + omega0 * omega0 * T * T * np.exp(-x))
         return num / den
 

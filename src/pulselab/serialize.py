@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import MISSING, asdict, fields
 
@@ -124,14 +125,18 @@ def _typed(member: str, build):
 
 
 def write_output(path: str, data: bytes) -> None:
-    """Write ``data`` to ``path`` ('-' for stdout); a failure raises :class:`IoError`."""
+    """The one writer of program output: ``data`` to ``path`` ('-' for stdout, flushed), or :class:`IoError`."""
     try:
         if path == "-":
             sys.stdout.write(data.decode("utf-8"))
+            sys.stdout.flush()
         else:
             with open(path, "wb") as fh:
                 fh.write(data)
     except OSError as exc:
+        # fd 1 goes to devnull, so that the exit flush of the process's own stdout cannot fail again
+        if path == "-" and sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise IoError(f"cannot write {path!r}: {exc}") from exc
 
 

@@ -183,6 +183,10 @@ def test_simulate_rejects_an_ignored_key_from_a_config_file(tmp_path, capsys):
 def test_exit_code_config_error(capsys):
     assert main(["simulate", "--protocol", "RE", "--sigma", "1.5"]) == 2
     assert "sigma" in capsys.readouterr().err
+    assert main(["simulate", "--protocol", "RE", "--convergence-tol", "0"]) == 2
+    assert "convergence_tol must be positive" in capsys.readouterr().err
+    assert main(["table", "--protocols", "RE,XX", "--steps-per-pulse", "200"]) == 2
+    assert "unknown protocol 'XX' in --protocols" in capsys.readouterr().err
 
 
 def test_exit_code_unknown_key_in_config(tmp_path, capsys):
@@ -234,12 +238,18 @@ def test_nan_propagator_is_a_numerical_failure(argv, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    (["--protocol", "RE", "--T", "1e-300"], ["--protocol", "AF", "--T", "1e-160"], ["--protocol", "RE", "--omega0", "1e200"]),
+    (
+        ["--protocol", "RE", "--T", "1e-300"],
+        ["--protocol", "AF", "--T", "1e-160"],
+        ["--protocol", "RE", "--omega0", "1e200"],
+        ["--protocol", "STA", "--T", "1e-300"],
+    ),
     ids=lambda flags: f"{flags[1]}-{flags[2][2:]}-{flags[3]}",
 )
 def test_overflowing_magnitudes_fail_with_one_line_and_no_warning(flags, capsys):
     # the squares overflow in the step pairs at the default resolution, whose
-    # blocks run on threads; any numpy warning would fail this test
+    # blocks run on threads, and STA's shortcut overflows where it is sampled;
+    # any numpy warning would fail this test
     assert main(["simulate", *flags]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -247,10 +257,31 @@ def test_overflowing_magnitudes_fail_with_one_line_and_no_warning(flags, capsys)
     assert captured.err.startswith("numerical failure")
 
 
-@pytest.mark.parametrize("flag", ["--alpha", "--omega0", "--T", "--duration-factor"])
-def test_infinite_parameter_is_a_configuration_error(flag, capsys):
-    assert main(["simulate", "--protocol", "RE", "--steps-per-pulse", "400", flag, "inf"]) == 2
+@pytest.mark.parametrize(
+    "flags",
+    (
+        *(["--protocol", "RE", flag, "inf"] for flag in ("--alpha", "--omega0", "--T", "--duration-factor", "--delta")),
+        ["--protocol", "RE", "--eta", "nan"],
+        ["--protocol", "AF", "--beta", "inf"],
+        ["--protocol", "SP", "--sp-coeffs", "nan"],
+        ["--protocol", "STA", "--sta-betaa", "inf"],
+    ),
+    ids=lambda flags: flags[2] if flags[1] == "RE" else f"{flags[1]}{flags[2]}",
+)
+def test_infinite_parameter_is_a_configuration_error(flags, capsys):
+    assert main(["simulate", "--steps-per-pulse", "400", *flags]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", (["--sta-ta", "0"], ["--sta-ta=-1"], ["--sta-omega0a", "0"]), ids=" ".join)
+def test_sta_frozen_triple_is_held_to_the_live_rules(flags, capsys):
+    # each would reach the shortcut: a zero T divides by zero, a negative one
+    # flips the shortcut's sign, and a zero omega0 gives 0/0 at the centre
+    assert main(["simulate", "--protocol", "STA", "--steps-per-pulse", "400", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("configuration error: sta_nominal must be a finite (omega0, beta, T) triple")
 
 
 @pytest.mark.parametrize(
@@ -266,6 +297,10 @@ def test_infinite_parameter_is_a_configuration_error(flag, capsys):
 def test_non_finite_phase_is_a_configuration_error(flags, capsys):
     assert main(["simulate", "--steps-per-pulse", "400", *flags]) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+_AXIS = ["--protocol", "RE", "--sweep-channel", "alpha", "--sweep-lo", "0", "--sweep-hi", "1", "--sweep-points", "2",
+         "--steps-per-pulse", "200"]
 
 
 def test_exit_code_io_error(tmp_path, capsys):
@@ -288,6 +323,67 @@ def test_exit_code_io_error(tmp_path, capsys):
     assert main(["simulate", "--protocol", "RE", "--steps-per-pulse", "400", "--output", missing]) == 4
     table = ["table", "--protocols", "RE", "--steps-per-pulse", "400", "--output", missing]
     assert main(table) == 4
+    sweep = ["sweep", *_AXIS, "--output", str(tmp_path / "sweep.csv")]
+    assert main([*sweep, "--gnuplot", missing]) == 4
+    assert len(capsys.readouterr().err.splitlines()) == 5
+
+
+class _ClosedStdout:
+    """A stdout whose reader is gone, with no file descriptor.
+
+    Buffered, it takes each write and fails on the flush; unbuffered, it fails
+    on the write.
+    """
+
+    def __init__(self, buffered):
+        self.buffered = buffered
+
+    def write(self, text):
+        if not self.buffered:
+            self.flush()
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("buffered", (True, False), ids=("buffered", "unbuffered"))
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["simulate", "--protocol", "RE", "--steps-per-pulse", "200"],
+        ["sweep", *_AXIS],
+        ["table", "--protocols", "RE", "--steps-per-pulse", "200"],
+        ["table", "--protocols", "RE", "--steps-per-pulse", "200", "--format", "csv"],
+        ["check"],
+    ),
+    ids=lambda argv: " ".join(a for a in argv if a in ("simulate", "sweep", "table", "check", "csv")),
+)
+def test_a_closed_stdout_is_an_io_error(argv, buffered, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout(buffered))
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "i/o error: cannot write '-': [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("unbuffered", (False, True), ids=("buffered", "unbuffered"))
+def test_a_closed_pipe_exits_4_with_one_line(unbuffered):
+    # unless fd 1 goes to devnull after the error, a buffered stdout's flush
+    # at exit fails a second time (exit 120, "Exception ignored")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pulselab", "simulate", "--protocol", "RE", "--steps-per-pulse", "200"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("i/o error:")
 
 
 def test_simulate_writes_output_file(tmp_path):

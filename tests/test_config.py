@@ -48,6 +48,8 @@ def test_malformed_line_and_duplicates():
         parse_kv("this is not a key value pair")
     with pytest.raises(ParseError, match="duplicate"):
         parse_kv("alpha = 1\nalpha = 2\n")
+    with pytest.raises(ParseError, match="line 2: empty key"):
+        parse_kv("protocol = RE\n = 3\n")
     with pytest.raises(ParseError, match="alpha"):
         parse_config("protocol = RE\nalpha = fast\n")
 
@@ -55,6 +57,8 @@ def test_malformed_line_and_duplicates():
 def test_missing_protocol():
     with pytest.raises(ValidationError, match="protocol"):
         parse_config("alpha = 1.0\n")
+    with pytest.raises(ValidationError, match="protocol must be one of .*, got 'XX'"):
+        parse_config("protocol = XX\n")
 
 
 def test_keys_must_apply_to_the_technique():
@@ -142,6 +146,8 @@ def test_bool_and_list_values():
     assert cfg.workers == 4
     with pytest.raises(ParseError, match="renormalize"):
         parse_config("protocol = RE\nrenormalize = maybe\n")
+    assert parse_config("protocol = RE\nrenormalize = yes\n").integrator.renormalize is True
+    assert parse_config("protocol = UCP\nphases =\n").protocol.phases == UCP_PHASES  # empty: canonical
 
 
 def test_format_and_workers_validation():

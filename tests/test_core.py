@@ -15,6 +15,7 @@ from pulselab.core import (
     compose,
     phase_shifted,
     pulse_area,
+    renormalized,
     sequence_area,
     transition_probability,
     _simpson,
@@ -38,6 +39,14 @@ def test_transition_probability_trivial_cases():
     assert transition_probability(CKPropagator(0.0, 1.0)) == 1.0
     u = CKPropagator(1 / np.sqrt(2), 1j / np.sqrt(2))
     assert transition_probability(u) == pytest.approx(0.5, abs=1e-15)
+
+
+def test_renormalized_rescales_a_pair_and_rejects_a_zero_or_non_finite_one():
+    u = renormalized(CKPropagator(0.6 + 0j, 0.6j))
+    assert unitarity_defect(u) < 1e-15 and transition_probability(u) == pytest.approx(0.5, abs=1e-15)
+    for pair in (CKPropagator(0j, 0j), CKPropagator(complex(np.nan), 0j)):
+        with pytest.raises(InvalidParameter, match="cannot renormalize a zero or non-finite CK pair"):
+            renormalized(pair)
 
 
 def test_compose_identity_is_neutral():
@@ -104,6 +113,9 @@ def test_waveform_rejects_empty_window():
         Waveform(rabi=lambda t: t, detuning=lambda t: t, window=(1.0, 1.0))
     with pytest.raises(InvalidParameter):
         Waveform(rabi=lambda t: t, detuning=lambda t: t, window=(2.0, -2.0))
+    for window in ((0.0, np.inf), (np.nan, 1.0)):
+        with pytest.raises(InvalidParameter, match="window must be finite"):
+            Waveform(rabi=lambda t: t, detuning=lambda t: t, window=window)
 
 
 def test_pulse_sequence_rejects_overlap():
@@ -113,6 +125,8 @@ def test_pulse_sequence_rejects_overlap():
         PulseSequence((w1, w2))
     w3 = Waveform(rabi=lambda t: t, detuning=lambda t: t, window=(1.0, 2.0))
     assert len(PulseSequence((w1, w3))) == 2
+    with pytest.raises(InvalidParameter, match="at least one pulse"):
+        PulseSequence(())
 
 
 # ---------------------------------------------------------------- pulse area

@@ -46,6 +46,9 @@ def test_builders_reject_nonpositive_parameters():
             ProtocolSpec("RE", omega0, T)
     with pytest.raises(InvalidParameter):
         ProtocolSpec("XX", 1.0, 1.0)
+    for frozen in ((0.0, 4.0, 1.0), (SQRT_PI, np.nan, 1.0), (SQRT_PI, 4.0, -1.0), (SQRT_PI, 4.0)):
+        with pytest.raises(InvalidParameter, match="sta_nominal"):
+            ProtocolSpec("STA", SQRT_PI, 1.0, beta=4.0, sta_nominal=frozen)
 
 
 def test_af_chirp_free_limit_is_resonant(fast_cfg):

@@ -1,4 +1,5 @@
-"""CSV/JSON serialization: shape, determinism, round trips."""
+"""CSV/JSON serialization: shape, determinism, round trips, and the one writer."""
+import ast
 import json
 import pathlib
 from dataclasses import fields
@@ -212,6 +213,72 @@ def test_write_output_to_file_and_stdout(tmp_path, capsys):
     assert capsys.readouterr().out == "P = 1\n"
     with pytest.raises(IoError, match="missing"):
         write_output(str(tmp_path / "missing" / "out.txt"), b"")
+
+
+def _writes(source):
+    """(function, line, what) for each call in ``source`` that writes program output.
+
+    That is a ``print`` other than one to ``sys.stderr``, an ``open`` or ``os.open``
+    that can write, and any use of ``sys.stdout``; ``function`` is the innermost
+    enclosing function.
+    """
+    def opens_for_writing(call):
+        modes = [*call.args[1:2], *(k.value for k in call.keywords if k.arg == "mode")]
+        return any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes)
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            what = None
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                if child.func.id == "print":
+                    stderr = any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in child.keywords)
+                    what = "print to stderr" if stderr else "print"
+                elif child.func.id == "open" and opens_for_writing(child):
+                    what = "open for writing"
+            elif isinstance(child, ast.Call) and ast.unparse(child.func) == "os.open":
+                what = "os.open"
+            elif isinstance(child, ast.Attribute) and ast.unparse(child) == "sys.stdout":
+                what = "sys.stdout"
+            if what:
+                yield owner, child.lineno, what
+            yield from visit(child, inner)
+
+    yield from visit(ast.parse(source), "<module>")
+
+
+def test_the_write_finder_sees_each_kind_of_writer():
+    source = (
+        "import os, sys\n"
+        "def f(path):\n"
+        "    print('x')\n"
+        "    print('y', file=sys.stderr)\n"
+        "    open(path, 'a')\n"
+        "    open(path, mode='rb')\n"
+        "    open(path)\n"
+        "    os.open(path, os.O_WRONLY)\n"
+        "    sys.stdout.write('z')\n"
+    )
+    assert list(_writes(source)) == [
+        ("f", 3, "print"),
+        ("f", 4, "print to stderr"),
+        ("f", 5, "open for writing"),
+        ("f", 8, "os.open"),
+        ("f", 9, "sys.stdout"),
+    ]
+
+
+def test_write_output_is_the_only_writer_of_program_output():
+    # another writer would escape write_output's flush and its exit 4; only
+    # cli.main writes, to stderr, the one error line of exits 2, 3 and 4
+    found = {}
+    for path in sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "pulselab").glob("*.py")):
+        for owner, line, what in _writes(path.read_text(encoding="utf-8")):
+            found.setdefault((path.stem, owner, what), []).append(line)
+    stderr_lines = found.pop(("cli", "main", "print to stderr"), [])
+    assert len(stderr_lines) == 3
+    allowed = {("serialize", "write_output", what) for what in ("sys.stdout", "open for writing", "os.open")}
+    assert set(found) <= allowed, found
 
 
 def test_write_table_csv_and_json():
