@@ -1,21 +1,28 @@
 #!/usr/bin/env python3
-"""Regenerate the golden CSVs in goldens/ from the committed run configs.
+"""Regenerate the goldens in goldens/: the figure CSVs and the simulate reference.
 
-The Tier-1 test tests/test_goldens.py regenerates every figure config and
-byte-compares it with these files, so rerun this script (and commit the
-result) whenever a config or the simulation itself changes intentionally.
+The figure CSVs come from the committed run configs.  goldens/simulate.txt
+holds the output of a certified ``simulate`` of each technique at the
+default resolution (``SIMULATE_FLAGS``), the one golden of the blocked,
+threaded 250k-step path: every figure config is a single block.  The Tier-1
+test tests/test_goldens.py regenerates all of them and byte-compares them
+with these files, so rerun this script (and commit the result) whenever a
+config or the simulation itself changes intentionally.
 
 ``--check`` regenerates into a temporary directory instead and compares:
-it prints every figure whose bytes differ with its max |dP|.  It also
-regenerates ``table --steps-per-pulse 4000 --workers 2`` and compares it
-with perfbench/reference/table.csv, printing every row that differs.  It
-exits 1 if anything differs and never writes to goldens/ or to the
-reference table, which this script does not regenerate.
+it prints every figure whose bytes differ with its max |dP|, and every line
+of the simulate reference that differs.  It also regenerates
+``table --steps-per-pulse 4000 --workers 2`` and compares it with
+perfbench/reference/table.csv, printing every row that differs.  It exits 1
+if anything differs and never writes to goldens/ or to the reference table,
+which this script does not regenerate.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import itertools
 import pathlib
 import sys
@@ -27,6 +34,13 @@ TABLE_REFERENCE = REPO / "perfbench" / "reference" / "table.csv"
 sys.path.insert(0, str(REPO / "src"))
 
 from pulselab.cli import main  # noqa: E402
+from pulselab.protocols import PROTOCOL_KINDS  # noqa: E402
+
+# An error vector off every nominal value, certified at the default 250k steps.
+SIMULATE_FLAGS = (
+    "--alpha", "1.07", "--duration-factor", "0.93", "--delta", "0.1", "--eta", "0.05", "--sigma", "0.1",
+    "--convergence-tol=1e-8",
+)
 
 
 def regenerate(outdir: pathlib.Path) -> List[pathlib.Path]:
@@ -47,6 +61,24 @@ def regenerate_table(outdir: pathlib.Path) -> pathlib.Path:
     code = main(["table", "--steps-per-pulse", "4000", "--workers", "2", "--output", str(out)])
     if code != 0:
         raise SystemExit(f"table failed (exit {code})")
+    return out
+
+
+def regenerate_simulate(outdir: pathlib.Path) -> pathlib.Path:
+    """Run ``simulate`` of every technique with ``SIMULATE_FLAGS``, into ``outdir``/simulate.txt.
+
+    Each run's output follows a line naming its command.
+    """
+    out = outdir / "simulate.txt"
+    text = io.StringIO()
+    for kind in PROTOCOL_KINDS:
+        argv = ["simulate", "--protocol", kind, *SIMULATE_FLAGS]
+        text.write(f"# pulselab {' '.join(argv)}\n")
+        with contextlib.redirect_stdout(text):
+            code = main(argv)
+        if code != 0:
+            raise SystemExit(f"simulate failed for {kind} (exit {code})")
+    out.write_text(text.getvalue(), encoding="utf-8", newline="")
     return out
 
 
@@ -75,7 +107,7 @@ def differing(new_files: List[pathlib.Path], golden_dir: pathlib.Path) -> List[T
     return out
 
 
-def table_differences(new: pathlib.Path, reference: pathlib.Path) -> List[str]:
+def row_differences(new: pathlib.Path, reference: pathlib.Path) -> List[str]:
     """One line per row of ``new`` that differs from ``reference``; [] if the bytes are equal."""
     if new.read_bytes() == reference.read_bytes():
         return []
@@ -97,19 +129,22 @@ def run(argv: List[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     if not args.check:
-        for out in regenerate(REPO / "goldens"):
+        for out in [*regenerate(REPO / "goldens"), regenerate_simulate(REPO / "goldens")]:
             print(f"wrote {out}")
         return 0
     with tempfile.TemporaryDirectory() as tmp:
         diffs = differing(regenerate(pathlib.Path(tmp)), REPO / "goldens")
-        table = table_differences(regenerate_table(pathlib.Path(tmp)), TABLE_REFERENCE)
+        simulate = row_differences(regenerate_simulate(pathlib.Path(tmp)), REPO / "goldens" / "simulate.txt")
+        table = row_differences(regenerate_table(pathlib.Path(tmp)), TABLE_REFERENCE)
     for name, dp in diffs:
         print(f"{name}: differs from goldens/{name}.csv, max |dP| = {dp:.3e}")
+    for line in simulate:
+        print(f"simulate: {line}")
     for line in table:
         print(f"table: {line}")
-    if not diffs and not table:
+    if not diffs and not simulate and not table:
         print("all goldens and the reference table regenerate byte-identically")
-    return 1 if diffs or table else 0
+    return 1 if diffs or simulate or table else 0
 
 
 if __name__ == "__main__":

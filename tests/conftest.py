@@ -22,14 +22,16 @@ def load_make_goldens():
 
 @pytest.fixture(scope="session")
 def regenerated(tmp_path_factory):
-    """A directory holding every figure config and the reference table, regenerated once.
+    """A directory holding every figure config, the simulate reference and the table, regenerated once.
 
-    ``make_goldens.regenerate`` writes figN.csv and ``regenerate_table``
-    writes table.csv, exactly as ``scripts/make_goldens.py --check`` does.
+    ``make_goldens.regenerate`` writes figN.csv, ``regenerate_simulate``
+    writes simulate.txt and ``regenerate_table`` writes table.csv, exactly as
+    ``scripts/make_goldens.py --check`` does.
     """
     make_goldens = load_make_goldens()
     outdir = tmp_path_factory.mktemp("regenerated")
     make_goldens.regenerate(outdir)
+    make_goldens.regenerate_simulate(outdir)
     make_goldens.regenerate_table(outdir)
     return outdir
 

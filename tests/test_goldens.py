@@ -2,10 +2,12 @@
 
 The goldens are produced by scripts/make_goldens.py on the reference platform;
 this check catches any unintended change to the simulation, the configs or
-the serializer.  The robustness table is held to the benchmark's recorded
-reference table the same way.  Both are regenerated once per session (the
-``regenerated`` fixture) and compared byte for byte through make_goldens, so
-a failure names the figure and its max |dP|, or the table rows that differ.
+the serializer.  The certified ``simulate`` outputs of goldens/simulate.txt
+cover the default, blocked resolution, and the robustness table is held to
+the benchmark's recorded reference table the same way.  All are regenerated
+once per session (the ``regenerated`` fixture) and compared byte for byte
+through make_goldens, so a failure names the figure and its max |dP|, or the
+simulate lines or table rows that differ.
 """
 import pathlib
 
@@ -23,5 +25,9 @@ def test_golden_regenerates_identically(cfg, regenerated):
     assert make_goldens.differing([regenerated / (cfg.stem + ".csv")], REPO / "goldens") == []
 
 
+def test_simulate_regenerates_identically(regenerated):
+    assert make_goldens.row_differences(regenerated / "simulate.txt", REPO / "goldens" / "simulate.txt") == []
+
+
 def test_table_regenerates_identically(regenerated):
-    assert make_goldens.table_differences(regenerated / "table.csv", make_goldens.TABLE_REFERENCE) == []
+    assert make_goldens.row_differences(regenerated / "table.csv", make_goldens.TABLE_REFERENCE) == []

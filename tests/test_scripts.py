@@ -41,7 +41,7 @@ def test_make_figures_rejects_a_figure_without_a_config(tmp_path):
 
 
 def test_make_goldens_check_reports_differences_and_never_writes(tmp_path, regenerated, monkeypatch, capsys):
-    goldens = sorted((REPO / "goldens").glob("fig*.csv")) + [REPO / "perfbench" / "reference" / "table.csv"]
+    goldens = sorted((REPO / "goldens").glob("*")) + [REPO / "perfbench" / "reference" / "table.csv"]
     before = {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in goldens}
     make_goldens = load_make_goldens()
 
@@ -50,11 +50,16 @@ def test_make_goldens_check_reports_differences_and_never_writes(tmp_path, regen
         assert outdir.resolve() != (REPO / "goldens").resolve()
         return [pathlib.Path(shutil.copy(f, outdir)) for f in sorted(regenerated.glob("fig*.csv"))]
 
+    def regenerate_simulate(outdir):
+        assert outdir.resolve() != (REPO / "goldens").resolve()
+        return pathlib.Path(shutil.copy(regenerated / "simulate.txt", outdir))
+
     def regenerate_table(outdir):
         assert outdir.resolve() != (REPO / "goldens").resolve()
         return pathlib.Path(shutil.copy(regenerated / "table.csv", outdir))
 
     monkeypatch.setattr(make_goldens, "regenerate", regenerate)
+    monkeypatch.setattr(make_goldens, "regenerate_simulate", regenerate_simulate)
     monkeypatch.setattr(make_goldens, "regenerate_table", regenerate_table)
     assert make_goldens.run(["--check"]) == 0
     assert capsys.readouterr().out == "all goldens and the reference table regenerate byte-identically\n"
@@ -75,12 +80,12 @@ def test_make_goldens_check_prints_the_table_rows_that_differ(tmp_path):
     make_goldens = load_make_goldens()
     reference = make_goldens.TABLE_REFERENCE
     lines = reference.read_bytes().split(b"\r\n")
-    assert make_goldens.table_differences(reference, reference) == []
+    assert make_goldens.row_differences(reference, reference) == []
     lines[3] = lines[3].replace(b",false", b",true")
     changed = tmp_path / "table.csv"
     changed.write_bytes(b"\r\n".join(lines))
-    (diff,) = make_goldens.table_differences(changed, reference)
+    (diff,) = make_goldens.row_differences(changed, reference)
     assert diff.startswith("row 3: ") and "true" in diff
     unix = tmp_path / "unix.csv"
     unix.write_bytes(reference.read_bytes().replace(b"\r\n", b"\n"))
-    assert make_goldens.table_differences(unix, reference) == ["bytes differ in line endings or quoting only"]
+    assert make_goldens.row_differences(unix, reference) == ["bytes differ in line endings or quoting only"]
