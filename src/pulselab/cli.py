@@ -28,7 +28,7 @@ from .checks import run_checks
 from .config import CONFIG_KEYS, SPEC_KEYS, ParseError, RunConfig, ValidationError, build_config, parse_kv
 from .core import InvalidParameter, InvalidWaveform, sequence_area, transition_probability, unitarity_defect
 from .integrator import NonConvergent, UnitarityViolation, propagate_sequence
-from .protocols import PROTOCOL_KINDS, SingularControl, adiabaticity_margin, nominal_spec
+from .protocols import PROTOCOL_KINDS, adiabaticity_margin, nominal_spec
 from .serialize import IoError, write_output, write_result_file, write_table
 from .sweep import comparison_table, sweep1d, sweep2d
 
@@ -65,7 +65,7 @@ def _keep_freed_arrays() -> None:
 _keep_freed_arrays()
 
 _CONFIG_ERRORS = (ParseError, ValidationError, InvalidParameter, LengthMismatch)
-_NUMERICAL_ERRORS = (NonConvergent, UnitarityViolation, InvalidWaveform, SingularControl)
+_NUMERICAL_ERRORS = (NonConvergent, UnitarityViolation, InvalidWaveform)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

@@ -136,7 +136,11 @@ class PulseSequence:
 
 
 def _sample(fn: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray:
-    out = np.asarray(fn(t))
+    """``fn(t)`` broadcast to the shape of ``t``, with no numpy warning; NaN or Inf raises :class:`InvalidWaveform`."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = np.asarray(fn(t))
+    if not np.isfinite(out).all():
+        raise InvalidWaveform("controls returned NaN/Inf inside the pulse window")
     if out.shape != t.shape:
         out = np.broadcast_to(out, t.shape)
     return out
@@ -177,10 +181,7 @@ def pulse_area(rabi: Callable[[np.ndarray], np.ndarray], window: Tuple[float, fl
     if not t0 < t1:
         raise InvalidParameter(f"empty integration window {window}")
     t = np.linspace(t0, t1, AREA_STEPS + 1)
-    y = np.abs(_sample(rabi, t))
-    if not np.all(np.isfinite(y)):
-        raise InvalidWaveform("envelope is not finite over the window")
-    return _simpson(y, t)
+    return _simpson(np.abs(_sample(rabi, t)), t)
 
 
 def sequence_area(seq: PulseSequence) -> float:

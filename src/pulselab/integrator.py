@@ -34,7 +34,6 @@ import numpy as np
 from .core import (
     CKPropagator,
     InvalidParameter,
-    InvalidWaveform,
     PulseSequence,
     Waveform,
     compose,
@@ -117,8 +116,6 @@ def _pairs(w: Waveform, h: float, rabi: np.ndarray, detuning: np.ndarray) -> Tup
     """
     W = np.asarray(rabi, dtype=complex) * np.exp(1j * w.phase)
     D = np.asarray(detuning, dtype=float)
-    if not (np.isfinite(W).all() and np.isfinite(D).all()):
-        raise InvalidWaveform("controls returned NaN/Inf inside the pulse window")
     with np.errstate(over="ignore", invalid="ignore"):
         th = np.abs(W)  # numpy's complex abs: np.hypot is not bitwise the same
         th *= th

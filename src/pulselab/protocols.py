@@ -19,10 +19,9 @@ from typing import Callable, Dict, FrozenSet, Iterator, NamedTuple, Sequence, Tu
 
 import numpy as np
 
-from .core import InvalidParameter, Waveform
+from .core import InvalidParameter, InvalidWaveform, Waveform, _sample
 
 __all__ = [
-    "SingularControl",
     "ProtocolSpec",
     "Technique",
     "TECHNIQUES",
@@ -68,10 +67,6 @@ TECHNIQUES: Dict[str, Technique] = {
 PROTOCOL_KINDS = tuple(TECHNIQUES)
 
 
-class SingularControl(ValueError):
-    """Raised when shaped-pulse coefficients yield non-finite controls."""
-
-
 @dataclass(frozen=True)
 class ProtocolSpec:
     """One technique plus its physical parameters.
@@ -85,7 +80,7 @@ class ProtocolSpec:
 
     An SP coefficient list is checked here, once: its controls are sampled at
     2001 points over the window at ``T``, and a non-finite sample raises
-    :class:`SingularControl`.  Only ``g * sin(theta)`` can overflow, so the
+    :class:`~pulselab.core.InvalidWaveform`.  Only ``g * sin(theta)`` can overflow, so the
     check holds for every width the duration channel gives the pulse.
     """
 
@@ -133,12 +128,12 @@ class ProtocolSpec:
                 raise InvalidParameter("sp_coeffs must be finite")
             envelope, detuning = _sp_shape_functions(self.T, self.sp_coeffs)
             t = np.linspace(-WINDOW_HALF_WIDTH * self.T, WINDOW_HALF_WIDTH * self.T, 2001)
-            with np.errstate(all="ignore"):
-                finite = np.all(np.isfinite(envelope(t))) and np.all(np.isfinite(detuning(t)))
-            if not finite:
-                raise SingularControl(
+            try:
+                _sample(envelope, t), _sample(detuning, t)
+            except InvalidWaveform:
+                raise InvalidWaveform(
                     "shaped-pulse controls are not finite on the window; check the coefficient list"
-                )
+                ) from None
 
     @property
     def pulse_count(self) -> int:
@@ -409,11 +404,11 @@ def adiabaticity_margin(w: Waveform) -> float:
     envelopes; the counterdiabatic technique is diagnosed on its main field.
     """
     t = np.linspace(w.window[0], w.window[1], 8193)
-    om = np.asarray(w.rabi(t))
+    om = _sample(w.rabi, t)
     if np.iscomplexobj(om) and np.max(np.abs(om.imag)) > 0.0:
         raise InvalidParameter("adiabaticity margin is defined for real envelopes")
     om = om.real.astype(float)
-    de = np.asarray(w.detuning(t), dtype=float)
+    de = np.asarray(_sample(w.detuning, t), dtype=float)
     theta = 0.5 * np.arctan2(om, de)
     theta_dot = np.gradient(theta, t)
     gap = np.sqrt(om * om + de * de)

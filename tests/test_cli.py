@@ -243,13 +243,19 @@ def test_nan_propagator_is_a_numerical_failure(argv, capsys):
         ["--protocol", "AF", "--T", "1e-160"],
         ["--protocol", "RE", "--omega0", "1e200"],
         ["--protocol", "STA", "--T", "1e-300"],
+        ["--protocol", "STA", "--sta-omega0a", "1e-300"],
+        ["--protocol", "RE", "--eta", "1e308"],
+        ["--protocol", "CAP", "--eta=-1e308"],
+        ["--protocol", "RE", "--delta", "1e308", "--eta", "1e308"],
+        ["--protocol", "RE", "--alpha", "1e308", "--sigma", "0.5"],
+        ["--protocol", "STA", "--alpha", "1e308"],
     ),
-    ids=lambda flags: f"{flags[1]}-{flags[2][2:]}-{flags[3]}",
+    ids=lambda flags: "-".join([flags[1], *(f.lstrip("-") for f in flags[2:])]),
 )
 def test_overflowing_magnitudes_fail_with_one_line_and_no_warning(flags, capsys):
     # the squares overflow in the step pairs at the default resolution, whose
-    # blocks run on threads, and STA's shortcut overflows where it is sampled;
-    # any numpy warning would fail this test
+    # blocks run on threads; STA's shortcut and the channel arithmetic overflow
+    # where the controls are sampled; any numpy warning would fail this test
     assert main(["simulate", *flags]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -7,7 +7,7 @@ from scipy.integrate import simpson
 
 from conftest import solve_ivp_ck
 from pulselab.channels import apply_errors
-from pulselab.core import InvalidParameter, Waveform, pulse_area, sequence_area, transition_probability
+from pulselab.core import InvalidParameter, InvalidWaveform, Waveform, pulse_area, sequence_area, transition_probability
 from pulselab.integrator import IntegratorConfig, propagate, propagate_sequence
 from pulselab.protocols import (
     A7_COEFFS,
@@ -16,7 +16,6 @@ from pulselab.protocols import (
     SQRT_PI,
     UCP_PHASES,
     ProtocolSpec,
-    SingularControl,
     adiabaticity_margin,
     mixing_angle_rate,
     nominal_spec,
@@ -323,7 +322,7 @@ def test_sp_zero_coefficients_are_regular():
 
 
 def test_sp_singular_coefficients_raise():
-    with pytest.raises(SingularControl, match="not finite"):  # when the spec is made
+    with pytest.raises(InvalidWaveform, match="not finite"):  # when the spec is made
         ProtocolSpec("SP", SQRT_PI, 1.0, sp_coeffs=(1e200,))
 
 

@@ -8,8 +8,9 @@ import pytest
 
 from pulselab.channels import ErrorVector
 from pulselab.config import build_config
+from pulselab.core import InvalidWaveform
 from pulselab.integrator import IntegratorConfig
-from pulselab.protocols import PROTOCOL_KINDS, SQRT_PI, ProtocolSpec, SingularControl, nominal_spec
+from pulselab.protocols import PROTOCOL_KINDS, SQRT_PI, ProtocolSpec, nominal_spec
 from pulselab.serialize import IoError, read_result, write_output, write_result, write_result_file, write_table
 from pulselab.sweep import RobustnessRow, SweepAxis, SweepResult, sweep1d, sweep2d
 
@@ -106,7 +107,7 @@ def test_json_reader_checks_a_shaped_pulse_like_the_spec():
     res = SweepResult((SweepAxis("alpha", 1.0, 1.0, 1),), nominal_spec("SP"), (1.0,), {})
     doc = json.loads(write_result(res, "json"))
     doc["protocol"]["sp_coeffs"] = [1e200]
-    with pytest.raises(SingularControl):
+    with pytest.raises(InvalidWaveform):
         read_result(json.dumps(doc), "json")
 
 
