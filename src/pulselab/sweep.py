@@ -102,8 +102,8 @@ class SweepAxis:
             raise InvalidParameter(f"channel must be one of {SWEEP_CHANNELS}, got {self.channel!r}")
         if not 1 <= self.points <= MAX_AXIS_POINTS:
             raise InvalidParameter(f"points must be in [1, {MAX_AXIS_POINTS}], got {self.points}")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise InvalidParameter(f"axis bounds must be finite, got [{self.lo}, {self.hi}]")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and math.isfinite(self.hi - self.lo)):
+            raise InvalidParameter(f"axis bounds must be finite, got [{self.lo}, {self.hi}], and so must hi - lo")
         if self.points == 1:
             if self.lo != self.hi:
                 raise InvalidParameter("a 1-point axis must have lo == hi")

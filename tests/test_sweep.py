@@ -149,7 +149,12 @@ def test_axis_invariants():
 
 @pytest.mark.parametrize(
     "channel, lo, hi, points",
-    [("delta", -np.inf, np.inf, 3), ("alpha", 0.5, np.inf, 3), ("alpha", np.nan, np.nan, 1)],
+    [
+        ("delta", -np.inf, np.inf, 3),
+        ("alpha", 0.5, np.inf, 3),
+        ("alpha", np.nan, np.nan, 1),
+        ("delta", -1e308, 1e308, 3),  # finite bounds whose span overflows
+    ],
 )
 def test_axis_rejects_non_finite_bounds(channel, lo, hi, points, capsys):
     with pytest.raises(InvalidParameter, match=r"axis bounds must be finite, got \["):
