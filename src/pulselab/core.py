@@ -180,6 +180,9 @@ def pulse_area(rabi: Callable[[np.ndarray], np.ndarray], window: Tuple[float, fl
     t0, t1 = window
     if not t0 < t1:
         raise InvalidParameter(f"empty integration window {window}")
+    h = (t1 - t0) / AREA_STEPS
+    if not h * h < np.inf:  # the quadrature multiplies step widths
+        raise InvalidWaveform(f"window {window} is too wide for the area quadrature")
     t = np.linspace(t0, t1, AREA_STEPS + 1)
     return _simpson(np.abs(_sample(rabi, t)), t)
 

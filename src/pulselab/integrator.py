@@ -47,6 +47,7 @@ __all__ = [
     "UnitarityViolation",
     "IntegratorConfig",
     "DEFAULT_CONFIG",
+    "MAX_STEPS_PER_PULSE",
     "propagate",
     "propagate_sequence",
     "convergence_check",
@@ -56,6 +57,13 @@ __all__ = [
 # here (the shaped pulse is the stiffest at 4.4e-9).  Plot-grade sweeps are
 # fine with far fewer steps; see the committed run configs.
 DEFAULT_STEPS_PER_PULSE = 250_000
+
+# Largest step count per pulse, checked before anything is sampled: 16x the
+# default.  Executor.map submits every block before it returns, so a long
+# window holds the sampled controls of every block not yet reduced, about 16
+# bytes a step for a real drive and 24 for STA's complex one: 64-96 MB here,
+# and twice that for the certificate's run at twice the steps.
+MAX_STEPS_PER_PULSE = 4_000_000
 
 # Steps per block of a long window.  Above every committed config's 4000, so
 # that plot-grade runs are one block.
@@ -87,8 +95,10 @@ class IntegratorConfig:
     convergence_tol: float | None = None
 
     def __post_init__(self) -> None:
-        if self.steps_per_pulse < 100:
-            raise InvalidParameter(f"steps_per_pulse must be >= 100, got {self.steps_per_pulse}")
+        if not 100 <= self.steps_per_pulse <= MAX_STEPS_PER_PULSE:
+            raise InvalidParameter(
+                f"steps_per_pulse must be in [100, {MAX_STEPS_PER_PULSE}], got {self.steps_per_pulse}"
+            )
         if not self.unitarity_tol > 0:
             raise InvalidParameter("unitarity_tol must be positive")
         if self.convergence_tol is not None and not self.convergence_tol > 0:
@@ -139,17 +149,22 @@ def _pairs(w: Waveform, h: float, rabi: np.ndarray, detuning: np.ndarray) -> Tup
 
 
 def _reduce(a: np.ndarray, b: np.ndarray) -> CKPropagator:
-    """Pairwise product of the per-step propagators, kept in time order."""
-    while a.size > 1:
-        m = (a.size // 2) * 2
-        a1, b1 = a[0:m:2], b[0:m:2]
-        a2, b2 = a[1:m:2], b[1:m:2]
-        na = a2 * a1 - b2 * np.conj(b1)
-        nb = a2 * b1 + b2 * np.conj(a1)
-        if a.size % 2:
-            na = np.concatenate([na, a[-1:]])
-            nb = np.concatenate([nb, b[-1:]])
-        a, b = na, nb
+    """Pairwise product of the per-step propagators, kept in time order.
+
+    Pairs that are far from unitary (a drive whose square underflows against
+    a huge step) can overflow here; :func:`propagate` reports that product.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        while a.size > 1:
+            m = (a.size // 2) * 2
+            a1, b1 = a[0:m:2], b[0:m:2]
+            a2, b2 = a[1:m:2], b[1:m:2]
+            na = a2 * a1 - b2 * np.conj(b1)
+            nb = a2 * b1 + b2 * np.conj(a1)
+            if a.size % 2:
+                na = np.concatenate([na, a[-1:]])
+                nb = np.concatenate([nb, b[-1:]])
+            a, b = na, nb
     return CKPropagator(complex(a[0]), complex(b[0]))
 
 

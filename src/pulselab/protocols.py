@@ -402,6 +402,8 @@ def adiabaticity_margin(w: Waveform) -> float:
 
     Positive and large means the drive stays adiabatic.  Defined for real
     envelopes; the counterdiabatic technique is diagnosed on its main field.
+    A window so narrow that its sample spacing underflows gives NaN, without a
+    warning.
     """
     t = np.linspace(w.window[0], w.window[1], 8193)
     om = _sample(w.rabi, t)
@@ -409,7 +411,8 @@ def adiabaticity_margin(w: Waveform) -> float:
         raise InvalidParameter("adiabaticity margin is defined for real envelopes")
     om = om.real.astype(float)
     de = np.asarray(_sample(w.detuning, t), dtype=float)
-    theta = 0.5 * np.arctan2(om, de)
-    theta_dot = np.gradient(theta, t)
-    gap = np.sqrt(om * om + de * de)
-    return float(np.min(gap - np.abs(theta_dot)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        theta = 0.5 * np.arctan2(om, de)
+        theta_dot = np.gradient(theta, t)
+        gap = np.sqrt(om * om + de * de)
+        return float(np.min(gap - np.abs(theta_dot)))

@@ -1,4 +1,6 @@
 """CLI surface: subcommands, flag/config precedence, exit codes."""
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -6,8 +8,10 @@ import platform
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from pulselab.cli import main
 
@@ -249,18 +253,47 @@ def test_nan_propagator_is_a_numerical_failure(argv, capsys):
         ["--protocol", "RE", "--delta", "1e308", "--eta", "1e308"],
         ["--protocol", "RE", "--alpha", "1e308", "--sigma", "0.5"],
         ["--protocol", "STA", "--alpha", "1e308"],
+        ["--protocol", "RE", "--alpha", "1e-160", "--duration-factor", "1e300"],
+        ["--protocol", "RE", "--alpha", "1e-160", "--duration-factor", "1e300", "--delta", "1"],
     ),
     ids=lambda flags: "-".join([flags[1], *(f.lstrip("-") for f in flags[2:])]),
 )
 def test_overflowing_magnitudes_fail_with_one_line_and_no_warning(flags, capsys):
     # the squares overflow in the step pairs at the default resolution, whose
     # blocks run on threads; STA's shortcut and the channel arithmetic overflow
-    # where the controls are sampled; any numpy warning would fail this test
+    # where the controls are sampled; a vanishing drive over a huge window
+    # underflows its square, so its pairs overflow in the reduce, and the area
+    # quadrature's step products overflow; any numpy warning would fail this test
     assert main(["simulate", *flags]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("numerical failure")
+
+
+_MAGNITUDES = (0.0, 1e-300, 1e-160, 0.5, 1.0, 1e160, 1e300, 1.7e308)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["RE", "AF", "STA", "SP", "CAP", "UCP"]),
+    values=st.lists(
+        st.sampled_from(_MAGNITUDES).flatmap(lambda m: st.sampled_from((m, -m))), min_size=5, max_size=5
+    ),
+)
+def test_no_numpy_warning_escapes_a_simulate(kind, values):
+    # every error channel at extreme magnitudes: a success, a configuration
+    # error or a numerical failure, each with at most one stderr line; any
+    # numpy warning fails the test (filterwarnings = error)
+    channels = ("alpha", "duration-factor", "delta", "eta", "sigma")
+    argv = ["simulate", "--protocol", kind, "--steps-per-pulse", "100"]
+    argv += [f"--{channel}={value!r}" for channel, value in zip(channels, values)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert code == 0 or out.getvalue() == ""
+    assert len(err.getvalue().splitlines()) <= (0 if code == 0 else 1)
 
 
 @pytest.mark.parametrize(

@@ -186,3 +186,5 @@ def test_area_rejects_empty_window_and_nan():
         pulse_area(lambda t: t, (1.0, 1.0))
     with pytest.raises(InvalidWaveform):
         pulse_area(lambda t: np.full_like(t, np.nan), (0.0, 1.0))
+    with pytest.raises(InvalidWaveform, match="too wide for the area quadrature"):
+        pulse_area(lambda t: 0.0 * t, (-6e300, 6e300))

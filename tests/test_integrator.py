@@ -577,6 +577,25 @@ def test_integrator_config_invariants():
         IntegratorConfig(unitarity_tol=0.0)
 
 
+def test_step_count_is_bounded_before_anything_is_sampled(monkeypatch, capsys):
+    from pulselab.cli import main
+    from pulselab.core import InvalidParameter
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("controls were sampled")
+
+    monkeypatch.setattr(integrator, "_controls", no_sampling)
+    too_many = integrator.MAX_STEPS_PER_PULSE + 1
+    with pytest.raises(InvalidParameter, match=f"steps_per_pulse must be in \\[100, {too_many - 1}\\], got {too_many}"):
+        IntegratorConfig(steps_per_pulse=too_many)
+    assert main(["simulate", "--protocol", "STA", "--steps-per-pulse", str(too_many)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("configuration error: steps_per_pulse must be in [100, ")
+    # the default and the test suite's largest run fit with room to spare
+    assert integrator.MAX_STEPS_PER_PULSE >= 8 * 500_000 == 16 * integrator.DEFAULT_STEPS_PER_PULSE
+
+
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
