@@ -40,7 +40,8 @@ class InvalidParameter(ValueError):
 
 
 class InvalidWaveform(ValueError):
-    """Raised when control functions produce NaN/Inf inside their window."""
+    """Raised when control functions produce NaN/Inf inside their window, or
+    a window is too wide for the area quadrature."""
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,9 @@ class Waveform:
     array (a scalar return is broadcast).  Outside ``window`` both controls are
     treated as zero.  A complex ``rabi`` value W(t) enters the Hamiltonian as
     the upper off-diagonal element W(t) * exp(i*phase); real-envelope drives
-    are the special case of zero imaginary part.
+    are the special case of zero imaginary part.  Controls may overflow
+    quietly; a NaN or infinite sample raises :class:`InvalidWaveform` where it
+    is sampled.
 
     Pulses of one sequence that carry the same non-None ``shape_tag`` are
     equal up to a time translation and their drive phase, so
@@ -136,7 +139,14 @@ class PulseSequence:
 
 
 def _sample(fn: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray:
-    """``fn(t)`` broadcast to the shape of ``t``, with no numpy warning; NaN or Inf raises :class:`InvalidWaveform`."""
+    """``fn(t)`` broadcast to the shape of ``t``: the one place a sampled control is judged.
+
+    Every control is sampled here: by the integrator, the area quadrature,
+    the adiabaticity margin and the shaped-pulse check of a protocol spec.
+    ``fn`` runs with numpy's overflow, invalid and divide warnings off, so an
+    extreme parameter prints nothing, and a NaN or infinite sample raises
+    :class:`InvalidWaveform`, which the CLI reports as a numerical failure.
+    """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = np.asarray(fn(t))
     if not np.isfinite(out).all():

@@ -121,7 +121,8 @@ def _pairs(w: Waveform, h: float, rabi: np.ndarray, detuning: np.ndarray) -> Tup
     is a = cos(th) + i*D*s and b = -i*W*s.  Both are written component by
     component, in the floating-point operations numpy's complex arithmetic
     performs on them, so they are bitwise that arithmetic up to the sign of
-    an exact zero.  A drive whose square overflows gives a NaN pair, which
+    an exact zero.  The controls are finite (:func:`pulselab.core._sample`
+    judged them), but a drive whose square overflows gives a NaN pair, which
     :func:`propagate` reports as a unitarity violation.
     """
     W = np.asarray(rabi, dtype=complex) * np.exp(1j * w.phase)

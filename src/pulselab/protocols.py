@@ -79,9 +79,10 @@ class ProtocolSpec:
     touched by error channels.
 
     An SP coefficient list is checked here, once: its controls are sampled at
-    2001 points over the window at ``T``, and a non-finite sample raises
-    :class:`~pulselab.core.InvalidWaveform`.  Only ``g * sin(theta)`` can overflow, so the
-    check holds for every width the duration channel gives the pulse.
+    2001 points over the window at ``T`` (through :func:`pulselab.core._sample`),
+    and a non-finite sample raises :class:`~pulselab.core.InvalidWaveform`
+    that names the coefficient list.  Only ``g * sin(theta)`` can overflow,
+    so the check holds for every width the duration channel gives the pulse.
     """
 
     kind: str
@@ -126,10 +127,10 @@ class ProtocolSpec:
         if self.kind == "SP":
             if not all(np.isfinite(self.sp_coeffs)):
                 raise InvalidParameter("sp_coeffs must be finite")
-            envelope, detuning = _sp_shape_functions(self.T, self.sp_coeffs)
             t = np.linspace(-WINDOW_HALF_WIDTH * self.T, WINDOW_HALF_WIDTH * self.T, 2001)
             try:
-                _sample(envelope, t), _sample(detuning, t)
+                for control in _sp_shape_functions(self.T, self.sp_coeffs):
+                    _sample(control, t)
             except InvalidWaveform:
                 raise InvalidWaveform(
                     "shaped-pulse controls are not finite on the window; check the coefficient list"
