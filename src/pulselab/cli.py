@@ -2,7 +2,7 @@
 
 Flags mirror configuration keys and override values from ``--config``.  Exit
 codes: 0 success; 2 configuration error; 3 numerical failure
-(non-convergence, unitarity loss, singular controls, or a failing ``check``
+(non-convergence, unitarity loss, non-finite controls, or a failing ``check``
 suite); 4 I/O error, also on a closed stdout.
 
 Importing this module sets glibc's heap policy for the process (see

@@ -11,7 +11,7 @@ The transition probability between the two bare states is P = |b|^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Tuple
+from typing import Callable, Hashable, List, Tuple
 
 import numpy as np
 
@@ -138,22 +138,24 @@ class PulseSequence:
         return len(self.pulses)
 
 
-def _sample(fn: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray:
-    """``fn(t)`` broadcast to the shape of ``t``: the one place a sampled control is judged.
+def _sample(t: np.ndarray, *fns: Callable[[np.ndarray], np.ndarray]) -> List[np.ndarray]:
+    """Each ``fn(t)`` in turn, broadcast to the shape of ``t``: the one place a sampled control is judged.
 
     Every control is sampled here: by the integrator, the area quadrature,
     the adiabaticity margin and the shaped-pulse check of a protocol spec.
-    ``fn`` runs with numpy's overflow, invalid and divide warnings off, so an
-    extreme parameter prints nothing, and a NaN or infinite sample raises
+    The functions run with numpy's overflow, invalid and divide warnings off
+    (one ``np.errstate`` per call, for all of them), so an extreme parameter
+    prints nothing, and a NaN or infinite sample raises
     :class:`InvalidWaveform`, which the CLI reports as a numerical failure.
     """
+    samples = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = np.asarray(fn(t))
-    if not np.isfinite(out).all():
-        raise InvalidWaveform("controls returned NaN/Inf inside the pulse window")
-    if out.shape != t.shape:
-        out = np.broadcast_to(out, t.shape)
-    return out
+        for fn in fns:
+            out = np.asarray(fn(t))
+            if not np.isfinite(out).all():
+                raise InvalidWaveform("controls returned NaN/Inf inside the pulse window")
+            samples.append(out if out.shape == t.shape else np.broadcast_to(out, t.shape))
+    return samples
 
 
 def _divide(a, b: np.ndarray) -> np.ndarray:
@@ -194,7 +196,7 @@ def pulse_area(rabi: Callable[[np.ndarray], np.ndarray], window: Tuple[float, fl
     if not h * h < np.inf:  # the quadrature multiplies step widths
         raise InvalidWaveform(f"window {window} is too wide for the area quadrature")
     t = np.linspace(t0, t1, AREA_STEPS + 1)
-    return _simpson(np.abs(_sample(rabi, t)), t)
+    return _simpson(np.abs(_sample(t, rabi)[0]), t)
 
 
 def sequence_area(seq: PulseSequence) -> float:

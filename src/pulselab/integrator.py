@@ -27,7 +27,7 @@ import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -108,10 +108,10 @@ class IntegratorConfig:
 DEFAULT_CONFIG = IntegratorConfig()
 
 
-def _controls(w: Waveform, h: float, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
+def _controls(w: Waveform, h: float, start: int, stop: int) -> List[np.ndarray]:
     """``rabi`` then ``detuning`` at the midpoints of steps ``start`` to ``stop - 1``."""
     tm = w.window[0] + (np.arange(start, stop) + 0.5) * h
-    return _sample(w.rabi, tm), _sample(w.detuning, tm)
+    return _sample(tm, w.rabi, w.detuning)
 
 
 def _pairs(w: Waveform, h: float, rabi: np.ndarray, detuning: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -175,7 +175,7 @@ def _propagate_raw(w: Waveform, steps: int) -> CKPropagator:
     starts = range(0, steps, _BLOCK)
     controls = (_controls(w, h, j, min(j + _BLOCK, steps)) for j in starts)
 
-    def product(c: Tuple[np.ndarray, np.ndarray]) -> CKPropagator:
+    def product(c: List[np.ndarray]) -> CKPropagator:
         return _reduce(*_pairs(w, h, *c))
 
     if len(starts) == 1 or multiprocessing.parent_process() is not None:

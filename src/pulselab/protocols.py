@@ -129,8 +129,7 @@ class ProtocolSpec:
                 raise InvalidParameter("sp_coeffs must be finite")
             t = np.linspace(-WINDOW_HALF_WIDTH * self.T, WINDOW_HALF_WIDTH * self.T, 2001)
             try:
-                for control in _sp_shape_functions(self.T, self.sp_coeffs):
-                    _sample(control, t)
+                _sample(t, *_sp_shape_functions(self.T, self.sp_coeffs))
             except InvalidWaveform:
                 raise InvalidWaveform(
                     "shaped-pulse controls are not finite on the window; check the coefficient list"
@@ -407,11 +406,11 @@ def adiabaticity_margin(w: Waveform) -> float:
     warning.
     """
     t = np.linspace(w.window[0], w.window[1], 8193)
-    om = _sample(w.rabi, t)
+    om, de = _sample(t, w.rabi, w.detuning)
     if np.iscomplexobj(om) and np.max(np.abs(om.imag)) > 0.0:
         raise InvalidParameter("adiabaticity margin is defined for real envelopes")
     om = om.real.astype(float)
-    de = np.asarray(_sample(w.detuning, t), dtype=float)
+    de = np.asarray(de, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         theta = 0.5 * np.arctan2(om, de)
         theta_dot = np.gradient(theta, t)
