@@ -149,23 +149,23 @@ def _pairs(w: Waveform, h: float, rabi: np.ndarray, detuning: np.ndarray) -> Tup
     return a, b
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _reduce(a: np.ndarray, b: np.ndarray) -> CKPropagator:
     """Pairwise product of the per-step propagators, kept in time order.
 
     Pairs that are far from unitary (a drive whose square underflows against
     a huge step) can overflow here; :func:`propagate` reports that product.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        while a.size > 1:
-            m = (a.size // 2) * 2
-            a1, b1 = a[0:m:2], b[0:m:2]
-            a2, b2 = a[1:m:2], b[1:m:2]
-            na = a2 * a1 - b2 * np.conj(b1)
-            nb = a2 * b1 + b2 * np.conj(a1)
-            if a.size % 2:
-                na = np.concatenate([na, a[-1:]])
-                nb = np.concatenate([nb, b[-1:]])
-            a, b = na, nb
+    while a.size > 1:
+        m = (a.size // 2) * 2
+        a1, b1 = a[0:m:2], b[0:m:2]
+        a2, b2 = a[1:m:2], b[1:m:2]
+        na = a2 * a1 - b2 * np.conj(b1)
+        nb = a2 * b1 + b2 * np.conj(a1)
+        if a.size % 2:
+            na = np.concatenate([na, a[-1:]])
+            nb = np.concatenate([nb, b[-1:]])
+        a, b = na, nb
     return CKPropagator(complex(a[0]), complex(b[0]))
 
 
