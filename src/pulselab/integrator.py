@@ -185,6 +185,8 @@ def _propagate_raw(w: Waveform, steps: int) -> CKPropagator:
         # stays on this thread, in time order
         with ThreadPoolExecutor(min(len(starts), os.cpu_count() or 1)) as threads:
             products = list(threads.map(product, controls))
+    if len(products) == 1:  # one block is its own product, bitwise
+        return products[0]
     return _reduce(np.array([u.a for u in products]), np.array([u.b for u in products]))
 
 
