@@ -5,18 +5,21 @@ a process pool; results are placed by grid index and are identical for any
 worker count.  The environment variable ``PULSE_WORKERS`` overrides the
 requested worker count (it can change the runtime, never the values); the
 count actually used is at most the number of grid points and of CPUs, and is
-recorded in the result's ``meta.workers``.
+recorded in the result's ``meta.workers``.  Sweeps and the table evaluate
+their points in blocks through one loop, :func:`_run_blocks`, on at most one
+pool; a failing point cancels the blocks not yet started.
 
 Most points of a grid share one nominal pulse shape: only ``duration_factor``
 and ``centering`` change it, while alpha, delta, eta and sigma act on top of
 it (:func:`~pulselab.channels.apply_errors` applies them to the parts of
 :func:`~pulselab.protocols.nominal_pulses`).  A grid is therefore evaluated
 grouped by ``(spec, duration_factor, centering)`` (first appearance first,
-grid order within a group), and each in-process run or pool chunk calls
+grid order within a group), and each block (a sweep's whole grid in process,
+one pool chunk otherwise) calls
 ``nominal_pulses`` with ``keep`` through a one-entry cache on those same
 arguments, so every shape is built and sampled once per group instead of once
 per point.  A shape's samples can only come from the call that built them.
-The cache holds one shape at a time and is cleared when the run ends, also on
+The cache holds one shape at a time and is cleared when the block ends, also on
 an exception, whose traceback then holds no sampled arrays either; nothing
 outside a sweep keeps samples.  The shaped pulse's coefficients are checked
 once, when its :class:`~pulselab.protocols.ProtocolSpec` is made (pool
@@ -24,15 +27,10 @@ workers receive the checked spec); its schedule is built with each shape and
 is dropped with it.
 
 :func:`comparison_table` evaluates all of its (technique, channel) sweeps
-together, outward from each nominal point: every distinct nominal point
-first (one evaluation seeds every sweep that shares it), then, as each
-result returns, the next block of ``_WALK_BLOCK`` points on each side
-whose points so far all reach the lowest threshold.  A side stops at its first
-point below it, since no row reads past that point, so the rows are those of
-the full probe grids.  The sides do not wait for one another, each has at
-most one block in flight, and every block runs on the same pool, so the table
-starts at most one.  A block is one pool chunk, and its points share their
-nominal shape unless they step ``duration_factor``.
+together, outward from each nominal point in blocks of ``_WALK_BLOCK``
+points, and a side stops at its first point below the lowest threshold, as
+:func:`_walk_out` describes.  A block's points share their nominal shape
+unless they step ``duration_factor``.
 """
 from __future__ import annotations
 
@@ -133,9 +131,7 @@ class SweepResult:
     meta: Dict[str, object]
 
     def __post_init__(self) -> None:
-        expected = 1
-        for ax in self.axes:
-            expected *= ax.points
+        expected = math.prod(ax.points for ax in self.axes)
         if len(self.values) != expected:
             raise InvalidParameter(
                 f"values length {len(self.values)} does not match grid size {expected}"
@@ -190,38 +186,26 @@ def _resolve_workers(workers: int, tasks: int) -> int:
     return max(1, min(workers, tasks, os.cpu_count() or 1))
 
 
-def _evaluate(tasks: List[_Task], workers: int, pool: ProcessPoolExecutor | None) -> List[float]:
-    """Values of ``tasks`` in task order, on ``pool``'s ``workers`` processes or, without one, here."""
+def _run_grid(tasks: List[_Task], workers: int) -> Tuple[List[float], int]:
+    """Values of ``tasks`` in task order, and the worker count used."""
+    workers = _resolve_workers(workers, len(tasks))
     first: Dict[tuple, int] = {}
     keys = [(spec, err.duration_factor, err.centering) for spec, err, _ in tasks]
     for i, key in enumerate(keys):
         first.setdefault(key, i)
     order = sorted(range(len(tasks)), key=lambda i: first[keys[i]])
-    grouped = [tasks[i] for i in order]
-    if pool is None:
-        results = _eval_chunk(grouped)
-    else:
-        # Many small chunks per worker: a composite point costs several times a
-        # single-pulse one, so a few large chunks leave one worker idle at the end.
-        size = max(1, len(tasks) // (workers * 16))
-        chunks = [grouped[i : i + size] for i in range(0, len(grouped), size)]
-        results = [p for chunk in pool.map(_eval_chunk, chunks) for p in chunk]
-    values = [0.0] * len(tasks)
-    for i, p in zip(order, results):
-        values[i] = p
-    return values
+    # One chunk here; on a pool many small chunks per worker: a composite point costs
+    # several times a single-pulse one, so a few large chunks leave one worker idle at the end.
+    size = len(tasks) if workers == 1 else max(1, len(tasks) // (workers * 16))
+    values = np.zeros(len(tasks))
 
+    def place(chunk: List[int], results: List[float]) -> Tuple[()]:
+        values[chunk] = results
+        return ()
 
-def _open_pool(workers: int):
-    """A pool of ``workers`` processes to use as a context manager; none for one worker."""
-    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
-
-
-def _run_grid(tasks: List[_Task], workers: int) -> Tuple[List[float], int]:
-    """Values of ``tasks`` in task order, and the worker count used."""
-    workers = _resolve_workers(workers, len(tasks))
-    with _open_pool(workers) as pool:
-        return _evaluate(tasks, workers, pool), workers
+    chunks = (order[i : i + size] for i in range(0, len(order), size))
+    _run_blocks(((chunk, [tasks[i] for i in chunk]) for chunk in chunks), place, workers)
+    return values.tolist(), workers
 
 
 def _meta(cfg: IntegratorConfig, base_err: ErrorVector, workers: int) -> Dict[str, object]:
@@ -360,6 +344,37 @@ def _submit(pool: ProcessPoolExecutor | None, tasks: List[_Task]) -> Future:
     return future
 
 
+_Block = Tuple[object, List[_Task]]  # (key, tasks)
+
+
+def _run_blocks(blocks: Iterable[_Block], place: Callable[[object, List[float]], Iterable[_Block]], workers: int):
+    """Evaluate ``blocks`` on one pool of ``workers`` processes or, for one worker, here.
+
+    Every block of ``blocks`` is submitted at once.  As blocks complete (in
+    submission order among those done), ``place(key, values)`` stores each
+    block's values and yields the blocks to submit next, at once too.
+
+    A point that raises ends the run: once its exception is seen no block is
+    submitted, the blocks not yet started are cancelled, and the exception
+    propagates.  When several points raise, which exception propagates (and
+    so which point an error message names) can depend on the order in which
+    blocks complete; that the run fails, and so the exit code, cannot.
+    """
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        flight: Dict[Future, object] = {}  # future in flight -> its block's key
+        try:
+            for key, tasks in blocks:
+                flight[_submit(pool, tasks)] = key
+            while flight:
+                done, _ = wait(flight, return_when=FIRST_COMPLETED)
+                for future in [f for f in flight if f in done]:  # in submission order
+                    for key, tasks in place(flight.pop(future), future.result()):
+                        flight[_submit(pool, tasks)] = key
+        finally:
+            for future in flight:
+                future.cancel()
+
+
 def _walk_out(
     sweeps: List[Tuple[ProtocolSpec, SweepAxis, float]],
     thresholds: Sequence[float],
@@ -381,12 +396,6 @@ def _walk_out(
     :func:`half_width` never needs a point left NaN (not evaluated).  Each
     side has at most one block in flight, and all blocks share one pool,
     sized once over the full probe count.
-
-    A point that raises ends the walk: once its exception is seen no block is
-    submitted, the blocks not yet started are cancelled, and the exception
-    propagates.  When several points raise, which exception propagates (and
-    so which point an error message names) can depend on the order in which
-    blocks complete; that the walk fails, and so the exit code, cannot.
     """
     grids = [axis.values() for _, axis, _ in sweeps]
     probs = [np.full(len(grid), np.nan) for grid in grids]
@@ -404,32 +413,19 @@ def _walk_out(
         nominal_task = task(s, j)
         nominals.setdefault(repr(nominal_task[:2]), (nominal_task, []))[1].append((s, [j]))
 
+    # A block's key is (sweeps, step): the (sweep, indices) it answers, and
+    # step 0 for a nominal point, else the direction its side grows in.
+    def grow(answered: Tuple[List[Tuple[int, Sequence[int]]], int], values: List[float]) -> Iterable[_Block]:
+        seeded, step = answered
+        for s, block in seeded:
+            probs[s][block] = values
+            if all(probs[s][j] >= floor for j in block):
+                for side in (step,) if step else (-1, 1):
+                    if following := _block(block[-1], side, len(grids[s])):
+                        yield ([(s, following)], side), [task(s, j) for j in following]
+
     workers = _resolve_workers(workers, sum(len(grid) for grid in grids))
-    with _open_pool(workers) as pool:
-        # future in flight -> (sweeps, step): the (sweep, indices) it answers,
-        # and step 0 for a nominal point, else the direction its side grows in
-        flight: Dict[Future, Tuple[List[Tuple[int, Sequence[int]]], int]] = {}
-
-        def submit(s: int, step: int, block: Sequence[int]) -> None:
-            flight[_submit(pool, [task(s, j) for j in block])] = ([(s, block)], step)
-
-        try:
-            for nominal_task, seeded in nominals.values():
-                flight[_submit(pool, [nominal_task])] = (seeded, 0)
-            while flight:
-                done, _ = wait(flight, return_when=FIRST_COMPLETED)
-                for future in [f for f in flight if f in done]:  # in submission order
-                    answered, step = flight.pop(future)
-                    values = future.result()
-                    for s, block in answered:
-                        probs[s][block] = values
-                        if all(probs[s][j] >= floor for j in block):
-                            for side in (step,) if step else (-1, 1):
-                                if following := _block(block[-1], side, len(grids[s])):
-                                    submit(s, side, following)
-        finally:
-            for future in flight:
-                future.cancel()
+    _run_blocks((((seeded, 0), [nominal_task]) for nominal_task, seeded in nominals.values()), grow, workers)
     return probs
 
 

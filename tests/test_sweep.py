@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import re
+import time
 import warnings
 import weakref
 from collections import Counter
@@ -471,11 +472,12 @@ def synthetic_point(spec, err, cfg, shapes=None, shape=SYNTHETIC_SHAPE):
     return max(level - k * d * d, 0.0)
 
 
-def submission_log(monkeypatch):
-    """Events in the parent, in order: ("submit", side) per block and ("result", side) when it is read.
+def submission_log(monkeypatch, key=None):
+    """Events in the parent, in order: ("submit", key) per block and ("result", key) when it is read.
 
-    A side is (technique, channel, direction); a nominal point is side None.
-    A result that raises is logged as ("raised", side).
+    A block's key is ``key(tasks)``, by default the side all its tasks share:
+    (technique, channel, direction), or None for a nominal point.  A result
+    that raises is logged as ("raised", key).
     """
     events = []
     submit = sweep_module._submit
@@ -488,20 +490,24 @@ def submission_log(monkeypatch):
                 return spec.kind, channel, int(np.sign(offset))
         return None
 
+    def shared_side(tasks):
+        first = side(tasks[0])
+        assert all(side(task) == first for task in tasks)
+        return first
+
     def logged(pool, tasks):
         future = submit(pool, tasks)
-        key = side(tasks[0])
-        assert all(side(task) == key for task in tasks)
-        events.append(("submit", key))
+        block = (key or shared_side)(tasks)
+        events.append(("submit", block))
         result = future.result
 
         def logged_result(timeout=None):
             try:
                 values = result(timeout)
             except Exception:
-                events.append(("raised", key))
+                events.append(("raised", block))
                 raise
-            events.append(("result", key))
+            events.append(("result", block))
             return values
 
         future.result = logged_result
@@ -581,6 +587,43 @@ def test_a_failing_point_ends_the_walk(workers, monkeypatch, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure") and "alpha >= 1.3" in err[0]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_a_failing_point_ends_a_sweep_through_the_same_loop(workers, monkeypatch, capsys):
+    monkeypatch.delenv("PULSE_WORKERS", raising=False)
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+    evaluated = multiprocessing.Value("i", 0)  # shared with the forked workers
+
+    def failing_at_the_first_point(spec, err, cfg, shapes=None):
+        with evaluated.get_lock():
+            evaluated.value += 1
+        if err.alpha == 0.0:
+            raise NonConvergent("synthetic failure at alpha = 0")
+        time.sleep(0.001)  # the other chunks are still queued when the failure returns
+        return 1.0
+
+    monkeypatch.setattr(sweep_module, "evaluate_point", failing_at_the_first_point)
+    events = submission_log(monkeypatch, key=len)
+    points = 400
+    with pytest.raises(NonConvergent, match="alpha = 0"):
+        sweep1d(RE, SweepAxis("alpha", 0.0, 2.0, points), cfg=IntegratorConfig(steps_per_pulse=100), workers=workers)
+    # every chunk is submitted up front: one in process, 400 // 32 tasks each on 2 workers
+    size = points if workers == 1 else points // 32
+    assert [n for event, n in events if event == "submit"] == [min(size, points - i) for i in range(0, points, size)]
+    kinds = [event for event, _ in events]
+    assert kinds.count("raised") == 1 and "submit" not in kinds[kinds.index("raised"):]
+    assert evaluated.value < points, evaluated.value  # the chunks not yet started were cancelled
+    assert multiprocessing.active_children() == []
+
+    axis = ["--sweep-channel", "alpha", "--sweep-lo", "0", "--sweep-hi", "2", "--sweep-points", str(points)]
+    argv = ["sweep", "--protocol", "RE", *axis, "--steps-per-pulse", "100", "--workers", str(workers)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure") and "alpha = 0" in err[0]
+    assert captured.out == ""
     assert multiprocessing.active_children() == []
 
 
@@ -666,9 +709,17 @@ def test_memoized_sweep_is_bitwise_standalone(kind):
 
 
 @pytest.mark.parametrize("workers", (1, 2))
-def test_memoized_2d_with_inner_duration_axis_is_bitwise_standalone(workers):
-    # 8 x 2 points: pool chunks of 2 tasks, so both workers reuse shapes too
-    outer, inner = SweepAxis("alpha", 0.5, 1.5, 8), SweepAxis("duration_factor", 0.8, 1.2, 2)
+def test_memoized_2d_with_inner_duration_axis_is_bitwise_standalone(workers, monkeypatch):
+    # 32 x 2 points in two shape groups: one chunk in process, and on 2 workers
+    # 64 // 32 = 2 tasks of one shape per chunk, so both workers reuse shapes too
+    monkeypatch.delenv("PULSE_WORKERS", raising=False)
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+
+    def tasks_and_shapes(tasks):
+        return len(tasks), len({err.duration_factor for _, err, _ in tasks})
+
+    events = submission_log(monkeypatch, key=tasks_and_shapes)
+    outer, inner = SweepAxis("alpha", 0.5, 1.5, 32), SweepAxis("duration_factor", 0.8, 1.2, 2)
     for kind in ("RE", "AF", "STA", "SP", "CAP", "UCP"):
         spec = nominal_spec(kind)
         res = sweep2d(spec, outer, inner, MEMO_BASES[0], MEMO_CFG, workers)
@@ -678,6 +729,8 @@ def test_memoized_2d_with_inner_duration_axis_is_bitwise_standalone(workers):
             for d in inner.values()
         ]
         assert res.values == tuple(alone), kind
+    chunks = [(64, 2)] if workers == 1 else [(2, 1)] * 32
+    assert [block for event, block in events if event == "submit"] == chunks * 6
 
 
 def test_sp_shape_is_built_and_validated_once_per_shape(monkeypatch):
