@@ -41,7 +41,7 @@ class InvalidParameter(ValueError):
 
 class InvalidWaveform(ValueError):
     """Raised when control functions produce NaN/Inf inside their window, or
-    a window is too wide for the area quadrature."""
+    a window is too wide or too narrow for the area quadrature."""
 
 
 @dataclass(frozen=True)
@@ -197,6 +197,8 @@ def pulse_area(rabi: Callable[[np.ndarray], np.ndarray], window: Tuple[float, fl
     h = (t1 - t0) / AREA_STEPS
     if not h * h < np.inf:  # the quadrature multiplies step widths
         raise InvalidWaveform(f"window {window} is too wide for the area quadrature")
+    if h * h < np.finfo(float).tiny:  # where their product underflows, Simpson's odd terms drop out
+        raise InvalidWaveform(f"window {window} is too narrow for the area quadrature")
     t = np.linspace(t0, t1, AREA_STEPS + 1)
     return _simpson(np.abs(_sample(t, rabi)[0]), t)
 

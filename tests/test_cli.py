@@ -255,6 +255,8 @@ def test_nan_propagator_is_a_numerical_failure(argv, capsys):
         ["--protocol", "STA", "--alpha", "1e308"],
         ["--protocol", "RE", "--alpha", "1e-160", "--duration-factor", "1e300"],
         ["--protocol", "RE", "--alpha", "1e-160", "--duration-factor", "1e300", "--delta", "1"],
+        ["--protocol", "RE", "--duration-factor", "1e-160"],
+        ["--protocol", "AF", "--duration-factor", "1e-300"],
     ),
     ids=lambda flags: "-".join([flags[1], *(f.lstrip("-") for f in flags[2:])]),
 )
@@ -263,7 +265,9 @@ def test_overflowing_magnitudes_fail_with_one_line_and_no_warning(flags, capsys)
     # blocks run on threads; STA's shortcut and the channel arithmetic overflow
     # where the controls are sampled; a vanishing drive over a huge window
     # underflows its square, so its pairs overflow in the reduce, and the area
-    # quadrature's step products overflow; any numpy warning would fail this test
+    # quadrature's step products overflow, or underflow in a vanishing window
+    # (which would else print a NaN adiabaticity margin); any numpy warning
+    # would fail this test
     assert main(["simulate", *flags]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

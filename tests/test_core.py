@@ -188,3 +188,10 @@ def test_area_rejects_empty_window_and_nan():
         pulse_area(lambda t: np.full_like(t, np.nan), (0.0, 1.0))
     with pytest.raises(InvalidWaveform, match="too wide for the area quadrature"):
         pulse_area(lambda t: 0.0 * t, (-6e300, 6e300))
+    def unit_gaussian(T):
+        return lambda t: np.exp(-((t / T) ** 2)) / (T * np.sqrt(np.pi))
+
+    assert pulse_area(unit_gaussian(1e-150), (-6e-150, 6e-150)) == pytest.approx(1.0, rel=1e-12)
+    # the Simpson step products underflow: the unit area would read 1/3
+    with pytest.raises(InvalidWaveform, match="too narrow for the area quadrature"):
+        pulse_area(unit_gaussian(1e-160), (-6e-160, 6e-160))
