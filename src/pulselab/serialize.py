@@ -62,11 +62,15 @@ def read_result(
     ``protocol``, ``values`` and ``meta``, and each axis all four of its
     fields; its ``protocol`` object may omit the fields that have defaults
     but may not name one that :class:`ProtocolSpec` lacks.  A missing key,
-    or a member of the wrong type, raises a ``ValueError`` that names it.
+    or a member of the wrong type (an infinite ``points`` too), raises a
+    ``ValueError`` that names it, and so does a document nested too deeply.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     if fmt == "json":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError as exc:
+            raise ValueError("the JSON document nests too deeply to read") from exc
         _require(doc, ("axes", "protocol", "values", "meta"), "a JSON result")
         for key, kind in (("axes", list), ("values", list), ("meta", dict)):
             if not isinstance(doc[key], kind):
@@ -117,10 +121,10 @@ def _require(obj: dict, keys, what: str) -> None:
 
 
 def _typed(member: str, build):
-    """``build()``, with a ``TypeError`` from a wrongly typed JSON value named by its member."""
+    """``build()``, with a ``TypeError`` or ``OverflowError`` from a wrongly typed JSON value named by its member."""
     try:
         return build()
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"the JSON member {member!r} holds a value of the wrong type: {exc}") from exc
 
 

@@ -139,14 +139,23 @@ def test_json_reader_names_a_missing_nested_field(obj, key):
         (lambda doc: {**doc, "values": [None, 0.5, 1.0]}, "'values' holds a value of the wrong type"),
         (lambda doc: {**doc, "axes": [{**doc["axes"][0], "lo": None}]}, "'axes' holds a value of the wrong type"),
         (lambda doc: {**doc, "protocol": {**doc["protocol"], "omega0": "2"}}, "'protocol' holds a value of the"),
+        (lambda doc: {**doc, "axes": [{**doc["axes"][0], "points": float("inf")}]}, "'axes' holds a value of the"),
     ),
     ids=("top-level-5", "axes-3", "axes-[1]", "values-5", "meta-[1]", "protocol-[1]", "values-[null]",
-         "axis-lo-null", "protocol-omega0-string"),
+         "axis-lo-null", "protocol-omega0-string", "axis-points-Infinity"),
 )
 def test_json_reader_names_a_member_of_the_wrong_type(edit, match):
     doc = edit(json.loads(write_result(small_result(), "json")))
     with pytest.raises(ValueError, match=match):
         read_result(json.dumps(doc), "json")
+
+
+@pytest.mark.parametrize(
+    "text", ("[" * 100_000 + "]" * 100_000, '{"axes": ' * 100_000 + "1" + "}" * 100_000), ids=("lists", "objects")
+)
+def test_json_reader_rejects_a_document_nested_too_deeply(text):
+    with pytest.raises(ValueError, match="nests too deeply"):
+        read_result(text, "json")
 
 
 @pytest.mark.parametrize(
