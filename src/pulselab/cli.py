@@ -26,7 +26,7 @@ from . import __version__
 from .channels import LengthMismatch, apply_errors
 from .checks import run_checks
 from .config import CONFIG_KEYS, SPEC_KEYS, ParseError, RunConfig, ValidationError, build_config, parse_kv
-from .core import InvalidParameter, InvalidWaveform, sequence_area, transition_probability, unitarity_defect
+from .core import InvalidParameter, InvalidWaveform, pulse_area, sequence_area, transition_probability, unitarity_defect
 from .integrator import NonConvergent, UnitarityViolation, propagate_sequence
 from .protocols import PROTOCOL_KINDS, adiabaticity_margin, nominal_spec
 from .serialize import IoError, write_output, write_result_file, write_table
@@ -119,8 +119,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         f"unitarity_defect = {unitarity_defect(u):.3e}",
     ]
     if cfg.protocol.kind == "STA":
-        from .core import pulse_area
-
         main = sum(
             pulse_area(lambda t, w=w: np.real(np.asarray(w.rabi(t))), w.window) for w in seq.pulses
         )
