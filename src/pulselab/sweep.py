@@ -5,17 +5,15 @@ a process pool; results are placed by grid index and are identical for any
 worker count.  The environment variable ``PULSE_WORKERS`` overrides the
 requested worker count (it can change the runtime, never the values); the
 count actually used is at most the number of grid points and of CPUs, and is
-recorded in the result's ``meta.workers``.  Sweeps and the table evaluate
-their points in blocks through one loop, :func:`_run_blocks`, on at most one
-pool; a failing point cancels the blocks not yet started.
+recorded in the result's ``meta.workers``.
 
 Most points of a grid share one nominal pulse shape: only ``duration_factor``
 and ``centering`` change it, while alpha, delta, eta and sigma act on top of
 it (:func:`~pulselab.channels.apply_errors` applies them to the parts of
 :func:`~pulselab.protocols.nominal_pulses`).  A grid is therefore evaluated
 grouped by ``(spec, duration_factor, centering)`` (first appearance first,
-grid order within a group), and each block (a sweep's whole grid in process,
-one pool chunk otherwise) calls
+grid order within a group), and each block of :func:`_run_blocks` (a sweep's
+whole grid in process, one pool chunk otherwise) calls
 ``nominal_pulses`` with ``keep`` through a one-entry cache on those same
 arguments, so every shape is built and sampled once per group instead of once
 per point.  A shape's samples can only come from the call that built them.
@@ -27,10 +25,10 @@ workers receive the checked spec); its schedule is built with each shape and
 is dropped with it.
 
 :func:`comparison_table` evaluates all of its (technique, channel) sweeps
-together, outward from each nominal point in blocks of ``_WALK_BLOCK``
-points, and a side stops at its first point below the lowest threshold, as
-:func:`_walk_out` describes.  A block's points share their nominal shape
-unless they step ``duration_factor``.
+together, outward from each nominal point in blocks of ``_WALK_BLOCK`` points
+(see :func:`_walk_out`).  A side stops at its first point below the lowest
+threshold, since no row reads past that point.  A block's points share their
+nominal shape unless they step ``duration_factor``.
 """
 from __future__ import annotations
 
@@ -131,7 +129,9 @@ class SweepResult:
     meta: Dict[str, object]
 
     def __post_init__(self) -> None:
-        expected = math.prod(ax.points for ax in self.axes)
+        expected = 1
+        for ax in self.axes:
+            expected *= ax.points
         if len(self.values) != expected:
             raise InvalidParameter(
                 f"values length {len(self.values)} does not match grid size {expected}"
