@@ -61,9 +61,8 @@ def read_result(
     the caller names it in ``protocol``.  A JSON document must hold ``axes``,
     ``protocol``, ``values`` and ``meta``, and each axis all four of its
     fields; its ``protocol`` object may omit the fields that have defaults
-    but may not name one that :class:`ProtocolSpec` lacks.  A missing key,
-    or a member of the wrong type (an infinite ``points`` too), raises a
-    ``ValueError`` that names it, and so does a document nested too deeply.
+    but may not name one that :class:`ProtocolSpec` lacks.  A missing key, a
+    wrongly typed member or too deep a nesting raises a ``ValueError`` naming it.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     if fmt == "json":

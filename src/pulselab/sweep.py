@@ -197,15 +197,16 @@ def _run_grid(tasks: List[_Task], workers: int) -> Tuple[List[float], int]:
     # One chunk here; on a pool many small chunks per worker: a composite point costs
     # several times a single-pulse one, so a few large chunks leave one worker idle at the end.
     size = len(tasks) if workers == 1 else max(1, len(tasks) // (workers * 16))
-    values = np.zeros(len(tasks))
+    values = [0.0] * len(tasks)
 
-    def place(chunk: List[int], results: List[float]) -> Tuple[()]:
-        values[chunk] = results
+    def place(start: int, results: List[float]) -> Tuple[()]:
+        for j, p in enumerate(results, start):
+            values[order[j]] = p
         return ()
 
-    chunks = (order[i : i + size] for i in range(0, len(order), size))
-    _run_blocks(((chunk, [tasks[i] for i in chunk]) for chunk in chunks), place, workers)
-    return values.tolist(), workers
+    starts = range(0, len(tasks), size)
+    _run_blocks(((i, [tasks[k] for k in order[i : i + size]]) for i in starts), place, workers)
+    return values, workers
 
 
 def _meta(cfg: IntegratorConfig, base_err: ErrorVector, workers: int) -> Dict[str, object]:
