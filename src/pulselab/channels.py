@@ -97,13 +97,19 @@ def apply_errors(
     # has no omega0, the others scale omega0 times a Gaussian
     gain = spec.omega0 if sta else alpha if spec.kind == "SP" else alpha * spec.omega0
     offsets = err.phase_offsets or (0.0,) * spec.pulse_count
+    # A channel at its nominal zero is skipped: x * (1 + 0 * tanh) is x, and
+    # x + 0 * (t - t_k) is x unless x is -0.0, which only delta = -0.0 makes.
+    distorted = sigma != 0
+    chirped = eta != 0 or (delta == 0 and np.signbit(delta))
     pulses = []
     for (sample, ce, phase, window, tag), offset in zip(
         (shapes or nominal_pulses)(spec, err.duration_factor, err.centering), offsets
     ):
         def rabi(t, sample=sample):
             t = np.asarray(t, dtype=float)
-            field = gain * sample(t, "envelope") * (1.0 + sigma * sample(t, "tanh"))
+            field = gain * sample(t, "envelope")
+            if distorted:
+                field *= 1.0 + sigma * sample(t, "tanh")
             if not sta:
                 return field
             if scales_shortcut:
@@ -112,7 +118,10 @@ def apply_errors(
 
         def detuning(t, sample=sample, ce=ce):
             t = np.asarray(t, dtype=float)
-            return sample(t, "detuning") + delta + eta * (t - ce)
+            out = sample(t, "detuning") + delta
+            if chirped:
+                out += eta * (t - ce)
+            return out
 
         pulses.append(Waveform(rabi, detuning, phase + offset, window, tag))
     return PulseSequence(tuple(pulses))

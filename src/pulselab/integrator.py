@@ -69,6 +69,8 @@ MAX_STEPS_PER_PULSE = 4_000_000
 # that plot-grade runs are one block.
 _BLOCK = 32768
 
+_EPS = np.finfo(float).eps
+
 
 class NonConvergent(RuntimeError):
     """Step-halving error estimate exceeded the requested tolerance."""
@@ -109,8 +111,16 @@ DEFAULT_CONFIG = IntegratorConfig()
 
 
 def _controls(w: Waveform, h: float, start: int, stop: int) -> List[np.ndarray]:
-    """``rabi`` then ``detuning`` at the midpoints of steps ``start`` to ``stop - 1``."""
-    tm = w.window[0] + (np.arange(start, stop) + 0.5) * h
+    """``rabi`` then ``detuning`` at the midpoints of steps ``start`` to ``stop - 1``.
+
+    The midpoints ``t0 + (j + 1/2) h`` are one read-only array, so that a
+    kept shape's sampler (:func:`pulselab.protocols._sampler`) serialises
+    them once for both controls rather than once per nominal part.
+    """
+    tm = np.arange(start + 0.5, stop)
+    tm *= h
+    tm += w.window[0]
+    tm.flags.writeable = False
     return _sample(tm, w.rabi, w.detuning)
 
 
@@ -125,10 +135,16 @@ def _pairs(w: Waveform, h: float, rabi: np.ndarray, detuning: np.ndarray) -> Tup
     judged them), but a drive whose square overflows gives a NaN pair, which
     :func:`propagate` reports as a unitarity violation.
     """
-    W = np.asarray(rabi, dtype=complex) * np.exp(1j * w.phase)
+    # A real drive at phase 0 stays real: times exp(0j) = 1 + 0j it is W + 0j,
+    # bit for bit.  A complex one is always multiplied, since (x + iy)(1 + 0i)
+    # has the real part x - 0y, which is +0.0 for x = -0.0 and y < 0.
+    if w.phase or np.iscomplexobj(rabi):
+        W = np.asarray(rabi, dtype=complex) * np.exp(1j * w.phase)
+    else:
+        W = np.asarray(rabi, dtype=float)
     D = np.asarray(detuning, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        th = np.abs(W)  # numpy's complex abs: np.hypot is not bitwise the same
+        th = np.abs(W)  # numpy's complex abs (np.hypot is not bitwise the same), |W| when W is real
         th *= th
         th += D * D
         np.sqrt(th, out=th)
@@ -136,11 +152,11 @@ def _pairs(w: Waveform, h: float, rabi: np.ndarray, detuning: np.ndarray) -> Tup
         # s = 0.5*h*np.sinc(th/pi), finite at lam = 0, in np.sinc's own operations
         y = th / np.pi
         y *= np.pi
-        y[y == 0] = np.finfo(float).eps
+        y[y == 0] = _EPS
         s = np.sin(y)
         s /= y
         s *= 0.5 * h
-        a, b = np.empty_like(W), np.empty_like(W)
+        a, b = np.empty(W.shape, complex), np.empty(W.shape, complex)
         np.cos(th, out=a.real)
         np.multiply(D, s, out=a.imag)
         np.multiply(W.imag, s, out=b.real)

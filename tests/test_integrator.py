@@ -1,4 +1,5 @@
 """Integrator oracles: closed-form Rabi physics and convergence behavior."""
+import functools
 import os
 import threading
 import warnings
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 
 from conftest import ck_matrix, solve_ivp_ck
-from pulselab import cli, integrator
+from pulselab import cli, integrator, protocols
 from pulselab.channels import ErrorVector, apply_errors
-from pulselab.core import InvalidWaveform, Waveform, transition_probability, unitarity_defect
+from pulselab.core import InvalidWaveform, Waveform, _sample, transition_probability, unitarity_defect
 from pulselab.integrator import (
     IntegratorConfig,
     NonConvergent,
@@ -396,6 +397,130 @@ def test_step_pairs_are_bitwise_the_complex_expressions(kind):
             assert zero_signless(b) == zero_signless(want_b)
             u, want = integrator._reduce(a, b), integrator._reduce(want_a, want_b)
             assert zero_signless(u.a, u.b) == zero_signless(want.a, want.b)
+
+
+def always_complex_pairs(phase, h, rabi, detuning):
+    """The step pairs formed from a complex drive times exp(i phase) at every phase, as ``_pairs`` once was."""
+    W = np.asarray(rabi, dtype=complex) * np.exp(1j * phase)
+    D = np.asarray(detuning, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        th = np.abs(W)
+        th *= th
+        th += D * D
+        np.sqrt(th, out=th)
+        th *= 0.5 * h
+        y = th / np.pi
+        y *= np.pi
+        y[y == 0] = np.finfo(float).eps
+        s = np.sin(y)
+        s /= y
+        s *= 0.5 * h
+        a, b = np.empty_like(W), np.empty_like(W)
+        np.cos(th, out=a.real)
+        np.multiply(D, s, out=a.imag)
+        np.multiply(W.imag, s, out=b.real)
+        np.negative(W.real, out=b.imag)
+        b.imag *= s
+    return a, b
+
+
+def every_term_controls(spec, err):
+    """Each pulse's (rabi, detuning) with every channel's term applied, also at sigma = 0 and eta = 0."""
+    a, sigma, delta, eta = err.alpha, err.sigma, err.delta, err.eta
+    gain = spec.omega0 if spec.kind == "STA" else a if spec.kind == "SP" else a * spec.omega0
+    for sample, ce, *_ in protocols.nominal_pulses(spec, err.duration_factor, err.centering):
+        def rabi(t, sample=sample):
+            field = gain * sample(t, "envelope") * (1.0 + sigma * sample(t, "tanh"))
+            if spec.kind != "STA":
+                return field
+            if err.sta_alpha_scales_shortcut:
+                return a * (field + sample(t, "shortcut"))
+            return a * field + sample(t, "shortcut")
+
+        yield rabi, lambda t, sample=sample, ce=ce: sample(t, "detuning") + delta + eta * (t - ce)
+
+
+def every_term_blocks(rabi, detuning, phase, window, steps):
+    """Each block's start, controls and always-complex pairs, at the midpoints as ``_controls`` once formed them."""
+    t0, t1 = window
+    h = (t1 - t0) / steps
+    for start in range(0, steps, integrator._BLOCK):
+        t = t0 + (np.arange(start, min(start + integrator._BLOCK, steps)) + 0.5) * h
+        controls = _sample(t, rabi, detuning)
+        yield start, controls, always_complex_pairs(phase, h, *controls)
+
+
+def assert_bitwise_every_term(w, rabi, detuning, steps):
+    """``w``'s controls, pairs and product are bitwise those of ``rabi`` and ``detuning`` in the old arithmetic."""
+    h = (w.window[1] - w.window[0]) / steps
+    products = []
+    for start, want_controls, want_pairs in every_term_blocks(rabi, detuning, w.phase, w.window, steps):
+        got_controls = integrator._controls(w, h, start, min(start + integrator._BLOCK, steps))
+        got_pairs = integrator._pairs(w, h, *got_controls)
+        for got, want in zip((*got_controls, *got_pairs), (*want_controls, *want_pairs)):
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), start
+        products.append(integrator._reduce(*want_pairs))
+    if len(products) > 1:
+        products = [integrator._reduce(np.array([u.a for u in products]), np.array([u.b for u in products]))]
+    assert bits(integrator._propagate_raw(w, steps)) == bits(products[0])
+
+
+def seeded_vectors(kind, seed):
+    """Error vectors drawn from ``seed``: sigma and eta each zero and not, phase offsets zero and not."""
+    rng = np.random.default_rng(seed)
+    n = nominal_spec(kind).pulse_count
+    for sigma_on, eta_on in ((False, False), (True, False), (False, True), (True, True)):
+        yield ErrorVector(
+            alpha=rng.uniform(0.5, 1.5),
+            duration_factor=rng.uniform(0.7, 1.3),
+            delta=rng.uniform(-1.0, 1.0),
+            eta=rng.uniform(-0.5, 0.5) if eta_on else 0.0,
+            sigma=rng.uniform(-0.5, 0.5) if sigma_on else 0.0,
+            phase_offsets=tuple(rng.uniform(-0.3, 0.3, n)) if sigma_on != eta_on and n > 1 else (),
+            centering="global" if eta_on and not sigma_on else "per_pulse",
+        )
+
+
+@pytest.mark.parametrize("kind", TECHNIQUES)
+def test_a_propagation_is_bitwise_the_always_complex_every_term_arithmetic(kind):
+    spec = nominal_spec(kind)
+    cases = [(spec, err, 4000) for err in seeded_vectors(kind, 24)]
+    cases += [(spec, err, 2 * integrator._BLOCK + 1000) for err in list(seeded_vectors(kind, 25))[::3]]
+    # -0.0 delta with a zero eta keeps the chirp term; exp(-0.0j) is 1 + 0j, as exp(0j) is
+    cases.append((spec, ErrorVector(delta=-0.0, eta=-0.0, centering="global"), 4000))
+    if spec.pulse_count > 1:
+        signed = replace(spec, phases=(-0.0,) * spec.pulse_count)
+        cases.append((signed, ErrorVector(alpha=-0.0, phase_offsets=(-0.0,) * spec.pulse_count), 4000))
+    for spec, err, steps in cases:
+        for w, (rabi, detuning) in zip(apply_errors(spec, err).pulses, every_term_controls(spec, err)):
+            assert_bitwise_every_term(w, rabi, detuning, steps)
+
+
+@pytest.mark.parametrize("phase", (0.0, 0.7))
+def test_a_scalar_drive_is_bitwise_the_always_complex_arithmetic(phase):
+    w = Waveform(rabi=lambda t: 1.3, detuning=lambda t: -0.4, phase=phase, window=(-1.0, 2.0))
+    for steps in (4000, 2 * integrator._BLOCK + 1000):
+        assert_bitwise_every_term(w, w.rabi, w.detuning, steps)
+
+
+def test_tanh_is_sampled_only_off_nominal_sigma_once_per_shape_and_block(monkeypatch):
+    sampled = []
+    parts_of = protocols._nominal_parts
+
+    def logged_parts(spec, T_live, c, ce, sp):
+        parts = parts_of(spec, T_live, c, ce, sp)
+        return {name: lambda t, name=name: sampled.append((name, c, t.size, t[0])) or parts[name](t) for name in parts}
+
+    monkeypatch.setattr(protocols, "_nominal_parts", logged_parts)
+    spec, cfg = nominal_spec("CAP"), IntegratorConfig(steps_per_pulse=2 * integrator._BLOCK + 1000)
+    for sigma, parts in ((0.0, ["envelope", "detuning"]), (0.2, ["envelope", "tanh", "detuning"])):
+        sampled.clear()
+        shapes = functools.lru_cache(maxsize=1)(functools.partial(protocols.nominal_pulses, keep=True))
+        for alpha in (0.9, 1.1):  # two points of one shape: the second reads what the first kept
+            propagate_sequence(apply_errors(spec, ErrorVector(alpha=alpha, sigma=sigma), shapes), cfg)
+        # each part once per pulse and block, three blocks a pulse
+        assert [name for name, *_ in sampled] == parts * spec.pulse_count * 3
+        assert len(set(sampled)) == len(sampled)
 
 
 # ------------------------------------------------------------ long windows

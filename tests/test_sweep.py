@@ -789,13 +789,17 @@ def test_duration_sweep_holds_one_shape_at_a_time(sampled, monkeypatch):
         return {name: checked(T_live, part) for name, part in parts_of(spec, T_live, c, ce, sp).items()}
 
     monkeypatch.setattr(protocols, "_nominal_parts", checked_parts)
-    # alpha outer, duration inner: grouped by shape, each shape serves 3 points
-    sweep2d(nominal_spec("CAP"), MEMO_AXES["alpha"], SweepAxis("duration_factor", 0.5, 1.5, 5), cfg=MEMO_CFG)
-    assert len(builds) == len(set(builds)) * 3 == 5 * 3  # each CAP pulse built once per shape
-    # envelope, detuning and tanh of every pulse, sampled once per shape, one shape held
-    assert len(widths_held) == len(sampled) == 5 * 3 * 3
-    assert max(Counter(entry[:4] for entry in sampled).values()) == 1
-    assert max(len(widths) for widths in widths_held) == 1
+    # envelope and detuning of every pulse, and tanh only for a sigma off nominal
+    for base, parts in ((ErrorVector(), 2), (ErrorVector(sigma=0.1), 3)):
+        for log in (builds, widths_held, sampled):
+            log.clear()
+        # alpha outer, duration inner: grouped by shape, each shape serves 3 points
+        sweep2d(nominal_spec("CAP"), MEMO_AXES["alpha"], SweepAxis("duration_factor", 0.5, 1.5, 5), base, MEMO_CFG)
+        assert len(builds) == len(set(builds)) * 3 == 5 * 3  # each CAP pulse built once per shape
+        # each part of every pulse sampled once per shape, one shape held
+        assert len(widths_held) == len(sampled) == 5 * 3 * parts
+        assert max(Counter(entry[:4] for entry in sampled).values()) == 1
+        assert max(len(widths) for widths in widths_held) == 1
 
 
 def test_simulate_never_uses_the_memo(monkeypatch, tmp_path, sampled):
@@ -855,8 +859,8 @@ def test_long_sweep_keeps_each_part_once_per_block_and_is_bitwise_simulate(kind,
     spec = nominal_spec(kind)
     axes = (SweepAxis("duration_factor", 0.9, 1.1, 2), SweepAxis("alpha", 0.95, 1.05, 2))
     res = sweep2d(spec, *axes, cfg=IntegratorConfig(steps_per_pulse=steps))
-    # two shape groups, envelope, detuning and tanh of every pulse, three blocks each
-    assert len(set(sampled)) == len(sampled) == 2 * spec.pulse_count * 3 * 3
+    # two shape groups, envelope and detuning of every pulse (sigma is nominal), three blocks each
+    assert len(set(sampled)) == len(sampled) == 2 * spec.pulse_count * 2 * 3
     for (d, a), value in zip(sweep_module._grid_points(axes), res.values):
         out = tmp_path / "simulate.txt"
         argv = ["simulate", "--protocol", kind, f"--steps-per-pulse={steps}",
