@@ -357,20 +357,28 @@ def _run_blocks(blocks: Iterable[_Block], place: Callable[[object, List[float]],
 
     A point that raises ends the run: once its exception is seen no block is
     submitted, the blocks not yet started are cancelled, and the exception
-    propagates.  When several points raise, which exception propagates (and
-    so which point an error message names) can depend on the order in which
-    blocks complete; that the run fails, and so the exit code, cannot.
+    propagates.  For one worker a block runs as it is submitted, so its
+    exception is seen at once: the failing point is the last one evaluated.
+    When several points raise, which exception propagates (and so which point
+    an error message names) can depend on the order in which blocks
+    complete; that the run fails, and so the exit code, cannot.
     """
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         flight: Dict[Future, object] = {}  # future in flight -> its block's key
-        try:
+
+        def submit(blocks: Iterable[_Block]) -> None:
             for key, tasks in blocks:
-                flight[_submit(pool, tasks)] = key
+                future = _submit(pool, tasks)
+                flight[future] = key
+                if pool is None and future.exception() is not None:
+                    future.result()  # raises
+
+        try:
+            submit(blocks)
             while flight:
                 done, _ = wait(flight, return_when=FIRST_COMPLETED)
                 for future in [f for f in flight if f in done]:  # in submission order
-                    for key, tasks in place(flight.pop(future), future.result()):
-                        flight[_submit(pool, tasks)] = key
+                    submit(place(flight.pop(future), future.result()))
         finally:
             for future in flight:
                 future.cancel()

@@ -627,6 +627,38 @@ def test_a_failing_point_ends_a_sweep_through_the_same_loop(workers, monkeypatch
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("failing", ("RE nominal", "AF alpha below"))
+def test_one_worker_evaluates_nothing_after_a_failing_point(failing, monkeypatch, capsys):
+    # a failing nominal point, and the first of the blocks that one placed nominal point yields
+    monkeypatch.delenv("PULSE_WORKERS", raising=False)
+    evaluated = []
+
+    def failing_point(spec, err, cfg, shapes=None):
+        evaluated.append((spec.kind, err))
+        kind, where = failing.split(" ", 1)
+        if spec.kind == kind and (where == "nominal" or err.alpha < 1.0):
+            raise NonConvergent(f"synthetic failure at {failing}")
+        return 1.0
+
+    monkeypatch.setattr(sweep_module, "evaluate_point", failing_point)
+    specs = [nominal_spec(kind) for kind in ("RE", "AF", "STA", "SP", "CAP", "UCP")]
+    with pytest.raises(NonConvergent, match=failing):
+        comparison_table(specs, cfg=IntegratorConfig(steps_per_pulse=100), workers=1)
+    if failing == "RE nominal":
+        assert [kind for kind, _ in evaluated] == ["RE"]
+    else:
+        assert evaluated[-1] == ("AF", ErrorVector(alpha=0.99))
+        assert evaluated.count(evaluated[-1]) == 1
+    evaluated.clear()
+
+    assert main(["table", "--steps-per-pulse", "100", "--workers", "1"]) == 3
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure") and failing in err[0]
+    assert captured.out == ""
+    assert evaluated[-1][0] == failing.split(" ")[0]
+
+
 # ------------------------------------------------------------- worker count
 
 
