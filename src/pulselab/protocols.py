@@ -14,6 +14,7 @@ re-centered on its own pulse.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Dict, FrozenSet, Iterator, NamedTuple, Sequence, Tuple
 
@@ -96,9 +97,10 @@ class ProtocolSpec:
     def __post_init__(self) -> None:
         if self.kind not in PROTOCOL_KINDS:
             raise InvalidParameter(f"unknown protocol kind {self.kind!r}; expected one of {PROTOCOL_KINDS}")
-        if not 0 < self.omega0 < np.inf:
+        # the largest float, not inf, bounds them: a Python int passes 0 < x < inf at any size
+        if not 0 < self.omega0 <= sys.float_info.max:
             raise InvalidParameter(f"omega0 must be positive and finite, got {self.omega0}")
-        if not 0 < self.T < np.inf:
+        if not 0 < self.T <= sys.float_info.max:
             raise InvalidParameter(f"T must be positive and finite, got {self.T}")
         if not np.isfinite(self.beta):
             raise InvalidParameter("beta must be finite")

@@ -54,10 +54,10 @@ def read_result(
 
     JSON restores the full object.  CSV restores axes from the value columns
     (bounds and point counts are recovered from the written grid) and is
-    intended for round-trip checks and plotting, not archival metadata; every
-    row must be as wide as the header, and the rows must be exactly the
-    row-major grid of the recovered axes, and the last column must be ``P``,
-    or a ``ValueError`` is raised.  A CSV does not record its technique, so
+    intended for round-trip checks and plotting, not archival metadata; the
+    text must parse as CSV, every row must be as wide as the header, the rows
+    must be exactly the row-major grid of the recovered axes, and the last
+    column must be ``P``, or a ``ValueError`` is raised.  A CSV does not record its technique, so
     the caller names it in ``protocol``.  A JSON document must hold ``axes``,
     ``protocol``, ``values`` and ``meta``, and each axis all four of its
     fields; its ``protocol`` object may omit the fields that have defaults
@@ -78,7 +78,7 @@ def read_result(
         for ax in doc["axes"]:
             _require(ax, [f.name for f in fields(SweepAxis)], "a JSON axis")
         axes = _typed("axes", lambda: tuple(
-            SweepAxis(ax["channel"], float(ax["lo"]), float(ax["hi"]), int(ax["points"]))
+            SweepAxis(ax["channel"], float(ax["lo"]), float(ax["hi"]), ax["points"])
             for ax in doc["axes"]
         ))
         p = doc["protocol"]
@@ -94,7 +94,10 @@ def read_result(
     if fmt == "csv":
         if protocol is None:
             raise ValueError("a CSV result does not record its protocol; pass protocol=")
-        header, *rows = [r for r in csv.reader(io.StringIO(text)) if r] or [[]]
+        try:
+            header, *rows = [r for r in csv.reader(io.StringIO(text)) if r] or [[]]
+        except csv.Error as exc:
+            raise ValueError(f"a CSV result must be well-formed CSV: {exc}") from exc
         if not rows or any(len(r) != len(header) for r in rows):
             raise ValueError(f"a CSV result needs data rows of {len(header)} fields, as wide as its header")
         if header[-1] != "P":

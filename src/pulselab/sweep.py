@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import os
 import traceback
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -96,6 +97,8 @@ class SweepAxis:
     def __post_init__(self) -> None:
         if self.channel not in SWEEP_CHANNELS:
             raise InvalidParameter(f"channel must be one of {SWEEP_CHANNELS}, got {self.channel!r}")
+        if not isinstance(self.points, numbers.Integral):
+            raise TypeError(f"points must be an integer, got {self.points!r}")
         if not 1 <= self.points <= MAX_AXIS_POINTS:
             raise InvalidParameter(f"points must be in [1, {MAX_AXIS_POINTS}], got {self.points}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and math.isfinite(self.hi - self.lo)):

@@ -5,6 +5,8 @@ import pathlib
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulselab.channels import ErrorVector
 from pulselab.config import build_config
@@ -140,9 +142,14 @@ def test_json_reader_names_a_missing_nested_field(obj, key):
         (lambda doc: {**doc, "axes": [{**doc["axes"][0], "lo": None}]}, "'axes' holds a value of the wrong type"),
         (lambda doc: {**doc, "protocol": {**doc["protocol"], "omega0": "2"}}, "'protocol' holds a value of the"),
         (lambda doc: {**doc, "axes": [{**doc["axes"][0], "points": float("inf")}]}, "'axes' holds a value of the"),
+        (lambda doc: {**doc, "axes": [{**doc["axes"][0], "points": 3.5}]}, "'axes' .* points must be an integer"),
+        (lambda doc: {**doc, "axes": [{**doc["axes"][0], "points": "3"}]}, "'axes' .* points must be an integer"),
+        (lambda doc: {**doc, "protocol": {**doc["protocol"], "omega0": 10**400}}, "omega0 must be positive and"),
+        (lambda doc: {**doc, "protocol": {**doc["protocol"], "T": 10**400}}, "T must be positive and finite"),
     ),
     ids=("top-level-5", "axes-3", "axes-[1]", "values-5", "meta-[1]", "protocol-[1]", "values-[null]",
-         "axis-lo-null", "protocol-omega0-string", "axis-points-Infinity"),
+         "axis-lo-null", "protocol-omega0-string", "axis-points-Infinity", "axis-points-3.5", "axis-points-string",
+         "protocol-omega0-10**400", "protocol-T-10**400"),
 )
 def test_json_reader_names_a_member_of_the_wrong_type(edit, match):
     doc = edit(json.loads(write_result(small_result(), "json")))
@@ -165,8 +172,9 @@ def test_json_reader_rejects_a_document_nested_too_deeply(text):
         ("alpha,P\r\n0.0,0.25\r\n1.0,0.5,0.7\r\n", "as wide as its header"),
         ("alpha,P\r\n0.0,0.1\r\n1.0,0.2\r\n3.0,0.3\r\n", "grid"),  # not the grid 0, 1.5, 3
         ("alpha,delta\r\n1.0,0.5\r\n", "'P'"),
+        ("alpha,P\r\n0.0,0\r.25\r\n", "well-formed CSV"),  # a lone carriage return inside a row
     ),
-    ids=("header-only", "row-wider-than-header", "column-off-its-grid", "last-column-not-P"),
+    ids=("header-only", "row-wider-than-header", "column-off-its-grid", "last-column-not-P", "lone-CR"),
 )
 def test_csv_reader_rejects_a_malformed_file(text, match):
     with pytest.raises(ValueError, match=match):
@@ -193,6 +201,40 @@ def test_every_golden_reads_back_under_the_grid_check(path):
     data = path.read_bytes()
     res = read_result(data, "csv", protocol=RE)
     assert write_result(res, "csv") == data
+
+
+MUTATED = {path.name: path.read_bytes() for path in GOLDENS}
+MUTATED.update(
+    (f"{kind}.json", write_result(SweepResult(small_result().axes, nominal_spec(kind), (0.25, 0.5, 1.0), {}), "json"))
+    for kind in PROTOCOL_KINDS
+)
+# up to four byte edits, at a position taken modulo the length, of bytes that matter to CSV, JSON or UTF-8
+EDITS = st.lists(
+    st.tuples(
+        st.integers(0, 10**5), st.sampled_from(("set", "insert", "delete")), st.sampled_from(b'0159.,-e"[]{}:\r\n\x00\xff')
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(MUTATED)), EDITS)
+def test_the_reader_returns_a_result_or_raises_value_error(name, edits):
+    data = bytearray(MUTATED[name])
+    for at, edit, byte in edits:
+        at %= len(data) + 1
+        if edit == "insert":
+            data.insert(at, byte)
+        elif at < len(data):
+            data[at : at + 1] = bytes([byte]) if edit == "set" else b""
+    try:
+        if name.endswith(".csv"):
+            read_result(bytes(data), "csv", protocol=RE)
+        else:
+            read_result(bytes(data), "json")
+    except ValueError:
+        pass
 
 
 def test_identical_runs_serialize_identically(fast_cfg):
