@@ -1,4 +1,6 @@
 """The shipped experiment scripts stay runnable."""
+import importlib.util
+import json
 import pathlib
 import shutil
 import subprocess
@@ -89,3 +91,61 @@ def test_make_goldens_check_prints_the_table_rows_that_differ(tmp_path):
     unix = tmp_path / "unix.csv"
     unix.write_bytes(reference.read_bytes().replace(b"\r\n", b"\n"))
     assert make_goldens.row_differences(unix, reference) == ["bytes differ in line endings or quoting only"]
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", REPO / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def synthetic_run(points_per_s, p50):
+    metrics = {"points_per_s": {"value": points_per_s, "unit": "1/s"}, "point_ms_p50": {"value": p50, "unit": "ms"}}
+    return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics, "wall_s": 1.0}
+
+
+SYNTHETIC_METRICS = [
+    {"name": "points_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "point_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25},
+]
+
+
+def test_bench_pairs_summarizes_each_metric_by_quartiles_and_pairs_won():
+    bench_pairs = load_bench_pairs()
+    runs = {
+        "parent": [synthetic_run(v, p) for v, p in ((100, 2.0), (110, 2.0), (120, 3.0), (130, 3.0), (140, 4.0))],
+        "change": [synthetic_run(v, p) for v, p in ((150, 1.0), (105, 2.0), (160, 3.5), (170, 2.5), (180, 3.0))],
+    }
+    rate, p50 = bench_pairs.summarize(SYNTHETIC_METRICS, runs)
+    assert rate == (
+        "points_per_s [1/s, higher is better]: parent median 120 (quartiles 110, 130);"
+        " change median 160 (quartiles 150, 170); parent IQR 20; change +33.3%; change better in 4/5 pairs"
+    )
+    # lower is better: pair 2 is a tie and pair 3 a loss
+    assert p50 == (
+        "point_ms_p50 [ms, lower is better]: parent median 3 (quartiles 2, 3);"
+        " change median 2.5 (quartiles 2, 3); parent IQR 1; change -16.7%; change better in 3/5 pairs"
+    )
+
+
+def test_bench_pairs_alternates_the_order_and_seeds_by_pair(tmp_path, monkeypatch, capsys):
+    bench_pairs = load_bench_pairs()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SYNTHETIC_METRICS}))
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed, seconds))
+        return synthetic_run(100.0 + len(calls), 1.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    parent, change = tmp_path / "p", tmp_path
+    assert bench_pairs.main([str(parent), str(change), "--workload", "certificate", "--pairs", "3", "--seconds", "2"]) == 0
+    order = [(name, seed) for name, _, seed, _ in calls]
+    assert order == [("p", 0), (tmp_path.name, 0), (tmp_path.name, 1), ("p", 1), ("p", 2), (tmp_path.name, 2)]
+    assert {(workload, seconds) for _, workload, _, seconds in calls} == {("certificate", 2.0)}
+    out, err = capsys.readouterr()
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "points_per_s [1/s, higher is better]", "point_ms_p50 [ms, lower is better]"
+    ]
+    assert len(err.splitlines()) == 6 and err.startswith("pair 0 parent: wall 1.0 s, correct True, failed 0/10")
