@@ -111,16 +111,10 @@ DEFAULT_CONFIG = IntegratorConfig()
 
 
 def _controls(w: Waveform, h: float, start: int, stop: int) -> List[np.ndarray]:
-    """``rabi`` then ``detuning`` at the midpoints of steps ``start`` to ``stop - 1``.
-
-    The midpoints ``t0 + (j + 1/2) h`` are one read-only array, so that a
-    kept shape's sampler (:func:`pulselab.protocols._sampler`) serialises
-    them once for both controls rather than once per nominal part.
-    """
+    """``rabi`` then ``detuning`` at the midpoints of steps ``start`` to ``stop - 1``."""
     tm = np.arange(start + 0.5, stop)
     tm *= h
     tm += w.window[0]
-    tm.flags.writeable = False
     return _sample(tm, w.rabi, w.detuning)
 
 

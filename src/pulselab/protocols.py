@@ -331,21 +331,16 @@ def _sampler(
     A kept part is held per time-array shape and first time, so that each
     block of a long propagation (see :mod:`pulselab.integrator`) keeps its
     own, together with the bytes of the times it was sampled at, and is
-    reused only for a bitwise-equal time array.  The integrator's grid is
-    read-only and owns its memory, so it cannot change between its controls:
-    the same such array asked for twice in a row is serialised once.  Without
-    ``keep`` callers use the result inline, so that numpy can reuse the fresh
-    array for the arithmetic on top.
+    reused only for a bitwise-equal time array.  Without ``keep`` callers use
+    the result inline, so that numpy can reuse the fresh array for the
+    arithmetic on top.
     """
     if not keep:
         return lambda t, name: parts[name](t)
     held: Dict[tuple, Tuple[bytes, Dict[str, np.ndarray]]] = {}
-    last: list = [None, b""]  # the last time array and its bytes
 
     def sample(t: np.ndarray, name: str) -> np.ndarray:
-        if t is not last[0] or t.flags.writeable or t.base is not None:
-            last[:] = t, t.tobytes()
-        bits = last[1]
+        bits = t.tobytes()
         key = (t.shape, bits[:8])
         slot = held.get(key)
         if slot is None or slot[0] != bits:
