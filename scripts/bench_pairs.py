@@ -5,8 +5,8 @@
 
 Pair i runs ``perfbench/run.py --workload W --seed i --seconds S`` once in
 each checkout, the parent first in even pairs and the change first in odd
-ones.  Each run's wall time, correctness and failed operations go to stderr
-as it ends.  Then one line per end-to-end metric of the change's
+ones.  Each run's wall time, correctness, failed operations and metrics go
+to stderr as it ends.  Then one line per end-to-end metric of the change's
 BENCHMARK.json goes to stdout: each side's median and quartiles, the
 parent's interquartile range, the change's median relative to the parent's,
 and the pairs in which the change reads better (ties count for neither).
@@ -28,7 +28,7 @@ from typing import Dict, List, Sequence
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: float) -> Dict[str, object]:
+def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: int) -> Dict[str, object]:
     """The result line of one benchmark run in ``checkout``, with its wall time as ``wall_s``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     start = time.perf_counter()
@@ -72,7 +72,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("change", type=pathlib.Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seconds", type=int, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -82,9 +82,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
             result = run_once(checkouts[side], args.workload, pair, args.seconds)
             runs[side].append(result)
+            values = ", ".join(f"{name} {m['value']:.6g}" for name, m in result["metrics"].items())
             print(
                 f"pair {pair} {side}: wall {result['wall_s']:.1f} s, correct {result['correct']},"
-                f" failed {result['failed']}/{result['attempted']}",
+                f" failed {result['failed']}/{result['attempted']}, {values}",
                 file=sys.stderr,
             )
     end_to_end = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]

@@ -57,12 +57,13 @@ def read_result(
     intended for round-trip checks and plotting, not archival metadata; the
     text must parse as CSV, every row must be as wide as the header, the rows
     must be exactly the row-major grid of the recovered axes, and the last
-    column must be ``P``, or a ``ValueError`` is raised.  A CSV does not record its technique, so
-    the caller names it in ``protocol``.  A JSON document must hold ``axes``,
-    ``protocol``, ``values`` and ``meta``, and each axis all four of its
-    fields; its ``protocol`` object may omit the fields that have defaults
-    but may not name one that :class:`ProtocolSpec` lacks.  A missing key, a
-    wrongly typed member or too deep a nesting raises a ``ValueError`` naming it.
+    column must be ``P``, or a ``ValueError`` is raised.  A CSV does not
+    record its technique, so the caller names it in ``protocol``.  A JSON
+    document must hold ``axes``, ``protocol``, ``values`` and ``meta``, and
+    each axis all four of its fields; its ``protocol`` object may omit the
+    fields that have defaults but may not name one that
+    :class:`ProtocolSpec` lacks.  A missing key, a wrongly typed member or
+    too deep a nesting raises a ``ValueError`` naming it.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     if fmt == "json":

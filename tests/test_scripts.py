@@ -143,9 +143,9 @@ def test_bench_pairs_alternates_the_order_and_seeds_by_pair(tmp_path, monkeypatc
     assert bench_pairs.main([str(parent), str(change), "--workload", "certificate", "--pairs", "3", "--seconds", "2"]) == 0
     order = [(name, seed) for name, _, seed, _ in calls]
     assert order == [("p", 0), (tmp_path.name, 0), (tmp_path.name, 1), ("p", 1), ("p", 2), (tmp_path.name, 2)]
-    assert {(workload, seconds) for _, workload, _, seconds in calls} == {("certificate", 2.0)}
+    assert {(workload, seconds) for _, workload, _, seconds in calls} == {("certificate", 2)}
     out, err = capsys.readouterr()
     assert [line.split(":")[0] for line in out.splitlines()] == [
         "points_per_s [1/s, higher is better]", "point_ms_p50 [ms, lower is better]"
     ]
-    assert len(err.splitlines()) == 6 and err.startswith("pair 0 parent: wall 1.0 s, correct True, failed 0/10")
+    assert len(err.splitlines()) == 6 and err.startswith("pair 0 parent: wall 1.0 s, correct True, failed 0/10, points_per_s 101, point_ms_p50 1\n")
