@@ -97,7 +97,7 @@ class SweepAxis:
     def __post_init__(self) -> None:
         if self.channel not in SWEEP_CHANNELS:
             raise InvalidParameter(f"channel must be one of {SWEEP_CHANNELS}, got {self.channel!r}")
-        if not isinstance(self.points, numbers.Integral):
+        if isinstance(self.points, bool) or not isinstance(self.points, numbers.Integral):
             raise TypeError(f"points must be an integer, got {self.points!r}")
         if not 1 <= self.points <= MAX_AXIS_POINTS:
             raise InvalidParameter(f"points must be in [1, {MAX_AXIS_POINTS}], got {self.points}")

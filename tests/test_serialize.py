@@ -144,12 +144,13 @@ def test_json_reader_names_a_missing_nested_field(obj, key):
         (lambda doc: {**doc, "axes": [{**doc["axes"][0], "points": float("inf")}]}, "'axes' holds a value of the"),
         (lambda doc: {**doc, "axes": [{**doc["axes"][0], "points": 3.5}]}, "'axes' .* points must be an integer"),
         (lambda doc: {**doc, "axes": [{**doc["axes"][0], "points": "3"}]}, "'axes' .* points must be an integer"),
+        (lambda doc: {**doc, "axes": [{**doc["axes"][0], "points": True}]}, "'axes' .* points must be an integer"),
         (lambda doc: {**doc, "protocol": {**doc["protocol"], "omega0": 10**400}}, "omega0 must be positive and"),
         (lambda doc: {**doc, "protocol": {**doc["protocol"], "T": 10**400}}, "T must be positive and finite"),
     ),
     ids=("top-level-5", "axes-3", "axes-[1]", "values-5", "meta-[1]", "protocol-[1]", "values-[null]",
          "axis-lo-null", "protocol-omega0-string", "axis-points-Infinity", "axis-points-3.5", "axis-points-string",
-         "protocol-omega0-10**400", "protocol-T-10**400"),
+         "axis-points-true", "protocol-omega0-10**400", "protocol-T-10**400"),
 )
 def test_json_reader_names_a_member_of_the_wrong_type(edit, match):
     doc = edit(json.loads(write_result(small_result(), "json")))
