@@ -12,7 +12,9 @@ parent's interquartile range, the change's median relative to the parent's,
 and the pairs in which the change reads better (ties count for neither).
 A gain may be claimed when the change is better in at least nine tenths of
 the pairs and the medians differ by more than the parent's interquartile
-range.  The checkouts are only read and run.
+range.  A run whose output is not correct or that failed operations makes
+the script exit 1 after the summary, naming the run on stderr.  The
+checkouts are only read and run.
 """
 from __future__ import annotations
 
@@ -90,6 +92,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
     end_to_end = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     print("\n".join(summarize(end_to_end, runs)))
+    invalid = [
+        f"pair {pair} {side}"
+        for pair in range(args.pairs)
+        for side in SIDES
+        if not runs[side][pair]["correct"] or runs[side][pair]["failed"]
+    ]
+    if invalid:
+        print(f"invalid runs (incorrect output or failed operations): {', '.join(invalid)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -62,8 +62,9 @@ def read_result(
     document must hold ``axes``, ``protocol``, ``values`` and ``meta``, and
     each axis all four of its fields; its ``protocol`` object may omit the
     fields that have defaults but may not name one that
-    :class:`ProtocolSpec` lacks.  A missing key, a wrongly typed member or
-    too deep a nesting raises a ``ValueError`` naming it.
+    :class:`ProtocolSpec` lacks.  A missing key, a wrongly typed member (a
+    boolean, string or null where a number belongs, say) or too deep a
+    nesting raises a ``ValueError`` naming it.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     if fmt == "json":
@@ -79,7 +80,7 @@ def read_result(
         for ax in doc["axes"]:
             _require(ax, [f.name for f in fields(SweepAxis)], "a JSON axis")
         axes = _typed("axes", lambda: tuple(
-            SweepAxis(ax["channel"], float(ax["lo"]), float(ax["hi"]), ax["points"])
+            SweepAxis(ax["channel"], float(_number("lo", ax["lo"])), float(_number("hi", ax["hi"])), ax["points"])
             for ax in doc["axes"]
         ))
         p = doc["protocol"]
@@ -87,10 +88,10 @@ def read_result(
         unknown = sorted(set(p) - {f.name for f in fields(ProtocolSpec)})
         if unknown:
             raise ValueError(f"unknown protocol field(s) {', '.join(map(repr, unknown))}")
-        spec = _typed(
-            "protocol", lambda: ProtocolSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in p.items()})
+        spec = _typed("protocol", lambda: ProtocolSpec(**{k: _spec_field(k, v) for k, v in p.items()}))
+        values = _typed(
+            "values", lambda: tuple(float(_number(f"values[{i}]", v)) for i, v in enumerate(doc["values"]))
         )
-        values = _typed("values", lambda: tuple(float(v) for v in doc["values"]))
         return SweepResult(axes, spec, values, dict(doc["meta"]))
     if fmt == "csv":
         if protocol is None:
@@ -121,6 +122,22 @@ def _require(obj: dict, keys, what: str) -> None:
     missing = [key for key in keys if key not in obj]
     if missing:
         raise ValueError(f"{what} needs {', '.join(map(repr, missing))}")
+
+
+def _number(name: str, value):
+    """``value`` if it is a JSON number, else a ``TypeError`` naming it: a boolean, string or null is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} is {json.dumps(value)}, not a number")
+    return value
+
+
+def _spec_field(key: str, value):
+    """One JSON ``protocol`` member as a :class:`ProtocolSpec` argument: every field but ``kind`` holds numbers."""
+    if key == "kind" or (key == "sta_nominal" and value is None):
+        return value
+    if isinstance(value, list):
+        return tuple(_number(f"{key}[{i}]", v) for i, v in enumerate(value))
+    return _number(key, value)
 
 
 def _typed(member: str, build):

@@ -27,8 +27,11 @@ is dropped with it.
 :func:`comparison_table` evaluates all of its (technique, channel) sweeps
 together, outward from each nominal point in blocks of ``_WALK_BLOCK`` points
 (see :func:`_walk_out`).  A side stops at its first point below the lowest
-threshold, since no row reads past that point.  A block's points share their
-nominal shape unless they step ``duration_factor``.
+threshold, since no row reads past that point, and so does the block that
+reaches it: the worker evaluates a table block's points in order and returns
+right after that point.  A sweep's blocks have no such floor and evaluate
+every point.  A block's points share their nominal shape unless they step
+``duration_factor``.
 """
 from __future__ import annotations
 
@@ -163,10 +166,16 @@ def evaluate_point(
 _Task = Tuple[ProtocolSpec, ErrorVector, IntegratorConfig]
 
 
-def _eval_chunk(tasks: List[_Task]) -> List[float]:
+def _eval_chunk(tasks: List[_Task], floor: float | None) -> List[float]:
+    """P of ``tasks`` in order; with a ``floor``, only up to the first value that is not ``>= floor``."""
     shapes = functools.lru_cache(maxsize=1)(functools.partial(nominal_pulses, keep=True))
+    values: List[float] = []
     try:
-        return [evaluate_point(spec, err, cfg, shapes) for spec, err, cfg in tasks]
+        for spec, err, cfg in tasks:
+            values.append(evaluate_point(spec, err, cfg, shapes))
+            if floor is not None and not values[-1] >= floor:
+                break
+        return values
     except Exception as exc:
         # the failed point's sequence, with the samples it keeps, would live on
         # in the traceback's frames
@@ -326,7 +335,9 @@ DEFAULT_PROBES: Dict[str, SweepAxis] = {
 
 
 # Probe points by which a still-passing side of a table sweep grows per block.
-_WALK_BLOCK = 8
+# A block stops at its first point below the lowest threshold, so a longer
+# block costs no extra points, only fewer pool round trips.
+_WALK_BLOCK = 32
 
 
 def _block(j: int, step: int, n: int) -> range:
@@ -336,13 +347,13 @@ def _block(j: int, step: int, n: int) -> range:
     return range(j - 1, max(j - 1 - _WALK_BLOCK, -1), -1)
 
 
-def _submit(pool: ProcessPoolExecutor | None, tasks: List[_Task]) -> Future:
-    """The future of ``tasks``' values: run on ``pool``, or, without one, here before returning."""
+def _submit(pool: ProcessPoolExecutor | None, tasks: List[_Task], floor: float | None) -> Future:
+    """The future of :func:`_eval_chunk`'s values: run on ``pool``, or, without one, here before returning."""
     if pool is not None:
-        return pool.submit(_eval_chunk, tasks)
+        return pool.submit(_eval_chunk, tasks, floor)
     future: Future = Future()
     try:
-        future.set_result(_eval_chunk(tasks))
+        future.set_result(_eval_chunk(tasks, floor))
     except Exception as exc:
         future.set_exception(exc)
     return future
@@ -351,12 +362,20 @@ def _submit(pool: ProcessPoolExecutor | None, tasks: List[_Task]) -> Future:
 _Block = Tuple[object, List[_Task]]  # (key, tasks)
 
 
-def _run_blocks(blocks: Iterable[_Block], place: Callable[[object, List[float]], Iterable[_Block]], workers: int):
+def _run_blocks(
+    blocks: Iterable[_Block],
+    place: Callable[[object, List[float]], Iterable[_Block]],
+    workers: int,
+    floor: float | None = None,
+):
     """Evaluate ``blocks`` on one pool of ``workers`` processes or, for one worker, here.
 
     Every block of ``blocks`` is submitted at once.  As blocks complete (in
     submission order among those done), ``place(key, values)`` stores each
-    block's values and yields the blocks to submit next, at once too.
+    block's values and yields the blocks to submit next, at once too.  With a
+    ``floor`` a block's values end at its first value that is not ``>= floor``
+    (the rest of its tasks are not evaluated), so ``values`` can be shorter
+    than the block; without one every task is evaluated.
 
     A point that raises ends the run: once its exception is seen no block is
     submitted, the blocks not yet started are cancelled, and the exception
@@ -371,7 +390,7 @@ def _run_blocks(blocks: Iterable[_Block], place: Callable[[object, List[float]],
 
         def submit(blocks: Iterable[_Block]) -> None:
             for key, tasks in blocks:
-                future = _submit(pool, tasks)
+                future = _submit(pool, tasks, floor)
                 flight[future] = key
                 if pool is None and future.exception() is not None:
                     future.result()  # raises
@@ -404,10 +423,12 @@ def _walk_out(
     sweeps' two sides is submitted; when a side's block
     returns with all its points at or above it, that side's next block is
     submitted at once, whatever the other sides are doing.  A side stops at
-    its first point below every threshold or at the grid edge, so
-    :func:`half_width` never needs a point left NaN (not evaluated).  Each
-    side has at most one block in flight, and all blocks share one pool,
-    sized once over the full probe count.
+    its first point below every threshold or at the grid edge: the worker
+    evaluating a block returns right after that point, and the block's later
+    points stay NaN (not evaluated).  :func:`half_width` stops at the same
+    point, so it never needs a NaN one.  Each side has at most one block in
+    flight, and all blocks share one pool, sized once over the full probe
+    count.
     """
     grids = [axis.values() for _, axis, _ in sweeps]
     probs = [np.full(len(grid), np.nan) for grid in grids]
@@ -430,14 +451,15 @@ def _walk_out(
     def grow(answered: Tuple[List[Tuple[int, Sequence[int]]], int], values: List[float]) -> Iterable[_Block]:
         seeded, step = answered
         for s, block in seeded:
-            probs[s][block] = values
-            if all(probs[s][j] >= floor for j in block):
+            probs[s][block[: len(values)]] = values
+            if all(probs[s][j] >= floor for j in block):  # False on a point left NaN
                 for side in (step,) if step else (-1, 1):
                     if following := _block(block[-1], side, len(grids[s])):
                         yield ([(s, following)], side), [task(s, j) for j in following]
 
     workers = _resolve_workers(workers, sum(len(grid) for grid in grids))
-    _run_blocks((((seeded, 0), [nominal_task]) for nominal_task, seeded in nominals.values()), grow, workers)
+    nominal_blocks = (((seeded, 0), [nominal_task]) for nominal_task, seeded in nominals.values())
+    _run_blocks(nominal_blocks, grow, workers, floor)
     return probs
 
 
@@ -458,10 +480,12 @@ def comparison_table(
 
     The sweeps are evaluated outward from the nominal point in blocks of
     ``_WALK_BLOCK`` points, each side growing as soon as its last block
-    returns and stopping at its first point below the lowest threshold, so
-    only the points a row can depend on are computed.  The rows are those of
-    the full probe grids, and at most one pool is started for the whole
-    table.
+    returns.  A side, and the block that reaches it, stops at its first point
+    below the lowest threshold, so only the points a row can depend on are
+    computed, plus at most one point past each side's plateau.  The rows are
+    those of the full probe grids, and at most one pool is started for the
+    whole table.  Each threshold must be a finite probability in [0, 1]; the
+    thresholds are checked before anything is evaluated.
     """
     probes = dict(DEFAULT_PROBES if probes is None else probes)
     for channel, axis in probes.items():
@@ -472,6 +496,9 @@ def comparison_table(
             raise InvalidParameter(
                 f"the {channel} probe [{axis.lo}, {axis.hi}] must contain its nominal value {nominal}"
             )
+    for threshold in thresholds:
+        if not (math.isfinite(threshold) and 0.0 <= threshold <= 1.0):
+            raise InvalidParameter(f"a threshold must be a finite probability in [0, 1], got {threshold}")
     if not thresholds:
         return []
     specs = list(specs)

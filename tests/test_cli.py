@@ -489,8 +489,8 @@ def test_no_command_loads_scipy_in_the_cli_or_its_pool_workers():
         "def scipy_loaded():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "chunk = sweep._eval_chunk\n"
-        "def checked_chunk(tasks):\n"
-        "    values = chunk(tasks)\n"
+        "def checked_chunk(tasks, floor):\n"
+        "    values = chunk(tasks, floor)\n"
         "    if scipy_loaded():\n"
         "        raise RuntimeError(f'a pool worker loaded {scipy_loaded()}')\n"
         "    return values\n"

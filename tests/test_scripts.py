@@ -149,3 +149,22 @@ def test_bench_pairs_alternates_the_order_and_seeds_by_pair(tmp_path, monkeypatc
         "points_per_s [1/s, higher is better]", "point_ms_p50 [ms, lower is better]"
     ]
     assert len(err.splitlines()) == 6 and err.startswith("pair 0 parent: wall 1.0 s, correct True, failed 0/10, points_per_s 101, point_ms_p50 1\n")
+
+
+@pytest.mark.parametrize("fault", ({"correct": False}, {"failed": 2}), ids=("incorrect", "failed-operations"))
+def test_bench_pairs_summarizes_and_exits_1_naming_an_invalid_run(fault, tmp_path, monkeypatch, capsys):
+    bench_pairs = load_bench_pairs()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SYNTHETIC_METRICS}))
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append(checkout)
+        run = synthetic_run(100.0 + len(calls), 1.0)
+        return {**run, **fault} if (seed, checkout) == (1, tmp_path) else run
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    argv = [str(tmp_path / "p"), str(tmp_path), "--workload", "robustness_table", "--pairs", "2", "--seconds", "2"]
+    assert bench_pairs.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == len(SYNTHETIC_METRICS)  # the summary is still printed
+    assert err.splitlines()[-1] == "invalid runs (incorrect output or failed operations): pair 1 change"

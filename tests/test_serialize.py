@@ -147,10 +147,25 @@ def test_json_reader_names_a_missing_nested_field(obj, key):
         (lambda doc: {**doc, "axes": [{**doc["axes"][0], "points": True}]}, "'axes' .* points must be an integer"),
         (lambda doc: {**doc, "protocol": {**doc["protocol"], "omega0": 10**400}}, "omega0 must be positive and"),
         (lambda doc: {**doc, "protocol": {**doc["protocol"], "T": 10**400}}, "T must be positive and finite"),
+        # a boolean or a string is not a number, though bool is an int and float() reads "0.5"
+        (lambda doc: {**doc, "protocol": {**doc["protocol"], "omega0": True}}, "'protocol' .* omega0 is true"),
+        (lambda doc: {**doc, "protocol": {**doc["protocol"], "T": True}}, "'protocol' .* T is true"),
+        (lambda doc: {**doc, "protocol": {**doc["protocol"], "beta": "0"}}, "'protocol' .* beta is \"0\""),
+        (lambda doc: {**doc, "protocol": {**doc["protocol"], "phases": [0, False]}}, "phases\\[1\\] is false"),
+        (lambda doc: {**doc, "protocol": {**doc["protocol"], "phases": "0"}}, "'protocol' .* phases is \"0\""),
+        (lambda doc: {**doc, "protocol": {**doc["protocol"], "sp_coeffs": ["-3.46"]}}, "sp_coeffs\\[0\\] is"),
+        (lambda doc: {**doc, "protocol": {**doc["protocol"], "sta_nominal": [1, 4, True]}}, "sta_nominal\\[2\\]"),
+        (lambda doc: {**doc, "axes": [{**doc["axes"][0], "lo": False}]}, "'axes' .* lo is false, not a number"),
+        (lambda doc: {**doc, "axes": [{**doc["axes"][0], "lo": "0.5"}]}, "'axes' .* lo is \"0.5\", not a number"),
+        (lambda doc: {**doc, "axes": [{**doc["axes"][0], "hi": True}]}, "'axes' .* hi is true, not a number"),
+        (lambda doc: {**doc, "values": [0.1, True, 0.3]}, "'values' .* values\\[1\\] is true, not a number"),
     ),
     ids=("top-level-5", "axes-3", "axes-[1]", "values-5", "meta-[1]", "protocol-[1]", "values-[null]",
          "axis-lo-null", "protocol-omega0-string", "axis-points-Infinity", "axis-points-3.5", "axis-points-string",
-         "axis-points-true", "protocol-omega0-10**400", "protocol-T-10**400"),
+         "axis-points-true", "protocol-omega0-10**400", "protocol-T-10**400", "protocol-omega0-true",
+         "protocol-T-true", "protocol-beta-string", "protocol-phases-false", "protocol-phases-string",
+         "protocol-sp_coeffs-string", "protocol-sta_nominal-true", "axis-lo-false", "axis-lo-string", "axis-hi-true",
+         "values-true"),
 )
 def test_json_reader_names_a_member_of_the_wrong_type(edit, match):
     doc = edit(json.loads(write_result(small_result(), "json")))

@@ -332,15 +332,15 @@ def full_grid_rows(probes, thresholds, kinds, probs):
 
 
 def plateau(probs, i0, floor):
-    """Points in the contiguous probs >= floor run around i0 (0 if i0 is below it)."""
+    """First and last index of the contiguous probs >= floor run around i0, or None if i0 is below it."""
     if probs[i0] < floor:
-        return 0
+        return None
     i, j = i0, i0
     while i > 0 and probs[i - 1] >= floor:
         i -= 1
     while j < len(probs) - 1 and probs[j + 1] >= floor:
         j += 1
-    return j - i + 1
+    return i, j
 
 
 WALK_KINDS = ("RE", "AF", "SP")
@@ -391,9 +391,10 @@ def test_walk_out_reads_only_what_the_rows_need(case):
     assert rows == full_grid_rows({channel: axis}, thresholds, WALK_KINDS, probs)
     assert len(set(calls)) == len(calls)  # no point is evaluated twice
     for kind in WALK_KINDS:
-        run = plateau(probs[(kind, channel)], i0, min(thresholds))
+        ends = plateau(probs[(kind, channel)], i0, min(thresholds))
+        run = 0 if ends is None else ends[1] - ends[0] + 1
         cost = sum(1 for k, _ in calls if k == kind)
-        assert cost <= run + 2 + 2 * (WALK_BLOCK - 1)
+        assert cost <= run + 2  # the plateau and, past each of its ends, the first point below the floor
 
 
 def test_a_technique_below_threshold_at_nominal_costs_one_point(fast_cfg, point_log):
@@ -422,7 +423,9 @@ def test_a_sweep_above_threshold_edge_to_edge_is_evaluated_whole_and_censored(fa
     assert row.half_width == pytest.approx(0.02)
 
 
-def test_empty_thresholds_evaluate_nothing_and_start_no_pool(monkeypatch, point_log):
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Two workers asked for and available, and a pool that fails before any process starts."""
     monkeypatch.delenv("PULSE_WORKERS", raising=False)
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
 
@@ -431,7 +434,20 @@ def test_empty_thresholds_evaluate_nothing_and_start_no_pool(monkeypatch, point_
             raise AssertionError("a pool was started")  # before any process is
 
     monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", NoPool)
+
+
+def test_empty_thresholds_evaluate_nothing_and_start_no_pool(no_pool, point_log):
     assert comparison_table([RE, nominal_spec("UCP")], thresholds=(), workers=2) == []
+    assert point_log == []
+
+
+@pytest.mark.parametrize(
+    "thresholds", ((float("nan"), 0.99), (0.99, float("nan")), (0.99, float("inf")), (1.5,), (-0.1, 0.99))
+)
+def test_a_threshold_that_is_not_a_finite_probability_is_rejected_before_any_point(thresholds, no_pool, point_log):
+    # a NaN first in the list would be the walk's floor and stop every side at its nominal point
+    with pytest.raises(InvalidParameter, match="threshold"):
+        comparison_table([RE, nominal_spec("UCP")], thresholds=thresholds, workers=2)
     assert point_log == []
 
 
@@ -461,7 +477,7 @@ SYNTHETIC_SHAPE = {"RE": (1.0, 0.5), "AF": (1.0, 5.0), "STA": (0.98, 0.0), "SP":
 SYNTHETIC_PROBES = {  # dyadic cells, so each grid holds its nominal value exactly
     "alpha": SweepAxis("alpha", 0.0, 2.0, 65),
     "duration_factor": SweepAxis("duration_factor", 0.25, 1.75, 49),
-    "delta": SweepAxis("delta", -4.0, 4.0, 65),
+    "delta": SweepAxis("delta", -4.0, 4.0, 1025),  # SP's delta sides span several blocks
 }
 SYNTHETIC_THRESHOLDS = (0.99, 0.999)
 
@@ -495,8 +511,8 @@ def submission_log(monkeypatch, key=None):
         assert all(side(task) == first for task in tasks)
         return first
 
-    def logged(pool, tasks):
-        future = submit(pool, tasks)
+    def logged(pool, tasks, floor):
+        future = submit(pool, tasks, floor)
         block = (key or shared_side)(tasks)
         events.append(("submit", block))
         result = future.result
@@ -559,6 +575,38 @@ def test_the_pool_walk_evaluates_exactly_the_in_process_point_set(workers, monke
     assert rows == full_grid_rows(SYNTHETIC_PROBES, SYNTHETIC_THRESHOLDS, SYNTHETIC_SHAPE, full)
 
 
+@pytest.mark.parametrize("workers", (1, 2))
+def test_a_walk_evaluates_each_plateau_and_one_point_past_each_end(workers, tmp_path, monkeypatch):
+    monkeypatch.delenv("PULSE_WORKERS", raising=False)
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+    log = tmp_path / "evaluated"
+
+    def logged_point(spec, err, cfg, shapes=None):
+        with open(log, "a") as fh:  # appended to by the forked workers too
+            fh.write(f"{spec.kind} {err!r}\n")
+        return synthetic_point(spec, err, cfg)
+
+    monkeypatch.setattr(sweep_module, "evaluate_point", logged_point)
+    specs = [nominal_spec(kind) for kind in SYNTHETIC_SHAPE]
+    cfg = IntegratorConfig(steps_per_pulse=100)
+    comparison_table(specs, SYNTHETIC_PROBES, SYNTHETIC_THRESHOLDS, cfg=cfg, workers=workers)
+    evaluated = log.read_text().splitlines()
+    assert len(set(evaluated)) == len(evaluated)
+
+    floor = min(SYNTHETIC_THRESHOLDS)
+    expected = set()
+    for spec in specs:
+        for channel, axis in SYNTHETIC_PROBES.items():
+            errs = [replace(ErrorVector(), **{channel: float(v)}) for v in axis.values()]
+            probs = [synthetic_point(spec, err, cfg) for err in errs]
+            i0 = int(np.argmin(np.abs(axis.values() - CHANNEL_NOMINALS[channel])))
+            ends = plateau(probs, i0, floor)
+            # the plateau and the point past each end that stops its side, or the nominal point alone
+            i, j = (i0, i0) if ends is None else (max(ends[0] - 1, 0), min(ends[1] + 1, len(probs) - 1))
+            expected |= {f"{spec.kind} {err!r}" for err in errs[i : j + 1]}
+    assert set(evaluated) == expected
+
+
 def failing_on_the_upper_re_alpha_side(spec, err, cfg, shapes=None):
     if spec.kind == "RE" and err.alpha >= 1.3:
         raise NonConvergent("synthetic failure at alpha >= 1.3")
@@ -578,8 +626,10 @@ def test_a_failing_point_ends_the_walk(workers, monkeypatch, capsys):
         comparison_table(specs, SYNTHETIC_PROBES, SYNTHETIC_THRESHOLDS, cfg=cfg, workers=workers)
     kinds = [event for event, _ in events]
     assert kinds.count("raised") == 1 and "submit" not in kinds[kinds.index("raised"):]
-    # the failing block is the upper alpha side's second (alpha = 1.28125 .. 1.5)
-    assert events.count(("submit", ("RE", "alpha", 1))) == 2
+    # the failing block is the upper alpha side's block holding its first point at alpha >= 1.3
+    alphas = SYNTHETIC_PROBES["alpha"].values()
+    offset = int(np.argmax(alphas >= 1.3)) - int(np.argmin(np.abs(alphas - 1.0)))
+    assert events.count(("submit", ("RE", "alpha", 1))) == (offset - 1) // WALK_BLOCK + 1
     assert_one_block_in_flight_per_side(events)
     assert multiprocessing.active_children() == []
 
