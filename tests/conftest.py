@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import pathlib
 import sys
@@ -10,6 +11,8 @@ if str(REPO / "src") not in sys.path:
     sys.path.insert(0, str(REPO / "src"))
 
 from pulselab import IntegratorConfig, Waveform  # noqa: E402
+from pulselab.config import parse_config  # noqa: E402
+from pulselab.sweep import _grid_points  # noqa: E402
 
 
 def load_make_goldens():
@@ -18,6 +21,24 @@ def load_make_goldens():
     make_goldens = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(make_goldens)
     return make_goldens
+
+
+def read_golden(path):
+    """The run config of the golden sweep CSV at ``path`` (configs/<stem>.cfg) and the file's P column.
+
+    The file must be the grid of its own config: its header is the config's
+    channels plus ``P``, every row is as wide as the header, and its point
+    columns are exactly the row-major grid of the config's axes.
+    """
+    path = pathlib.Path(path)
+    run = parse_config((REPO / "configs" / f"{path.stem}.cfg").read_text())
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == [axis.channel for axis in run.axes] + ["P"], f"{path} has the header {header}"
+    assert all(len(row) == len(header) for row in rows), f"{path} has a row not as wide as its header"
+    points = [tuple(float(x) for x in row[:-1]) for row in rows]
+    assert points == _grid_points(run.axes), f"{path} is not the row-major grid of its config"
+    return run, tuple(float(row[-1]) for row in rows)
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ import pytest
 from pulselab.channels import ErrorVector, LengthMismatch, apply_errors
 from pulselab.core import InvalidParameter, sequence_area, transition_probability
 from pulselab.integrator import propagate_sequence
-from pulselab.protocols import SQRT_PI, mixing_angle_rate, nominal_pulses, nominal_spec
+from pulselab.protocols import PROTOCOL_KINDS, mixing_angle_rate, nominal_pulses, nominal_spec
 from pulselab.sweep import SweepAxis, half_width, sweep1d
 
 RE = nominal_spec("RE")
@@ -94,6 +94,17 @@ def test_tanh_distortion_preserves_shaped_pulse_area():
 
 def test_tanh_distortion_preserves_composite_areas():
     assert _area_change(UCP, 0.7) <= 1e-8
+
+
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+def test_sigma_lowers_each_envelope_before_its_centre_and_raises_it_after(kind):
+    # the mirror identity cannot see sigma's sign: this holds it for every pulse
+    spec = nominal_spec(kind)
+    clean, distorted = apply_errors(spec), apply_errors(spec, ErrorVector(sigma=0.5))
+    for w0, w1 in zip(clean.pulses, distorted.pulses):
+        t = 0.5 * (w0.window[0] + w0.window[1]) + np.array([-0.5, 0.5]) * spec.T  # t_k -/+ T/2
+        ratio = np.real(w1.rabi(t)) / np.real(w0.rabi(t))
+        np.testing.assert_allclose(ratio, 1.0 + 0.5 * np.tanh([-0.5, 0.5]), rtol=1e-12)
 
 
 # ----------------------------------------------------------- channel algebra

@@ -1,12 +1,13 @@
 """Physics gates: the committed goldens and reference table against exact identities.
 
 A golden test only shows that a file is unchanged.  These checks show that it
-is right: each takes a CSV path and returns, per point or row, the deviation
-of the file from an identity of the two-state problem that the midpoint
-stepper keeps at any step count, up to rounding.  The identities hold to
-about 1e-15; a slip in an error channel (a sign, a centre, SP's 1/T
-amplitude) moves P by far more than the 1e-12 gate, and an ulp-level move of
-a regenerated file does not.
+is right.  Each golden is first checked to be the grid of its own config
+(``conftest.read_golden``).  Each gate then takes a CSV path and returns, per
+point or row, the deviation of the file from an identity of the two-state
+problem that the midpoint stepper keeps at any step count, up to rounding.
+The identities hold to about 1e-15; a slip in an error channel (a sign, a
+centre, SP's 1/T amplitude) moves P by far more than the 1e-12 gate, and an
+ulp-level move of a regenerated file does not.
 
 - Resonant rotations (fig2): at zero detuning every step of a pulse rotates
   about the same axis, so a UCP pulse is a rotation by pi*alpha about its
@@ -16,12 +17,15 @@ a regenerated file does not.
 - Mirror (fig5, fig6, fig7): sigma_x conjugation plus time reversal of a
   symmetric envelope with an odd chirp gives P(delta, eta, sigma) =
   P(-delta, eta, -sigma).  Points pair by index, i with n-1-i, because
-  ``linspace`` grids are not bitwise symmetric.
-- Width rescaling (fig3, SP): a pulse d times wider is the same problem, at
-  width factor 1, with the drive times d (SP's amplitude carries 1/T, so its
-  alpha stays), delta times d, and eta times d^2 plus (d - 1)*beta/T for the
-  nominal chirp beta*(t - t_k)/T.  fig3's CAP points are recomputed at width
-  factor 1; SP is checked at seeded points.
+  ``linspace`` grids are not bitwise symmetric.  A property checks the same
+  identity for every technique at drawn points.
+- Width rescaling (fig3, every technique): a pulse d times wider is the same
+  problem, at width factor 1, with the drive times d (SP's amplitude carries
+  1/T, so its alpha stays), delta times d, and eta times d^2 plus
+  (d - 1)*beta/T for the nominal chirp beta*(t - t_k)/T.  STA's shortcut
+  keeps its frozen width, so its spec is rescaled instead: omega0 and beta
+  times d, and the frozen T divided by d.  fig3's CAP points are recomputed
+  at width factor 1, and every technique is checked at seeded points.
 - Table: the mirror makes the delta and sigma intervals symmetric, lo = -hi.
   For an unchirped technique (RE, UCP), sigma_x conjugation alone gives
   P(delta, eta) = P(-delta, -eta), so its eta intervals are symmetric too.
@@ -33,13 +37,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import read_golden
 from pulselab.channels import ErrorVector
 from pulselab.config import parse_config
 from pulselab.core import CKPropagator, compose, phase_shifted, transition_probability
 from pulselab.integrator import IntegratorConfig
-from pulselab.protocols import UCP_PHASES, nominal_spec
-from pulselab.serialize import read_result
+from pulselab.protocols import PROTOCOL_KINDS, UCP_PHASES, nominal_spec
 from pulselab.sweep import evaluate_point
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -53,12 +59,10 @@ UNCHIRPED = ("RE", "UCP")
 
 
 def _grid(path, channels):
-    """Axis values and the P grid of a sweep CSV over ``channels``."""
-    # a CSV does not record its technique, and the gates read only the grid
-    result = read_result(pathlib.Path(path).read_text(), "csv", protocol=nominal_spec("RE"))
-    assert [axis.channel for axis in result.axes] == channels, f"{path} sweeps {result.axes}, expected {channels}"
-    p = np.array(result.values).reshape([axis.points for axis in result.axes])
-    return [axis.values() for axis in result.axes], p
+    """Axis values and the P grid of a golden CSV over ``channels``."""
+    run, values = read_golden(path)
+    assert [axis.channel for axis in run.axes] == channels, f"{path} sweeps {run.axes}, expected {channels}"
+    return [axis.values() for axis in run.axes], np.array(values).reshape([axis.points for axis in run.axes])
 
 
 def ucp_resonant_rotations(path):
@@ -91,9 +95,14 @@ def mirror(path, channels):
 
 
 def unit_width(spec, err):
-    """The error vector posing at width factor 1 the problem ``err`` poses at its width factor d."""
+    """The technique and error vector posing at width factor 1 the problem ``err`` poses at its width factor d."""
     d = err.duration_factor
-    return replace(
+    if spec.kind == "STA":
+        # the shortcut keeps its frozen width, so the spec rescales with the pulse
+        om_a, beta_a, T_a = spec.sta_nominal
+        spec = replace(spec, omega0=spec.omega0 * d, beta=spec.beta * d, sta_nominal=(om_a, beta_a, T_a / d))
+        return spec, replace(err, duration_factor=1.0, delta=err.delta * d, eta=err.eta * d * d)
+    return spec, replace(
         err,
         duration_factor=1.0,
         alpha=err.alpha if spec.kind == "SP" else err.alpha * d,
@@ -108,7 +117,7 @@ def cap_width_rescaling(path, points=12):
     (d,), p = _grid(path, ["duration_factor"])
     picked = np.linspace(0, d.size - 1, points).round().astype(int)
     recomputed = [
-        evaluate_point(run.protocol, unit_width(run.protocol, replace(run.errors, duration_factor=d[i])), run.integrator)
+        evaluate_point(*unit_width(run.protocol, replace(run.errors, duration_factor=d[i])), run.integrator)
         for i in picked
     ]
     return np.abs(p[picked] - recomputed)
@@ -151,13 +160,30 @@ def test_reference_table_intervals_are_symmetric():
     assert deviations.max() <= TOL
 
 
-def test_sp_width_rescaling_at_seeded_points():
-    spec, cfg = nominal_spec("SP"), IntegratorConfig(steps_per_pulse=4000)
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+def test_width_rescaling_at_seeded_points(kind):
+    spec, cfg = nominal_spec(kind), IntegratorConfig(steps_per_pulse=4000)
     draws = np.random.default_rng(16).uniform([0.3, 0.5, -2.0, -1.0, -0.5], [1.7, 2.0, 2.0, 1.0, 0.5], (6, 5))
     deviations, probabilities = [], []
     for alpha, d, delta, eta, sigma in draws:
         err = ErrorVector(alpha=alpha, duration_factor=d, delta=delta, eta=eta, sigma=sigma)
         probabilities.append(evaluate_point(spec, err, cfg))
-        deviations.append(abs(probabilities[-1] - evaluate_point(spec, unit_width(spec, err), cfg)))
+        deviations.append(abs(probabilities[-1] - evaluate_point(*unit_width(spec, err), cfg)))
     assert np.ptp(probabilities) > 0.1  # the draws span distinct problems
     assert max(deviations) <= TOL
+
+
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+@settings(max_examples=20, deadline=None)
+@given(
+    alpha=st.floats(0.3, 1.7),
+    d=st.floats(0.5, 2.0),
+    delta=st.floats(-2.0, 2.0),
+    eta=st.floats(-1.0, 1.0),
+    sigma=st.floats(-0.5, 0.5),
+)
+def test_mirror_identity_at_drawn_points(kind, alpha, d, delta, eta, sigma):
+    spec, cfg = nominal_spec(kind), IntegratorConfig(steps_per_pulse=4000)
+    err = ErrorVector(alpha=alpha, duration_factor=d, delta=delta, eta=eta, sigma=sigma)
+    mirrored = replace(err, delta=-delta, sigma=-sigma)
+    assert abs(evaluate_point(spec, err, cfg) - evaluate_point(spec, mirrored, cfg)) <= TOL
