@@ -63,6 +63,35 @@ def test_json_round_trip_restores_every_nominal_spec(kind):
     assert ProtocolSpec(**protocol) == spec
 
 
+# protocol objects as written before the JSON form listed every spec field
+_SPARSE_PROTOCOLS = {
+    "RE": {"T": 1.0, "beta": 0.0, "kind": "RE", "omega0": 1.7724538509055159},
+    "STA": {
+        "T": 1.0, "beta": 4.0, "kind": "STA", "omega0": 1.7724538509055159,
+        "sta_nominal": [1.7724538509055159, 4.0, 1.0],
+    },
+    "SP": {
+        "T": 1.0, "beta": 0.0, "kind": "SP", "omega0": 1.7724538509055159,
+        "sp_coeffs": [-3.46, -1.365, -0.5],
+    },
+    "CAP": {
+        "T": 1.0, "beta": 1.0, "kind": "CAP", "omega0": 1.7724538509055159,
+        "phases": [0.0, 2.0943951023931953, 0.0],
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SPARSE_PROTOCOLS))
+def test_json_protocol_lists_every_field_and_reads_the_sparse_form(kind):
+    spec = nominal_spec(kind)
+    res = SweepResult((SweepAxis("alpha", 1.0, 1.0, 1),), spec, (1.0,), {})
+    protocol = json.loads(write_result(res, "json"))["protocol"]
+    assert set(protocol) == {f.name for f in fields(type(spec))}
+    sparse = _SPARSE_PROTOCOLS[kind]
+    assert {key: protocol[key] for key in sparse} == sparse
+    assert ProtocolSpec(**sparse) == spec
+
+
 def test_csv_round_trip_values_exact(fast_cfg):
     res = sweep1d(nominal_spec("UCP"), SweepAxis("alpha", 0.0, 2.0, 7), cfg=fast_cfg)
     header, *rows = csv.reader(io.StringIO(write_result(res, "csv").decode(), newline=""))
