@@ -18,6 +18,7 @@ import numpy as np
 from .channels import ErrorVector, apply_errors
 from .core import (
     CKPropagator,
+    PulseSequence,
     Waveform,
     _simpson,
     compose,
@@ -26,7 +27,7 @@ from .core import (
     transition_probability,
     unitarity_defect,
 )
-from .integrator import IntegratorConfig, convergence_check, propagate, propagate_sequence
+from .integrator import IntegratorConfig, convergence_check, propagate_sequence
 from .protocols import SQRT_PI, ProtocolSpec, mixing_angle_rate, nominal_spec
 
 __all__ = ["CheckResult", "run_checks", "AF_NOMINAL_P"]
@@ -45,8 +46,9 @@ class CheckResult:
     detail: str
 
 
-def _rect(omega: float, delta: float, tau: float) -> Waveform:
-    return Waveform(rabi=lambda t: omega + 0.0 * t, detuning=lambda t: delta + 0.0 * t, window=(0.0, tau))
+def _rect(omega: float, delta: float, tau: float) -> PulseSequence:
+    """One rectangular pulse, as a sequence: :func:`propagate_sequence` applies ``_FAST``'s renormalisation."""
+    return PulseSequence((Waveform(lambda t: omega + 0.0 * t, lambda t: delta + 0.0 * t, window=(0.0, tau)),))
 
 
 def _check_resonant_area_law() -> CheckResult:
@@ -55,7 +57,7 @@ def _check_resonant_area_law() -> CheckResult:
         seq = apply_errors(ProtocolSpec("RE", area / SQRT_PI, 1.0))
         p = transition_probability(propagate_sequence(seq, _FAST))
         worst = max(worst, abs(p - np.sin(area / 2) ** 2))
-        p = transition_probability(propagate(_rect(area / 3.0, 0.0, 3.0), _FAST))
+        p = transition_probability(propagate_sequence(_rect(area / 3.0, 0.0, 3.0), _FAST))
         worst = max(worst, abs(p - np.sin(area / 2) ** 2))
     return CheckResult("resonant_area_law", worst < 1e-8, f"max |P - sin^2(A/2)| = {worst:.2e}")
 
@@ -65,7 +67,7 @@ def _check_detuned_rabi() -> CheckResult:
     tau = np.pi
     for omega in np.linspace(0.2, 2.0, 5):
         for delta in np.linspace(-2.0, 2.0, 5):
-            p = transition_probability(propagate(_rect(omega, delta, tau), _FAST))
+            p = transition_probability(propagate_sequence(_rect(omega, delta, tau), _FAST))
             lam = np.hypot(omega, delta)
             ref = (omega / lam) ** 2 * np.sin(lam * tau / 2) ** 2
             worst = max(worst, abs(p - ref))

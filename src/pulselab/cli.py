@@ -175,11 +175,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
         {"protocol", *SPEC_KEYS, *_SWEEP_KEYS},
         "it runs the canonical techniques of --protocols on its own probe grids",
     )
-    cfg = build_config({**raw, "protocol": "RE"})
-    kinds = [k.strip().upper() for k in (args.protocols or ",".join(PROTOCOL_KINDS)).split(",")]
-    for kind in kinds:
-        if kind not in PROTOCOL_KINDS:
-            raise ValidationError(f"unknown protocol {kind!r} in --protocols")
+    cfg = build_config({**raw, "protocol": "STA"})  # STA takes every key; its rows read sta_alpha_scales_shortcut
+    kinds = [k.strip().upper() for k in args.protocols.split(",")]
+    for i, kind in enumerate(kinds):
+        if kind not in PROTOCOL_KINDS or kind in kinds[:i]:
+            raise ValidationError(f"{'repeated' if kind in kinds[:i] else 'unknown'} protocol {kind!r} in --protocols")
     specs = [nominal_spec(kind, cfg.protocol.T) for kind in kinds]
     rows = comparison_table(
         specs, base_err=cfg.errors, cfg=cfg.integrator, workers=cfg.workers
@@ -229,7 +229,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="half-width robustness summary across protocols")
     _add_config_flags(p_table)
-    p_table.add_argument("--protocols", metavar="LIST", help="comma list, default all six")
+    p_table.add_argument(
+        "--protocols", metavar="LIST", default=",".join(PROTOCOL_KINDS), help="comma list, default all six"
+    )
     p_table.set_defaults(fn=_cmd_table)
 
     p_check = sub.add_parser("check", help="run the oracle/invariant suite")

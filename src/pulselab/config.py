@@ -49,7 +49,7 @@ CONFIG_KEYS: Dict[str, Tuple[str, str]] = {
     "sigma": ("float", "shape-distortion strength in (-1, 1); nominal 0"),
     "phase_offsets": ("floats", "per-pulse phase errors in rad; empty for none"),
     "centering": ("str", "per_pulse or global centering of sigma and eta"),
-    "sta_alpha_scales_shortcut": ("bool", "whether alpha also scales the counterdiabatic term"),
+    "sta_alpha_scales_shortcut": ("bool", "whether alpha also scales the counterdiabatic term (STA only)"),
     "sweep_channel": ("str", "first sweep axis channel"),
     "sweep_lo": ("float", "first axis lower bound"),
     "sweep_hi": ("float", "first axis upper bound"),
@@ -60,8 +60,8 @@ CONFIG_KEYS: Dict[str, Tuple[str, str]] = {
     "sweep2_points": ("int", "second axis point count"),
     "steps_per_pulse": ("int", "integrator sub-intervals per pulse"),
     "unitarity_tol": ("float", "allowed norm drift of the propagator"),
-    "renormalize": ("bool", "rescale the final pair to unit norm"),
-    "convergence_tol": ("float", "optional self-check tolerance for every propagation"),
+    "renormalize": ("bool", "rescale each pulse's pair and the sequence's to unit norm"),
+    "convergence_tol": ("float", "optional tolerance on the summed step-halving estimate of each sequence"),
     "output": ("str", "output path, '-' or empty for stdout"),
     "format": ("str", "csv or json"),
     "workers": ("int", "process count for sweeps (PULSE_WORKERS overrides)"),
@@ -148,8 +148,9 @@ def build_config(raw: Dict[str, str]) -> RunConfig:
     kind = str(values["protocol"]).upper()
     if kind not in PROTOCOL_KINDS:
         raise ValidationError(f"protocol must be one of {PROTOCOL_KINDS}, got {values['protocol']!r}")
+    takes = TECHNIQUES[kind].takes
     for key in values:
-        if key in SPEC_KEYS and SPEC_KEYS[key] not in TECHNIQUES[kind].takes:
+        if key in SPEC_KEYS and SPEC_KEYS[key] not in takes or key == "sta_alpha_scales_shortcut" and kind != "STA":
             raise ValidationError(f"key {key!r} is not a parameter of the {kind} technique")
 
     T = float(values.get("T", 1.0))

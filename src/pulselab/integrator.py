@@ -26,7 +26,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -82,13 +82,11 @@ class UnitarityViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Resolution and unitarity policy for :func:`propagate`.
+    """Resolution and unitarity policy of :func:`propagate`; ``renormalize``
+    and ``convergence_tol`` are read by :func:`propagate_sequence` alone.
 
-    ``convergence_tol``, when set, makes every call self-verify by step
-    halving and raise :class:`NonConvergent` on failure.  Certifying one
-    waveform triples its cost: the base run plus one at twice the steps.
-    :func:`propagate_sequence` certifies each distinct shape once, so n pulses
-    sharing a ``shape_tag`` cost (n + 2) * N steps instead of 3 * n * N.
+    Certifying one waveform triples its cost: the base run plus one at twice
+    the steps.  n pulses sharing a ``shape_tag`` cost (n + 2) * N steps.
     """
 
     steps_per_pulse: int = DEFAULT_STEPS_PER_PULSE
@@ -201,21 +199,11 @@ def _propagate_raw(w: Waveform, steps: int) -> CKPropagator:
 
 
 def propagate(w: Waveform, cfg: IntegratorConfig = DEFAULT_CONFIG) -> CKPropagator:
-    """Propagator of one waveform over its window, as a CK pair."""
-    raw = u = _propagate_raw(w, cfg.steps_per_pulse)
+    """One waveform's CK pair over its window, neither renormalised nor certified (see :func:`propagate_sequence`)."""
+    u = _propagate_raw(w, cfg.steps_per_pulse)
     defect = unitarity_defect(u)
     if not defect <= cfg.unitarity_tol:  # a NaN defect fails too
-        raise UnitarityViolation(
-            f"unitarity defect {defect:.3e} exceeds tolerance {cfg.unitarity_tol:.3e}"
-        )
-    if cfg.renormalize:
-        u = renormalized(u)
-    if cfg.convergence_tol is not None:
-        est = convergence_check(w, cfg, coarse=raw)
-        if not est <= cfg.convergence_tol:
-            raise NonConvergent(
-                f"step-halving estimate {est:.3e} exceeds tolerance {cfg.convergence_tol:.3e}"
-            )
+        raise UnitarityViolation(f"unitarity defect {defect:.3e} exceeds tolerance {cfg.unitarity_tol:.3e}")
     return u
 
 
@@ -224,20 +212,27 @@ def propagate_sequence(seq: PulseSequence, cfg: IntegratorConfig = DEFAULT_CONFI
 
     Each pulse carries its own constant drive phase, which imprints on the
     off-diagonal CK parameter, so this equals a monolithic propagation over
-    back-to-back windows.
+    back-to-back windows.  ``cfg.renormalize`` rescales each pulse and the total.
 
-    With ``cfg.convergence_tol`` set, only the first pulse of each
-    ``shape_tag`` runs the step-halving check; its estimate stands for the
-    later pulses of that tag, which are equal up to a time translation and
-    their drive phase.  Untagged pulses are each certified.
+    The certificate is the sum of the pulses' step-halving estimates (errors
+    of unitary factors add); :class:`NonConvergent` is raised as soon as it
+    exceeds ``cfg.convergence_tol``.  The first estimate of a ``shape_tag``
+    counts for each of its pulses, equal up to a time translation and phase.
     """
-    uncertified = cfg if cfg.convergence_tol is None else replace(cfg, convergence_tol=None)
-    certified = set()
+    estimates = {}  # shape_tag -> estimate of its first pulse (None: of the current untagged one)
+    summed = 0.0
     total = None
-    for w in seq.pulses:
-        u = propagate(w, uncertified if w.shape_tag in certified else cfg)
-        if w.shape_tag is not None:
-            certified.add(w.shape_tag)
+    for k, w in enumerate(seq.pulses, start=1):
+        raw = propagate(w, cfg)
+        u = renormalized(raw) if cfg.renormalize else raw
+        if cfg.convergence_tol is not None:
+            if w.shape_tag is None or w.shape_tag not in estimates:
+                estimates[w.shape_tag] = convergence_check(w, cfg, coarse=raw)
+            summed += estimates[w.shape_tag]
+            if not summed <= cfg.convergence_tol:  # a NaN estimate fails too
+                raise NonConvergent(
+                    f"step-halving estimate summed through pulse {k}: {summed:.3e} exceeds {cfg.convergence_tol:.3e}"
+                )
         total = u if total is None else compose(u, total)
     if cfg.renormalize:
         total = renormalized(total)
@@ -249,10 +244,10 @@ def convergence_check(
 ) -> float:
     """Max elementwise CK difference between runs at steps and 2x steps.
 
-    Estimates the global error at the configured resolution; halving the step
-    shrinks it about 4x for smooth waveforms with a genuine second-order term.
-    ``coarse`` is the caller's own un-renormalised run of ``w`` at
-    ``cfg.steps_per_pulse``, which is then not computed again.
+    Estimates the global error of one waveform at the configured resolution;
+    halving the step shrinks it about 4x for smooth waveforms with a genuine
+    second-order term.  ``coarse`` is the caller's own :func:`propagate` of
+    ``w`` at ``cfg.steps_per_pulse``, which is then not computed again.
     """
     u1 = _propagate_raw(w, cfg.steps_per_pulse) if coarse is None else coarse
     u2 = _propagate_raw(w, 2 * cfg.steps_per_pulse)

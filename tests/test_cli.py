@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from pulselab import cli
 from pulselab.cli import main
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -184,6 +185,48 @@ def test_simulate_rejects_an_ignored_key_from_a_config_file(tmp_path, capsys):
     assert "'workers'" in capsys.readouterr().err
 
 
+_SWEEP_FLAGS = ["--sweep-channel", "alpha", "--sweep-lo", "0.9", "--sweep-hi", "1.1", "--sweep-points", "3"]
+
+
+@pytest.mark.parametrize("given_in", ("flag", "config"))
+@pytest.mark.parametrize("command", ("simulate", "sweep"))
+@pytest.mark.parametrize("kind", ("RE", "AF", "SP", "CAP", "UCP"))
+def test_sta_alpha_scales_shortcut_is_rejected_off_sta(kind, command, given_in, tmp_path, capsys):
+    argv = [command, "--protocol", kind, "--steps-per-pulse", "400", *(_SWEEP_FLAGS if command == "sweep" else [])]
+    if given_in == "flag":
+        argv += ["--sta-alpha-scales-shortcut", "false"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sta_alpha_scales_shortcut = true\n")
+        argv += ["--config", str(cfg)]
+    assert main([*argv, "--output", str(tmp_path / "out")]) == 2
+    assert f"key 'sta_alpha_scales_shortcut' is not a parameter of the {kind} technique" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sta_alpha_scales_shortcut_is_read_by_sta_and_the_tables_sta_rows(tmp_path, capsys):
+    point = ["simulate", "--protocol", "STA", "--steps-per-pulse", "400", "--alpha", "0.9"]
+    assert main(point) == 0
+    scaled = capsys.readouterr().out
+    assert main([*point, "--sta-alpha-scales-shortcut", "false"]) == 0
+    assert capsys.readouterr().out != scaled
+    table = ["table", "--protocols", "STA", "--steps-per-pulse", "400", "--format", "csv"]
+    assert main(table) == 0
+    scaled = capsys.readouterr().out
+    assert main([*table, "--sta-alpha-scales-shortcut", "false"]) == 0
+    unscaled = capsys.readouterr().out
+    assert unscaled != scaled and unscaled.startswith("channel,protocol,threshold")
+
+
+@pytest.mark.parametrize("protocols", ("RE,RE", "re, RE", "RE,CAP,UCP,CAP"))
+def test_table_rejects_a_repeated_technique_before_any_point(protocols, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "comparison_table", lambda *args, **kwargs: pytest.fail("a point was evaluated"))
+    assert main(["table", "--protocols", protocols, "--steps-per-pulse", "400"]) == 2
+    repeated = protocols.upper().split(",")[-1].strip()
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"repeated protocol {repeated!r} in --protocols" in captured.err
+
+
 def test_exit_code_config_error(capsys):
     assert main(["simulate", "--protocol", "RE", "--sigma", "1.5"]) == 2
     assert "sigma" in capsys.readouterr().err
@@ -191,6 +234,8 @@ def test_exit_code_config_error(capsys):
     assert "convergence_tol must be positive" in capsys.readouterr().err
     assert main(["table", "--protocols", "RE,XX", "--steps-per-pulse", "200"]) == 2
     assert "unknown protocol 'XX' in --protocols" in capsys.readouterr().err
+    assert main(["table", "--protocols", "", "--steps-per-pulse", "200"]) == 2  # not the default six
+    assert "unknown protocol '' in --protocols" in capsys.readouterr().err
 
 
 def test_exit_code_unknown_key_in_config(tmp_path, capsys):

@@ -1,18 +1,31 @@
 """Integrator oracles: closed-form Rabi physics and convergence behavior."""
+import ast
 import functools
 import os
+import pathlib
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import ck_matrix, solve_ivp_ck
 from pulselab import cli, integrator, protocols
 from pulselab.channels import ErrorVector, apply_errors
-from pulselab.core import InvalidWaveform, Waveform, _sample, transition_probability, unitarity_defect
+from pulselab.core import (
+    CKPropagator,
+    InvalidWaveform,
+    PulseSequence,
+    Waveform,
+    _sample,
+    compose,
+    transition_probability,
+    unitarity_defect,
+)
 from pulselab.integrator import (
     IntegratorConfig,
     NonConvergent,
@@ -169,8 +182,6 @@ def test_sequence_equals_monolithic_on_split_window():
     sta = apply_errors(nominal_spec("STA")).pulses[0]
     left = Waveform(sta.rabi, sta.detuning, 0.0, (-6.0, 0.0))
     right = Waveform(sta.rabi, sta.detuning, 0.0, (0.0, 6.0))
-    from pulselab.core import PulseSequence
-
     cfg_half = IntegratorConfig(steps_per_pulse=250_000)
     cfg_full = IntegratorConfig(steps_per_pulse=500_000)
     u_seq = propagate_sequence(PulseSequence((left, right)), cfg_half)
@@ -225,7 +236,7 @@ def test_sp_is_the_stiffest_but_second_order(fast_cfg):
 
 
 def test_per_step_unitarity(fast_cfg):
-    u = propagate(gaussian_chirped(5 * SQRT_PI, 4.0), IntegratorConfig(steps_per_pulse=4000, renormalize=False))
+    u = propagate(gaussian_chirped(5 * SQRT_PI, 4.0), fast_cfg)  # the product as stepped, never renormalised
     assert unitarity_defect(u) < 1e-12
 
 
@@ -249,22 +260,26 @@ def test_unitarity_violation_raises():
 
 
 def test_nonconvergent_raises():
+    # propagate steps and does not certify; the sequence's certificate raises
+    w = gaussian_chirped(5 * SQRT_PI, 4.0)
     cfg = IntegratorConfig(steps_per_pulse=4000, convergence_tol=1e-12)
-    with pytest.raises(NonConvergent):
-        propagate(gaussian_chirped(5 * SQRT_PI, 4.0), cfg)
+    assert propagate(w, cfg) == propagate(w, replace(cfg, convergence_tol=None))
+    est = convergence_check(w, cfg)
+    with pytest.raises(NonConvergent, match=f"summed through pulse 1: {est:.3e} exceeds 1.000e-12"):
+        propagate_sequence(PulseSequence((w,)), cfg)
 
 
 def test_nan_propagator_fails_both_tolerance_checks(monkeypatch):
     # an overflowing drive gives a NaN pair, whose defect compares False
     # against any tolerance; it must fail the check, not slip through it
-    blown = gaussian_chirped(1e200, 0.0)
+    blown = PulseSequence((gaussian_chirped(1e200, 0.0),))
     for renormalize in (False, True):
         with pytest.raises(UnitarityViolation):
-            propagate(blown, IntegratorConfig(steps_per_pulse=400, renormalize=renormalize))
+            propagate_sequence(blown, IntegratorConfig(steps_per_pulse=400, renormalize=renormalize))
     monkeypatch.setattr(integrator, "convergence_check", lambda *args, **kwargs: float("nan"))
     cfg = IntegratorConfig(steps_per_pulse=400, convergence_tol=1e-8)
-    with pytest.raises(NonConvergent):
-        propagate(gaussian_chirped(SQRT_PI, 0.0), cfg)
+    with pytest.raises(NonConvergent, match="nan exceeds"):
+        propagate_sequence(PulseSequence((gaussian_chirped(SQRT_PI, 0.0),)), cfg)
 
 
 def _record_certificates(monkeypatch):
@@ -339,18 +354,93 @@ def test_shared_certificate_agrees_with_per_pulse_certificates(monkeypatch, kind
     assert np.array([got.a, got.b]).tobytes() == np.array([want.a, want.b]).tobytes()
     if err.centering == "global":
         assert estimates == alone
+        counted = estimates
     else:
         assert len(estimates) == 1
         assert max(abs(estimates[0] - e) for e in alone) <= 1e-14
+        counted = estimates * len(seq.pulses)  # the shared estimate counts once per pulse
+    summed = sum(counted)
+    assert summed == pytest.approx(sum(alone), rel=1e-12, abs=1e-14)
 
-    for est in (min(alone), max(alone)):
-        for tol in (est * (1 - 1e-6), est * (1 + 1e-6)):
-            cfg = replace(plain, convergence_tol=tol)
-            if max(alone) > tol:
-                with pytest.raises(NonConvergent):
-                    propagate_sequence(seq, cfg)
-            else:
+    # NonConvergent iff the sum exceeds the tolerance: the largest pulse's
+    # estimate, which a per-pulse rule would pass, fails the sum
+    assert max(alone) < summed
+    for tol in (max(alone), summed * (1 - 1e-6), summed * (1 + 1e-6)):
+        cfg = replace(plain, convergence_tol=tol)
+        if summed > tol:
+            with pytest.raises(NonConvergent):
                 propagate_sequence(seq, cfg)
+        else:
+            assert propagate_sequence(seq, cfg) == want
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    kind=st.sampled_from(tuple(TECHNIQUES)),
+    alpha=st.floats(0.8, 1.2),
+    d=st.floats(0.8, 1.2),
+    delta=st.floats(-0.5, 0.5),
+    eta=st.floats(-0.2, 0.2),
+    sigma=st.floats(-0.3, 0.3),
+    offsets=st.lists(st.floats(-0.3, 0.3), min_size=5, max_size=5),
+    centering=st.sampled_from(("per_pulse", "global")),
+)
+def test_whole_sequences_agree_with_dop853_within_their_summed_certificate(
+    kind, alpha, d, delta, eta, sigma, offsets, centering
+):
+    # the error of a pulse is about 4/3 of its step-halving estimate, and the
+    # errors of a sequence's pulses add at most (a composite's partly cancel)
+    spec = nominal_spec(kind)
+    err = ErrorVector(alpha, d, delta, eta, sigma, tuple(offsets[: spec.pulse_count]), centering)
+    seq, cfg = apply_errors(spec, err), IntegratorConfig(steps_per_pulse=4000)
+    u = propagate_sequence(seq, cfg)
+    ref = CKPropagator(1.0 + 0j, 0j)
+    for w in seq.pulses:
+        ref = compose(CKPropagator(*solve_ivp_ck(w)), ref)
+    bound = 1.4 * sum(convergence_check(w, cfg) for w in seq.pulses) + 1e-9
+    assert max(abs(u.a - ref.a), abs(u.b - ref.b)) <= bound
+
+
+_POLICIES = ("convergence_tol", "renormalize")
+
+
+def _policy_reads(source):
+    """(owner, line, attribute) for each read of a policy attribute in ``source``.
+
+    ``owner`` is the outermost function or class around the read.
+    """
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in _POLICIES and isinstance(node.ctx, ast.Load):
+                yield owner, node.lineno, node.attr
+
+
+def test_the_policy_finder_sees_reads_in_nested_functions_and_methods():
+    source = (
+        "def f(cfg):\n"
+        "    def g():\n"
+        "        return cfg.renormalize\n"
+        "    return cfg.steps_per_pulse\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return self.convergence_tol\n"
+        "x = IntegratorConfig(renormalize=False)\n"
+        "y = x.convergence_tol\n"
+    )
+    assert list(_policy_reads(source)) == [
+        ("f", 3, "renormalize"), ("C", 7, "convergence_tol"), ("<module>", 9, "convergence_tol"),
+    ]
+
+
+def test_propagate_sequence_is_the_only_reader_of_the_sequence_policies():
+    # a second reader would judge a pulse, not the sequence, or renormalise twice
+    found = set()
+    for path in sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "pulselab").glob("*.py")):
+        found |= {(path.stem, owner, attr) for owner, _, attr in _policy_reads(path.read_text(encoding="utf-8"))}
+    sequence = {("integrator", "propagate_sequence", attr) for attr in _POLICIES}
+    assert found <= sequence | {("integrator", "IntegratorConfig", attr) for attr in _POLICIES}, found
+    assert sequence <= found
 
 
 def test_step_pairs_midpoints_and_spacing():
@@ -721,10 +811,6 @@ def test_step_count_is_bounded_before_anything_is_sampled(monkeypatch, capsys):
     assert 8 * 500_000 <= integrator.MAX_STEPS_PER_PULSE
 
 
-from hypothesis import given, settings
-import hypothesis.strategies as st
-
-
 @given(
     st.floats(0.1, 6.0),
     st.floats(-6.0, 6.0),
@@ -738,7 +824,6 @@ def test_unitarity_for_random_chirped_gaussians(om_mult, beta, phase):
         phase=phase,
         window=(-6.0, 6.0),
     )
-    cfg = IntegratorConfig(steps_per_pulse=1000, renormalize=False)
-    u = propagate(w, cfg)
+    u = propagate(w, IntegratorConfig(steps_per_pulse=1000))
     assert unitarity_defect(u) < 1e-10
     assert 0.0 <= min(transition_probability(u), 1.0)

@@ -19,7 +19,7 @@ from pulselab import sweep as sweep_module
 from pulselab.channels import ErrorVector, apply_errors
 from pulselab.cli import main
 from pulselab.core import InvalidParameter
-from pulselab.integrator import IntegratorConfig, NonConvergent
+from pulselab.integrator import IntegratorConfig, NonConvergent, convergence_check
 from pulselab.protocols import SQRT_PI, ProtocolSpec, nominal_spec
 from pulselab.sweep import (
     CHANNEL_NOMINALS,
@@ -845,7 +845,7 @@ def test_memo_is_emptied_after_a_sweep_that_raised(sampled):
     with pytest.raises(NonConvergent) as raised:
         sweep1d(nominal_spec("CAP"), MEMO_AXES["alpha"], cfg=replace(MEMO_CFG, convergence_tol=1e-12))
     assert sampled and alive(sampled) == []
-    assert raised.traceback[-1].name == "propagate"  # the traceback is still held and whole
+    assert raised.traceback[-1].name == "propagate_sequence"  # the traceback is still held and whole
 
 
 def test_duration_sweep_holds_one_shape_at_a_time(sampled, monkeypatch):
@@ -952,40 +952,48 @@ CERT_AXES = (SweepAxis("duration_factor", 0.6, 1.4, 3), SweepAxis("alpha", 0.5, 
 def test_certified_points_under_the_memo_are_bitwise_standalone(kind, tol, sampled):
     # duration outer, alpha inner: each shape's N and 2N samples serve several points
     spec = nominal_spec(kind)
-    cfg = IntegratorConfig(steps_per_pulse=400, convergence_tol=tol)
-    tasks = sweep_module._grid_tasks(spec, CERT_AXES, ErrorVector(), cfg)
+    strict = IntegratorConfig(steps_per_pulse=400, convergence_tol=tol)
+    loose = replace(strict, convergence_tol=1.0)
+    tasks = sweep_module._grid_tasks(spec, CERT_AXES, ErrorVector(), strict)
+    # a point's certificate: its one shape's estimate, counted once per pulse
+    certificates = [sum([convergence_check(apply_errors(spec, err).pulses[0], strict)] * spec.pulse_count)
+                    for _, err, _ in tasks]
+    outcomes = []
+    for cfg in (strict, loose):
+        def outcome(err, shapes=None):
+            try:
+                return evaluate_point(spec, err, cfg, shapes)
+            except NonConvergent:
+                return "NonConvergent"
 
-    def outcome(err, shapes=None):
-        try:
-            return evaluate_point(spec, err, cfg, shapes)
-        except NonConvergent:
-            return "NonConvergent"
+        alone = [outcome(err) for _, err, _ in tasks]
+        assert [p == "NonConvergent" for p in alone] == [c > cfg.convergence_tol for c in certificates]
+        sampled.clear()
+        shapes = functools.lru_cache(maxsize=1)(functools.partial(protocols.nominal_pulses, keep=True))
+        memoized = []
+        for _, err, _ in tasks:
+            memoized.append(outcome(err, shapes))
+            # every pulse is kept at N steps, the first of the shape also at 2N
+            half = protocols.WINDOW_HALF_WIDTH * err.duration_factor * spec.T
+            n = spec.pulse_count
+            centers = [half * (2 * k + 1 - n) for k in range(n)]
+            slots = {(c, 400) for c in centers} | {(centers[0], 800)}
+            kept = {(c, size) for _, c, size, _ in alive(sampled)}
+            if memoized[-1] == "NonConvergent":  # raised before the later pulses
+                assert kept <= slots
+            else:
+                assert kept == slots
+        assert memoized == alone
+        assert max(Counter(entry[:4] for entry in sampled).values()) == 1  # each part once per shape
+        outcomes += alone
+    # CAP's tightest sum is 6.52e-5, so all 15 of its points fail 6.5e-5 (a per-pulse rule passed the 8 whose
+    # pulses each estimate at most 6.5e-5); the loose tolerance certifies them all
+    assert "NonConvergent" in outcomes and any(isinstance(p, float) for p in outcomes)
 
-    alone = [outcome(err) for _, err, _ in tasks]
-    sampled.clear()
-    shapes = functools.lru_cache(maxsize=1)(functools.partial(protocols.nominal_pulses, keep=True))
-    memoized = []
-    for _, err, _ in tasks:
-        memoized.append(outcome(err, shapes))
-        # every pulse is kept at N steps, the first of the shape also at 2N
-        half = protocols.WINDOW_HALF_WIDTH * err.duration_factor * spec.T
-        n = spec.pulse_count
-        centers = [half * (2 * k + 1 - n) for k in range(n)]
-        slots = {(c, 400) for c in centers} | {(centers[0], 800)}
-        kept = {(c, size) for _, c, size, _ in alive(sampled)}
-        if memoized[-1] == "NonConvergent":  # raised before the later pulses
-            assert kept <= slots
-        else:
-            assert kept == slots
-    assert memoized == alone
-    assert "NonConvergent" in alone and any(isinstance(p, float) for p in alone)
-    assert max(Counter(entry[:4] for entry in sampled).values()) == 1  # each part once per shape
-
-    loose = replace(cfg, convergence_tol=1.0)
     values = sweep2d(spec, *CERT_AXES, cfg=loose).values
     assert values == tuple(evaluate_point(spec, err, loose) for _, err, _ in tasks)
     with pytest.raises(NonConvergent):
-        sweep2d(spec, *CERT_AXES, cfg=cfg)
+        sweep2d(spec, *CERT_AXES, cfg=strict)
 
 
 def test_memoized_controls_return_fresh_arrays():
