@@ -175,11 +175,16 @@ def _cmd_table(args: argparse.Namespace) -> int:
         {"protocol", *SPEC_KEYS, *_SWEEP_KEYS},
         "it runs the canonical techniques of --protocols on its own probe grids",
     )
-    cfg = build_config({**raw, "protocol": "STA"})  # STA takes every key; its rows read sta_alpha_scales_shortcut
-    kinds = [k.strip().upper() for k in args.protocols.split(",")]
+    kinds = [k.strip().upper() for k in (args.protocols or ",".join(PROTOCOL_KINDS)).split(",")]
     for i, kind in enumerate(kinds):
-        if kind not in PROTOCOL_KINDS or kind in kinds[:i]:
-            raise ValidationError(f"{'repeated' if kind in kinds[:i] else 'unknown'} protocol {kind!r} in --protocols")
+        if kind not in PROTOCOL_KINDS:
+            raise ValidationError(f"unknown protocol {kind!r} in --protocols")
+        if kind in kinds[:i]:
+            raise ValidationError(f"repeated protocol {kind!r} in --protocols")
+    if "STA" not in kinds:
+        _reject_unused(raw, "table", {"sta_alpha_scales_shortcut"}, "only STA rows read it and --protocols has none")
+    # the rows share one error vector, built as the STA rows read it when there are any
+    cfg = build_config({**raw, "protocol": "STA" if "STA" in kinds else "RE"})
     specs = [nominal_spec(kind, cfg.protocol.T) for kind in kinds]
     rows = comparison_table(
         specs, base_err=cfg.errors, cfg=cfg.integrator, workers=cfg.workers
@@ -229,9 +234,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="half-width robustness summary across protocols")
     _add_config_flags(p_table)
-    p_table.add_argument(
-        "--protocols", metavar="LIST", default=",".join(PROTOCOL_KINDS), help="comma list, default all six"
-    )
+    p_table.add_argument("--protocols", metavar="LIST", help="comma list, default all six")
     p_table.set_defaults(fn=_cmd_table)
 
     p_check = sub.add_parser("check", help="run the oracle/invariant suite")

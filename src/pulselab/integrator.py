@@ -199,7 +199,7 @@ def _propagate_raw(w: Waveform, steps: int) -> CKPropagator:
 
 
 def propagate(w: Waveform, cfg: IntegratorConfig = DEFAULT_CONFIG) -> CKPropagator:
-    """One waveform's CK pair over its window, neither renormalised nor certified (see :func:`propagate_sequence`)."""
+    """One waveform's CK pair, unitarity-checked; it reads ``cfg.steps_per_pulse`` and ``cfg.unitarity_tol`` alone."""
     u = _propagate_raw(w, cfg.steps_per_pulse)
     defect = unitarity_defect(u)
     if not defect <= cfg.unitarity_tol:  # a NaN defect fails too

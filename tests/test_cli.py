@@ -216,6 +216,13 @@ def test_sta_alpha_scales_shortcut_is_read_by_sta_and_the_tables_sta_rows(tmp_pa
     assert main([*table, "--sta-alpha-scales-shortcut", "false"]) == 0
     unscaled = capsys.readouterr().out
     assert unscaled != scaled and unscaled.startswith("channel,protocol,threshold")
+    assert main([*table, "--protocols", "RE,STA", "--sta-alpha-scales-shortcut", "false"]) == 0
+    assert [row for row in capsys.readouterr().out.splitlines() if ",STA," in row] == unscaled.splitlines()[1:]
+    off_sta = ["table", "--protocols", "RE,CAP", "--steps-per-pulse", "400", "--sta-alpha-scales-shortcut", "false"]
+    assert main(off_sta) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "table does not use key 'sta_alpha_scales_shortcut': only STA rows read it" in captured.err
 
 
 @pytest.mark.parametrize("protocols", ("RE,RE", "re, RE", "RE,CAP,UCP,CAP"))
@@ -234,8 +241,6 @@ def test_exit_code_config_error(capsys):
     assert "convergence_tol must be positive" in capsys.readouterr().err
     assert main(["table", "--protocols", "RE,XX", "--steps-per-pulse", "200"]) == 2
     assert "unknown protocol 'XX' in --protocols" in capsys.readouterr().err
-    assert main(["table", "--protocols", "", "--steps-per-pulse", "200"]) == 2  # not the default six
-    assert "unknown protocol '' in --protocols" in capsys.readouterr().err
 
 
 def test_exit_code_unknown_key_in_config(tmp_path, capsys):

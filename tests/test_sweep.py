@@ -945,7 +945,9 @@ def test_long_sweep_keeps_each_part_once_per_block_and_is_bitwise_simulate(kind,
         assert value == min(max(p, 0.0), 1.0)
 
 
-CERT_AXES = (SweepAxis("duration_factor", 0.6, 1.4, 3), SweepAxis("alpha", 0.5, 1.5, 5))
+# alpha from 1.5 up: on the 0.6 shape CAP's estimate falls from 4.2e-5 to 2.0e-5, so its first point raises
+# after its second pulse (the memo holds two of three pulses) and its last point certifies, summed over three
+CERT_AXES = (SweepAxis("duration_factor", 0.6, 1.4, 3), SweepAxis("alpha", 1.5, 2.75, 5))
 
 
 @pytest.mark.parametrize("kind, tol", (("CAP", 6.5e-5), ("SP", 1e-3)))
@@ -958,7 +960,6 @@ def test_certified_points_under_the_memo_are_bitwise_standalone(kind, tol, sampl
     # a point's certificate: its one shape's estimate, counted once per pulse
     certificates = [sum([convergence_check(apply_errors(spec, err).pulses[0], strict)] * spec.pulse_count)
                     for _, err, _ in tasks]
-    outcomes = []
     for cfg in (strict, loose):
         def outcome(err, shapes=None):
             try:
@@ -971,6 +972,7 @@ def test_certified_points_under_the_memo_are_bitwise_standalone(kind, tol, sampl
         sampled.clear()
         shapes = functools.lru_cache(maxsize=1)(functools.partial(protocols.nominal_pulses, keep=True))
         memoized = []
+        partly_kept = False
         for _, err, _ in tasks:
             memoized.append(outcome(err, shapes))
             # every pulse is kept at N steps, the first of the shape also at 2N
@@ -981,14 +983,18 @@ def test_certified_points_under_the_memo_are_bitwise_standalone(kind, tol, sampl
             kept = {(c, size) for _, c, size, _ in alive(sampled)}
             if memoized[-1] == "NonConvergent":  # raised before the later pulses
                 assert kept <= slots
+                partly_kept |= kept < slots
             else:
                 assert kept == slots
         assert memoized == alone
         assert max(Counter(entry[:4] for entry in sampled).values()) == 1  # each part once per shape
-        outcomes += alone
-    # CAP's tightest sum is 6.52e-5, so all 15 of its points fail 6.5e-5 (a per-pulse rule passed the 8 whose
-    # pulses each estimate at most 6.5e-5); the loose tolerance certifies them all
-    assert "NonConvergent" in outcomes and any(isinstance(p, float) for p in outcomes)
+        if cfg is strict:
+            assert "NonConvergent" in alone and any(isinstance(p, float) for p in alone)
+            assert partly_kept or spec.pulse_count == 1
+            # on some shape a point that raised is followed by one that certifies from the same memo
+            per_shape = [alone[i:i + CERT_AXES[1].points] for i in range(0, len(alone), CERT_AXES[1].points)]
+            assert any(isinstance(p, float) for s in per_shape if "NonConvergent" in s
+                       for p in s[s.index("NonConvergent"):])
 
     values = sweep2d(spec, *CERT_AXES, cfg=loose).values
     assert values == tuple(evaluate_point(spec, err, loose) for _, err, _ in tasks)
