@@ -137,6 +137,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = build_config(_collect_raw(args))
     if not cfg.axes:
         raise ValidationError("sweep requires sweep_channel/lo/hi/points")
+    if args.gnuplot and cfg.fmt != "csv":
+        raise ValidationError(f"--gnuplot plots CSV rows, so format must be csv, got {cfg.fmt!r}")
     if len(cfg.axes) == 1:
         result = sweep1d(cfg.protocol, cfg.axes[0], cfg.errors, cfg.integrator, cfg.workers)
     else:
@@ -148,7 +150,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _write_gnuplot(path: str, cfg: RunConfig) -> None:
-    data = cfg.output if cfg.output != "-" else "sweep.csv"
+    # gnuplot's single-quoted strings take a quote as two
+    data = (cfg.output if cfg.output != "-" else "sweep.csv").replace("'", "''")
     lines = ["set datafile separator ','", "set key top right"]
     if len(cfg.axes) == 1:
         lines += [

@@ -12,26 +12,29 @@ and ``centering`` change it, while alpha, delta, eta and sigma act on top of
 it (:func:`~pulselab.channels.apply_errors` applies them to the parts of
 :func:`~pulselab.protocols.nominal_pulses`).  A grid is therefore evaluated
 grouped by ``(spec, duration_factor, centering)`` (first appearance first,
-grid order within a group), and each block of :func:`_run_blocks` (a sweep's
-whole grid in process, one pool chunk otherwise) calls
+grid order within a group), and each chunk of :func:`_run_grid` (a sweep's
+whole grid in process, one pool task otherwise) calls
 ``nominal_pulses`` with ``keep`` through a one-entry cache on those same
 arguments, so every shape is built and sampled once per group instead of once
 per point.  A shape's samples can only come from the call that built them.
-The cache holds one shape at a time and is cleared when the block ends, also on
+The cache holds one shape at a time and is cleared when the chunk ends, also on
 an exception, whose traceback then holds no sampled arrays either; nothing
 outside a sweep keeps samples.  The shaped pulse's coefficients are checked
 once, when its :class:`~pulselab.protocols.ProtocolSpec` is made (pool
 workers receive the checked spec); its schedule is built with each shape and
 is dropped with it.
 
-:func:`comparison_table` evaluates all of its (technique, channel) sweeps
-together, outward from each nominal point in blocks of ``_WALK_BLOCK`` points
-(see :func:`_walk_out`).  A side stops at its first point below the lowest
-threshold, since no row reads past that point, and so does the block that
-reaches it: the worker evaluates a table block's points in order and returns
-right after that point.  A sweep's blocks have no such floor and evaluate
-every point.  A block's points share their nominal shape unless they step
-``duration_factor``.
+Sweeps and the table evaluate their points through one ``map`` (see
+:func:`_mapping`): the builtin one for one worker, or one process pool's.
+Either returns each item's values in the order of the items, and a point that
+raises ends the map, so the point an error names is the first failing one in
+submission order, for any worker count.  :func:`comparison_table` evaluates
+all of its (technique, channel) sweeps together, outward from each nominal
+point, each side of a sweep as one item (see :func:`_walk_out`).  A side stops
+at its first point below the lowest threshold, since no row reads past that
+point: the worker evaluates a side's points in order and returns right after
+that point.  A sweep's chunks have no such floor and evaluate every point.  A
+side's points share their nominal shape unless they step ``duration_factor``.
 """
 from __future__ import annotations
 
@@ -41,11 +44,11 @@ import math
 import numbers
 import os
 import traceback
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from contextlib import nullcontext
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -166,7 +169,7 @@ def evaluate_point(
 _Task = Tuple[ProtocolSpec, ErrorVector, IntegratorConfig]
 
 
-def _eval_chunk(tasks: List[_Task], floor: float | None) -> List[float]:
+def _eval_chunk(tasks: Iterable[_Task], floor: float | None) -> List[float]:
     """P of ``tasks`` in order; with a ``floor``, only up to the first value that is not ``>= floor``."""
     shapes = functools.lru_cache(maxsize=1)(functools.partial(nominal_pulses, keep=True))
     values: List[float] = []
@@ -209,16 +212,28 @@ def _run_grid(tasks: List[_Task], workers: int) -> Tuple[List[float], int]:
     # One chunk here; on a pool many small chunks per worker: a composite point costs
     # several times a single-pulse one, so a few large chunks leave one worker idle at the end.
     size = len(tasks) if workers == 1 else max(1, len(tasks) // (workers * 16))
+    chunks = ([tasks[k] for k in order[i : i + size]] for i in range(0, len(tasks), size))
     values = [0.0] * len(tasks)
-
-    def place(start: int, results: List[float]) -> Tuple[()]:
-        for j, p in enumerate(results, start):
-            values[order[j]] = p
-        return ()
-
-    starts = range(0, len(tasks), size)
-    _run_blocks(((i, [tasks[k] for k in order[i : i + size]]) for i in starts), place, workers)
+    with _mapping(workers) as map_:
+        results = itertools.chain.from_iterable(map_(functools.partial(_eval_chunk, floor=None), chunks))
+        for k, p in zip(order, results):
+            values[k] = p
     return values, workers
+
+
+@contextmanager
+def _mapping(workers: int) -> Iterator[Callable[..., Iterator]]:
+    """The builtin, lazy ``map`` for one worker, else ``map`` of one pool of ``workers`` processes.
+
+    Either yields an item's result only after those of the items before it.
+    A point that raises ends the map: the builtin one evaluates nothing after
+    it, and the pool's cancels every item not yet started.
+    """
+    if workers == 1:
+        yield map
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield pool.map
 
 
 def _meta(cfg: IntegratorConfig, base_err: ErrorVector, workers: int) -> Dict[str, object]:
@@ -334,76 +349,17 @@ DEFAULT_PROBES: Dict[str, SweepAxis] = {
 }
 
 
-# Probe points by which a still-passing side of a table sweep grows per block.
-# A block stops at its first point below the lowest threshold, so a longer
-# block costs no extra points, only fewer pool round trips.
-_WALK_BLOCK = 32
+_Side = Tuple[ProtocolSpec, str, np.ndarray]  # (spec, channel, values in walk order)
 
 
-def _block(j: int, step: int, n: int) -> range:
-    """The next ``_WALK_BLOCK`` indices past ``j`` in direction ``step``, cut at [0, n)."""
-    if step > 0:
-        return range(j + 1, min(j + 1 + _WALK_BLOCK, n))
-    return range(j - 1, max(j - 1 - _WALK_BLOCK, -1), -1)
+def _eval_side(side: _Side, base_err: ErrorVector, cfg: IntegratorConfig, floor: float) -> List[float]:
+    """:func:`_eval_chunk` of ``spec`` with ``channel`` set to each of ``values`` in turn.
 
-
-def _submit(pool: ProcessPoolExecutor | None, tasks: List[_Task], floor: float | None) -> Future:
-    """The future of :func:`_eval_chunk`'s values: run on ``pool``, or, without one, here before returning."""
-    if pool is not None:
-        return pool.submit(_eval_chunk, tasks, floor)
-    future: Future = Future()
-    try:
-        future.set_result(_eval_chunk(tasks, floor))
-    except Exception as exc:
-        future.set_exception(exc)
-    return future
-
-
-_Block = Tuple[object, List[_Task]]  # (key, tasks)
-
-
-def _run_blocks(
-    blocks: Iterable[_Block],
-    place: Callable[[object, List[float]], Iterable[_Block]],
-    workers: int,
-    floor: float | None = None,
-):
-    """Evaluate ``blocks`` on one pool of ``workers`` processes or, for one worker, here.
-
-    Every block of ``blocks`` is submitted at once.  As blocks complete (in
-    submission order among those done), ``place(key, values)`` stores each
-    block's values and yields the blocks to submit next, at once too.  With a
-    ``floor`` a block's values end at its first value that is not ``>= floor``
-    (the rest of its tasks are not evaluated), so ``values`` can be shorter
-    than the block; without one every task is evaluated.
-
-    A point that raises ends the run: once its exception is seen no block is
-    submitted, the blocks not yet started are cancelled, and the exception
-    propagates.  For one worker a block runs as it is submitted, so its
-    exception is seen at once: the failing point is the last one evaluated.
-    When several points raise, which exception propagates (and so which point
-    an error message names) can depend on the order in which blocks
-    complete; that the run fails, and so the exit code, cannot.
+    Each point's task is built when the chunk reaches it, so a side's tasks
+    never all exist at once, and those past its floor are never built.
     """
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        flight: Dict[Future, object] = {}  # future in flight -> its block's key
-
-        def submit(blocks: Iterable[_Block]) -> None:
-            for key, tasks in blocks:
-                future = _submit(pool, tasks, floor)
-                flight[future] = key
-                if pool is None and future.exception() is not None:
-                    future.result()  # raises
-
-        try:
-            submit(blocks)
-            while flight:
-                done, _ = wait(flight, return_when=FIRST_COMPLETED)
-                for future in [f for f in flight if f in done]:  # in submission order
-                    submit(place(flight.pop(future), future.result()))
-        finally:
-            for future in flight:
-                future.cancel()
+    spec, channel, values = side
+    return _eval_chunk(((spec, replace(base_err, **{channel: float(v)}), cfg) for v in values), floor)
 
 
 def _walk_out(
@@ -415,51 +371,47 @@ def _walk_out(
 ) -> List[np.ndarray]:
     """P of each (spec, axis, nominal) sweep on the points its table rows read; NaN elsewhere.
 
-    Every sweep's nominal point, the one :func:`half_width` starts from, is
-    submitted first, once per distinct task: a technique's sweeps share it
-    whenever ``base_err`` holds every probed channel at its probe's nominal
-    value (the default table evaluates 6 nominal points, not 30).  When it
-    returns at or above the lowest threshold, the first block of each of its
-    sweeps' two sides is submitted; when a side's block
-    returns with all its points at or above it, that side's next block is
-    submitted at once, whatever the other sides are doing.  A side stops at
-    its first point below every threshold or at the grid edge: the worker
-    evaluating a block returns right after that point, and the block's later
-    points stay NaN (not evaluated).  :func:`half_width` stops at the same
-    point, so it never needs a NaN one.  Each side has at most one block in
-    flight, and all blocks share one pool, sized once over the full probe
-    count.
+    Two maps on one pool, sized once over the full probe count, evaluate
+    them.  The first evaluates every sweep's nominal point, the one
+    :func:`half_width` starts from, once per distinct task: a technique's
+    sweeps share it whenever ``base_err`` holds every probed channel at its
+    probe's nominal value (the default table evaluates 6 nominal points, not
+    30).  The second evaluates each side of every sweep whose nominal point is
+    at or above the lowest threshold as one item, from the nominal point's
+    neighbour out to the grid edge.  A side stops at its first point below
+    every threshold: the worker returns right after that point, and the
+    side's later points stay NaN (not evaluated).  :func:`half_width` stops at
+    the same point, so it never needs a NaN one.  A failing nominal point ends
+    the first map, so the second never starts.
     """
     grids = [axis.values() for _, axis, _ in sweeps]
     probs = [np.full(len(grid), np.nan) for grid in grids]
+    centres = [int(np.argmin(np.abs(grid - nominal))) for grid, (_, _, nominal) in zip(grids, sweeps)]
     floor = min(thresholds)
 
-    def task(s: int, j: int) -> _Task:
-        spec, axis, _ = sweeps[s]
-        return spec, replace(base_err, **{axis.channel: float(grids[s][j])}), cfg
+    # Each distinct nominal task -> (its one-point side, the sweeps it seeds).  The
+    # key is the task's repr, which tells every two floats apart (also -0.0 and 0.0).
+    nominals: Dict[str, Tuple[_Side, List[int]]] = {}
+    for s, ((spec, axis, _), grid, j) in enumerate(zip(sweeps, grids, centres)):
+        key = repr((spec, replace(base_err, **{axis.channel: float(grid[j])})))
+        nominals.setdefault(key, ((spec, axis.channel, grid[j : j + 1]), []))[1].append(s)
 
-    # Each distinct nominal task -> the (sweep, [index]) it seeds.  The key is
-    # the task's repr, which tells every two floats apart (also -0.0 and 0.0).
-    nominals: Dict[str, Tuple[_Task, List[Tuple[int, Sequence[int]]]]] = {}
-    for s, (grid, (_, _, nominal)) in enumerate(zip(grids, sweeps)):
-        j = int(np.argmin(np.abs(grid - nominal)))
-        nominal_task = task(s, j)
-        nominals.setdefault(repr(nominal_task[:2]), (nominal_task, []))[1].append((s, [j]))
-
-    # A block's key is (sweeps, step): the (sweep, indices) it answers, and
-    # step 0 for a nominal point, else the direction its side grows in.
-    def grow(answered: Tuple[List[Tuple[int, Sequence[int]]], int], values: List[float]) -> Iterable[_Block]:
-        seeded, step = answered
-        for s, block in seeded:
-            probs[s][block[: len(values)]] = values
-            if all(probs[s][j] >= floor for j in block):  # False on a point left NaN
-                for side in (step,) if step else (-1, 1):
-                    if following := _block(block[-1], side, len(grids[s])):
-                        yield ([(s, following)], side), [task(s, j) for j in following]
-
-    workers = _resolve_workers(workers, sum(len(grid) for grid in grids))
-    nominal_blocks = (((seeded, 0), [nominal_task]) for nominal_task, seeded in nominals.values())
-    _run_blocks(nominal_blocks, grow, workers, floor)
+    evaluate = functools.partial(_eval_side, base_err=base_err, cfg=cfg, floor=floor)
+    with _mapping(_resolve_workers(workers, sum(len(grid) for grid in grids))) as map_:
+        nominal_sides = [side for side, _ in nominals.values()]
+        for (_, seeded), (p,) in zip(nominals.values(), map_(evaluate, nominal_sides)):
+            for s in seeded:
+                probs[s][centres[s]] = p
+        sides = [
+            (s, run)
+            for s, (grid, j) in enumerate(zip(grids, centres))
+            if probs[s][j] >= floor
+            for run in (np.arange(j - 1, -1, -1), np.arange(j + 1, len(grid)))
+            if len(run)
+        ]
+        items = ((sweeps[s][0], sweeps[s][1].channel, grids[s][run]) for s, run in sides)
+        for (s, run), values in zip(sides, map_(evaluate, items)):
+            probs[s][run[: len(values)]] = values
     return probs
 
 
@@ -478,13 +430,12 @@ def comparison_table(
     and threshold with the most robust protocol first.  Every probe axis must
     be keyed by its own channel and contain that channel's nominal value.
 
-    The sweeps are evaluated outward from the nominal point in blocks of
-    ``_WALK_BLOCK`` points, each side growing as soon as its last block
-    returns.  A side, and the block that reaches it, stops at its first point
-    below the lowest threshold, so only the points a row can depend on are
-    computed, plus at most one point past each side's plateau.  The rows are
-    those of the full probe grids, and at most one pool is started for the
-    whole table.  Each threshold must be a finite probability in [0, 1]; the
+    The sweeps are evaluated outward from the nominal point, each side of a
+    sweep as one item of a map (see :func:`_walk_out`).  A side stops at its
+    first point below the lowest threshold, so only the points a row can
+    depend on are computed, plus at most one point past each side's plateau.
+    The rows are those of the full probe grids, and at most one pool is
+    started for the whole table.  Each threshold must be a finite probability in [0, 1]; the
     thresholds are checked before anything is evaluated.
     """
     probes = dict(DEFAULT_PROBES if probes is None else probes)

@@ -80,6 +80,38 @@ def test_sweep_writes_csv_and_gnuplot(tmp_path):
     assert "plot" in gp.read_text()
 
 
+def test_the_gnuplot_script_quotes_a_data_path_with_a_quote(tmp_path):
+    out, gp = tmp_path / "it's.csv", tmp_path / "it's.gp"
+    argv = ["sweep", "--protocol", "RE", *_SWEEP_FLAGS, "--steps-per-pulse", "400", "--output", str(out)]
+    assert main([*argv, "--gnuplot", str(gp)]) == 0
+    data = str(out).replace("'", "''")
+    assert gp.read_text().splitlines() == [
+        "set datafile separator ','",
+        "set key top right",
+        "set xlabel 'alpha'",
+        "set ylabel 'P'",
+        f"plot '{data}' skip 1 using 1:2 with lines title 'RE'",
+    ]
+    assert out.read_text().startswith("alpha,P\n")
+
+
+@pytest.mark.parametrize("given_in", ("flag", "config"))
+def test_sweep_rejects_gnuplot_with_json_before_any_point(given_in, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sweep1d", lambda *args, **kwargs: pytest.fail("a point was evaluated"))
+    argv = ["sweep", "--protocol", "RE", *_SWEEP_FLAGS, "--steps-per-pulse", "400", "--output", str(tmp_path / "out")]
+    if given_in == "flag":
+        argv += ["--format", "json"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = json\n")
+        argv += ["--config", str(cfg)]
+    assert main([*argv, "--gnuplot", str(tmp_path / "out.gp")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: --gnuplot plots CSV rows, so format must be csv, got 'json'\n"
+    assert list(tmp_path.glob("out*")) == []
+
+
 def test_empty_output_in_a_sweep_config_means_stdout(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -120,13 +120,21 @@ def test_bench_pairs_summarizes_each_metric_by_quartiles_and_pairs_won():
     rate, p50 = bench_pairs.summarize(SYNTHETIC_METRICS, runs)
     assert rate == (
         "points_per_s [1/s, higher is better]: parent median 120 (quartiles 110, 130);"
-        " change median 160 (quartiles 150, 170); parent IQR 20; change +33.3%; change better in 4/5 pairs"
+        " change median 160 (quartiles 150, 170); parent IQR 20; change +33.3%; change better in 4/5 pairs; within its 25% bound"
     )
     # lower is better: pair 2 is a tie and pair 3 a loss
     assert p50 == (
         "point_ms_p50 [ms, lower is better]: parent median 3 (quartiles 2, 3);"
-        " change median 2.5 (quartiles 2, 3); parent IQR 1; change -16.7%; change better in 3/5 pairs"
+        " change median 2.5 (quartiles 2, 3); parent IQR 1; change -16.7%; change better in 3/5 pairs; within its 25% bound"
     )
+    # the sides swapped: a rate 25% lower is inside a 25% bound and outside a 20% one,
+    # and a median 20% higher where lower is better is outside a 10% one
+    swapped = {"parent": runs["change"], "change": runs["parent"]}
+    bounds = [{**SYNTHETIC_METRICS[0], "bound": 0.25}, {**SYNTHETIC_METRICS[0], "bound": 0.2}]
+    bounds.append({**SYNTHETIC_METRICS[1], "bound": 0.1})
+    assert [line.rsplit("; ", 1)[1] for line in bench_pairs.summarize(bounds, swapped)] == [
+        "within its 25% bound", "worse than its 20% bound", "worse than its 10% bound"
+    ]
 
 
 def test_bench_pairs_alternates_the_order_and_seeds_by_pair(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,7 @@
 """Sweep engine: grids, determinism, worker invariance, robustness table."""
+import contextlib
 import functools
+import itertools
 import multiprocessing
 import os
 import re
@@ -26,7 +28,6 @@ from pulselab.sweep import (
     DEFAULT_PROBES,
     MAX_AXIS_POINTS,
     MAX_GRID_POINTS,
-    SWEEP_CHANNELS,
     RobustnessRow,
     SweepAxis,
     SweepResult,
@@ -293,8 +294,6 @@ def test_comparison_table_is_one_grid_on_one_pool(fast_cfg, monkeypatch):
 
 # ------------------------------------------------------------------ walk-out
 
-WALK_BLOCK = sweep_module._WALK_BLOCK
-
 
 @pytest.fixture
 def point_log(monkeypatch):
@@ -470,7 +469,7 @@ SYNTHETIC_SHAPE = {"RE": (1.0, 0.5), "AF": (1.0, 5.0), "STA": (0.98, 0.0), "SP":
 SYNTHETIC_PROBES = {  # dyadic cells, so each grid holds its nominal value exactly
     "alpha": SweepAxis("alpha", 0.0, 2.0, 65),
     "duration_factor": SweepAxis("duration_factor", 0.25, 1.75, 49),
-    "delta": SweepAxis("delta", -4.0, 4.0, 1025),  # SP's delta sides span several blocks
+    "delta": SweepAxis("delta", -4.0, 4.0, 1025),  # SP evaluates 129 points on each delta side
 }
 SYNTHETIC_THRESHOLDS = (0.99, 0.999)
 
@@ -481,58 +480,55 @@ def synthetic_point(spec, err, cfg, shapes=None, shape=SYNTHETIC_SHAPE):
     return max(level - k * d * d, 0.0)
 
 
-def submission_log(monkeypatch, key=None):
-    """Events in the parent, in order: ("submit", key) per block and ("result", key) when it is read.
+def submission_log(monkeypatch, key=len):
+    """Events in the parent, in order: ("submit", key) per item handed to a map and ("result", key) when its value is read.
 
-    A block's key is ``key(tasks)``, by default the side all its tasks share:
-    (technique, channel, direction), or None for a nominal point.  A result
-    that raises is logged as ("raised", key).
+    A sweep's item is a chunk of tasks, keyed ``key(tasks)``.  A table's item
+    is a side (spec, channel, values), keyed (technique, channel, direction),
+    or None for a nominal point.  A result that raises is logged as
+    ("raised", key).
     """
     events = []
-    submit = sweep_module._submit
+    mapping = sweep_module._mapping
 
-    def side(task):
-        spec, err, _ = task
-        for channel in SWEEP_CHANNELS:
-            offset = getattr(err, channel) - CHANNEL_NOMINALS[channel]
-            if offset:
-                return spec.kind, channel, int(np.sign(offset))
-        return None
+    def item_key(item):
+        if isinstance(item, list):
+            return key(item)
+        spec, channel, values = item
+        direction = int(np.sign(values[0] - CHANNEL_NOMINALS[channel]))
+        return (spec.kind, channel, direction) if direction else None
 
-    def shared_side(tasks):
-        first = side(tasks[0])
-        assert all(side(task) == first for task in tasks)
-        return first
-
-    def logged(pool, tasks, floor):
-        future = submit(pool, tasks, floor)
-        block = (key or shared_side)(tasks)
-        events.append(("submit", block))
-        result = future.result
-
-        def logged_result(timeout=None):
+    def read(results, keys):
+        for n in itertools.count():
             try:
-                values = result(timeout)
+                values = next(results)
+            except StopIteration:
+                return
             except Exception:
-                events.append(("raised", block))
+                events.append(("raised", keys[n]))
                 raise
-            events.append(("result", block))
-            return values
+            events.append(("result", keys[n]))
+            yield values
 
-        future.result = logged_result
-        return future
+    @contextlib.contextmanager
+    def logged_mapping(workers):
+        with mapping(workers) as map_:
 
-    monkeypatch.setattr(sweep_module, "_submit", logged)
+            def logged_map(fn, items):
+                keys = []
+
+                def submitted():
+                    for item in items:
+                        keys.append(item_key(item))
+                        events.append(("submit", keys[-1]))
+                        yield item
+
+                return read(iter(map_(fn, submitted())), keys)
+
+            yield logged_map
+
+    monkeypatch.setattr(sweep_module, "_mapping", logged_mapping)
     return events
-
-
-def assert_one_block_in_flight_per_side(events):
-    flight = Counter()
-    for event, key in events:
-        if key is None:
-            continue
-        flight[key] += 1 if event == "submit" else -1
-        assert flight[key] in (0, 1), f"{key} has two blocks in flight"
 
 
 @pytest.mark.parametrize("workers", (1, 2))
@@ -551,12 +547,16 @@ def test_the_pool_walk_evaluates_exactly_the_in_process_point_set(workers, monke
     for got, want in zip(walked, in_process):
         np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
         np.testing.assert_array_equal(got[~np.isnan(got)], want[~np.isnan(want)])
-    # several blocks per side, sides that reach the probe edge, and a technique
-    # below threshold at nominal all occur
-    assert max(Counter(key for event, key in events if event == "submit" and key).values()) >= 3
+    # every nominal point is submitted before any side, and each side of a
+    # technique at or above the floor at nominal (not STA) exactly once
+    submitted = [key for event, key in events if event == "submit"]
+    sides = [(kind, c, d) for kind in ("RE", "AF", "SP") for c in SYNTHETIC_PROBES for d in (-1, 1)]
+    assert submitted[:4] == [None] * 4 and sorted(submitted[4:]) == sorted(sides)
+    # long sides, sides that reach the probe edge, and a technique below
+    # threshold at nominal all occur
+    assert np.count_nonzero(~np.isnan(walked[11])) == 1 + 2 * 129
     assert any(not np.isnan(p[[0, -1]]).any() for p in walked)
     assert [np.count_nonzero(~np.isnan(p)) for p in walked[6:9]] == [1, 1, 1]
-    assert_one_block_in_flight_per_side(events)
     assert len([e for e in events if e[0] == "submit"]) == len([e for e in events if e[0] == "result"])
 
     rows = comparison_table(specs, SYNTHETIC_PROBES, SYNTHETIC_THRESHOLDS, cfg=cfg, workers=workers)
@@ -619,11 +619,9 @@ def test_a_failing_point_ends_the_walk(workers, monkeypatch, capsys):
         comparison_table(specs, SYNTHETIC_PROBES, SYNTHETIC_THRESHOLDS, cfg=cfg, workers=workers)
     kinds = [event for event, _ in events]
     assert kinds.count("raised") == 1 and "submit" not in kinds[kinds.index("raised"):]
-    # the failing block is the upper alpha side's block holding its first point at alpha >= 1.3
-    alphas = SYNTHETIC_PROBES["alpha"].values()
-    offset = int(np.argmax(alphas >= 1.3)) - int(np.argmin(np.abs(alphas - 1.0)))
-    assert events.count(("submit", ("RE", "alpha", 1))) == (offset - 1) // WALK_BLOCK + 1
-    assert_one_block_in_flight_per_side(events)
+    # the failing block is the upper alpha side, submitted once
+    assert events.count(("submit", ("RE", "alpha", 1))) == 1
+    assert ("raised", ("RE", "alpha", 1)) in events
     assert multiprocessing.active_children() == []
 
     argv = ["table", "--protocols", "RE,SP", "--steps-per-pulse", "100", "--workers", str(workers)]
@@ -648,7 +646,7 @@ def test_a_failing_point_ends_a_sweep_through_the_same_loop(workers, monkeypatch
         return 1.0
 
     monkeypatch.setattr(sweep_module, "evaluate_point", failing_at_the_first_point)
-    events = submission_log(monkeypatch, key=len)
+    events = submission_log(monkeypatch)
     points = 400
     with pytest.raises(NonConvergent, match="alpha = 0"):
         sweep1d(RE, SweepAxis("alpha", 0.0, 2.0, points), cfg=IntegratorConfig(steps_per_pulse=100), workers=workers)
@@ -670,9 +668,42 @@ def test_a_failing_point_ends_a_sweep_through_the_same_loop(workers, monkeypatch
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("workers", (1, 2))
+def test_of_two_failing_points_the_error_names_the_first_submitted(workers, monkeypatch, capsys):
+    monkeypatch.delenv("PULSE_WORKERS", raising=False)
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+    failing = {}  # (technique, alpha, delta) -> its message
+
+    def failing_twice(spec, err, cfg, shapes=None):
+        message = failing.get((spec.kind, err.alpha, err.delta))
+        if message == "first":
+            time.sleep(0.3)  # so that on a pool the second failure returns first
+        if message:
+            raise NonConvergent(f"synthetic {message} failure")
+        return synthetic_point(spec, err, cfg)
+
+    monkeypatch.setattr(sweep_module, "evaluate_point", failing_twice)
+    small = ["--steps-per-pulse", "100", "--workers", str(workers)]
+
+    # a sweep's first chunk and its last
+    failing.update({("RE", 0.0, 0.0): "first", ("RE", 2.0, 0.0): "second"})
+    axis = ["--sweep-channel", "alpha", "--sweep-lo", "0", "--sweep-hi", "2", "--sweep-points", "400"]
+    assert main(["sweep", "--protocol", "RE", *axis, *small]) == 3
+    assert capsys.readouterr().err == "numerical failure: synthetic first failure\n"
+    assert multiprocessing.active_children() == []
+
+    # RE's upper alpha side, and SP's lower delta side, submitted after it
+    failing.clear()
+    alpha, delta = DEFAULT_PROBES["alpha"].values()[110], DEFAULT_PROBES["delta"].values()[99]
+    failing.update({("RE", alpha, 0.0): "first", ("SP", 1.0, delta): "second"})
+    assert main(["table", "--protocols", "RE,SP", *small]) == 3
+    assert capsys.readouterr().err == "numerical failure: synthetic first failure\n"
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("failing", ("RE nominal", "AF alpha below"))
 def test_one_worker_evaluates_nothing_after_a_failing_point(failing, monkeypatch, capsys):
-    # a failing nominal point, and the first of the blocks that one placed nominal point yields
+    # a failing nominal point, and a failing first point of a side
     monkeypatch.delenv("PULSE_WORKERS", raising=False)
     evaluated = []
 
