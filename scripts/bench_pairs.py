@@ -12,11 +12,11 @@ parent's interquartile range, the change's median relative to the parent's,
 the pairs in which the change reads better (ties count for neither), and
 whether the change's median is worse than the parent's by no more than the
 metric's ``bound``, a fraction of the parent's median: the gate every change
-must pass.  A gain may be claimed when the change is better in at least nine tenths of
-the pairs and the medians differ by more than the parent's interquartile
-range.  A run whose output is not correct or that failed operations makes
-the script exit 1 after the summary, naming the run on stderr.  The
-checkouts are only read and run.
+must pass.  Each line ends with whether a gain may be claimed: only when the
+change is better in at least nine tenths of the pairs and its median is better
+than the parent's by more than the parent's interquartile range.  A run whose
+output is not correct or that failed operations makes the script exit 1 after
+the summary, naming the run on stderr.  The checkouts are only read and run.
 """
 from __future__ import annotations
 
@@ -62,12 +62,19 @@ def summarize(end_to_end: Sequence[dict], runs: Dict[str, List[dict]]) -> List[s
         better = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         change = q["change"][1] / q["parent"][1] - 1.0 if q["parent"][1] else float("nan")
         within = -sign * change <= metric["bound"]  # False for a NaN change
+        iqr = q["parent"][2] - q["parent"][0]
+        if better < 0.9 * len(values["parent"]):
+            claim = "no gain claimable: better in under 9/10 of the pairs"
+        elif not sign * (q["change"][1] - q["parent"][1]) > iqr:
+            claim = "no gain claimable: the medians differ by no more than the parent IQR"
+        else:
+            claim = "gain claimable"
         lines.append(
             f"{name} [{metric['unit']}, {metric['better']} is better]: "
             + "; ".join(f"{side} median {q[side][1]:.6g} (quartiles {q[side][0]:.6g}, {q[side][2]:.6g})" for side in SIDES)
-            + f"; parent IQR {q['parent'][2] - q['parent'][0]:.6g}; change {change:+.1%};"
+            + f"; parent IQR {iqr:.6g}; change {change:+.1%};"
             + f" change better in {better}/{len(values['parent'])} pairs;"
-            + f" {'within' if within else 'worse than'} its {100 * metric['bound']:g}% bound"
+            + f" {'within' if within else 'worse than'} its {100 * metric['bound']:g}% bound; {claim}"
         )
     return lines
 

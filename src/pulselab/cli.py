@@ -139,6 +139,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValidationError("sweep requires sweep_channel/lo/hi/points")
     if args.gnuplot and cfg.fmt != "csv":
         raise ValidationError(f"--gnuplot plots CSV rows, so format must be csv, got {cfg.fmt!r}")
+    if args.gnuplot and cfg.output == "-":
+        raise ValidationError("--gnuplot plots the output file, so it needs an output path, not stdout")
     if len(cfg.axes) == 1:
         result = sweep1d(cfg.protocol, cfg.axes[0], cfg.errors, cfg.integrator, cfg.workers)
     else:
@@ -151,7 +153,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _write_gnuplot(path: str, cfg: RunConfig) -> None:
     # gnuplot's single-quoted strings take a quote as two
-    data = (cfg.output if cfg.output != "-" else "sweep.csv").replace("'", "''")
+    data = cfg.output.replace("'", "''")
     lines = ["set datafile separator ','", "set key top right"]
     if len(cfg.axes) == 1:
         lines += [

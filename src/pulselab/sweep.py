@@ -7,24 +7,28 @@ requested worker count (it can change the runtime, never the values); the
 count actually used is at most the number of grid points and of CPUs, and is
 recorded in the result's ``meta.workers``.
 
+Every point is evaluated as part of an item ``(spec, channels, points)``: a
+technique, the error channels the item sets, and their values, one row per
+point in evaluation order.  :func:`_eval_item` builds each point's
+:class:`~pulselab.channels.ErrorVector` only when it reaches the point.
+
 Most points of a grid share one nominal pulse shape: only ``duration_factor``
 and ``centering`` change it, while alpha, delta, eta and sigma act on top of
 it (:func:`~pulselab.channels.apply_errors` applies them to the parts of
-:func:`~pulselab.protocols.nominal_pulses`).  A grid is therefore evaluated
-grouped by ``(spec, duration_factor, centering)`` (first appearance first,
-grid order within a group), and each chunk of :func:`_run_grid` (a sweep's
-whole grid in process, one pool task otherwise) calls
-``nominal_pulses`` with ``keep`` through a one-entry cache on those same
-arguments, so every shape is built and sampled once per group instead of once
-per point.  A shape's samples can only come from the call that built them.
-The cache holds one shape at a time and is cleared when the chunk ends, also on
-an exception, whose traceback then holds no sampled arrays either; nothing
-outside a sweep keeps samples.  The shaped pulse's coefficients are checked
-once, when its :class:`~pulselab.protocols.ProtocolSpec` is made (pool
-workers receive the checked spec); its schedule is built with each shape and
-is dropped with it.
+:func:`~pulselab.protocols.nominal_pulses`).  A sweep's points are therefore
+evaluated grouped by ``duration_factor``, the one shape channel a sweep can
+vary (first appearance first, grid order within a group), and each item (a
+sweep's whole grid in process, a slice of it on a pool) calls
+``nominal_pulses`` with ``keep`` through a one-entry cache, so every shape is
+built and sampled once per group instead of once per point.  A shape's
+samples can only come from the call that built them.  The cache holds one
+shape at a time and is cleared when the item ends, also on an exception,
+whose traceback then holds no sampled arrays either; nothing outside a sweep
+keeps samples.  The shaped pulse's coefficients are checked once, when its
+:class:`~pulselab.protocols.ProtocolSpec` is made (pool workers receive the
+checked spec); its schedule is built with each shape and is dropped with it.
 
-Sweeps and the table evaluate their points through one ``map`` (see
+Sweeps and the table evaluate their items through one ``map`` (see
 :func:`_mapping`): the builtin one for one worker, or one process pool's.
 Either returns each item's values in the order of the items, and a point that
 raises ends the map, so the point an error names is the first failing one in
@@ -33,7 +37,7 @@ all of its (technique, channel) sweeps together, outward from each nominal
 point, each side of a sweep as one item (see :func:`_walk_out`).  A side stops
 at its first point below the lowest threshold, since no row reads past that
 point: the worker evaluates a side's points in order and returns right after
-that point.  A sweep's chunks have no such floor and evaluate every point.  A
+that point.  A sweep's items have no such floor and evaluate every point.  A
 side's points share their nominal shape unless they step ``duration_factor``.
 """
 from __future__ import annotations
@@ -82,7 +86,7 @@ CHANNEL_NOMINALS: Dict[str, float] = {channel: getattr(ErrorVector(), channel) f
 
 # Size bounds of a sweep, checked before anything is allocated: about 50x the
 # table's 201-point probes per axis, and about 10x the 101 x 101 maps of
-# scripts/make_figures.py per grid (its task list takes about 0.3 kB a point).
+# scripts/make_figures.py per grid (the parent holds about 0.16 kB a point).
 MAX_AXIS_POINTS = 10_000
 MAX_GRID_POINTS = 100_000
 
@@ -166,16 +170,25 @@ def evaluate_point(
     return float(min(max(p, 0.0), 1.0))
 
 
-_Task = Tuple[ProtocolSpec, ErrorVector, IntegratorConfig]
+# (spec, channels, points): the channels an item sets and their values, one row per point
+_Item = Tuple[ProtocolSpec, Tuple[str, ...], np.ndarray]
 
 
-def _eval_chunk(tasks: Iterable[_Task], floor: float | None) -> List[float]:
-    """P of ``tasks`` in order; with a ``floor``, only up to the first value that is not ``>= floor``."""
+def _eval_item(item: _Item, base_err: ErrorVector, cfg: IntegratorConfig, floor: float | None) -> List[float]:
+    """P at each point of ``item`` in order; with a ``floor``, only up to the first value that is not ``>= floor``.
+
+    A point's error vector is ``base_err`` with the item's channels set to the
+    point's row, built when the loop reaches the point.
+    """
+    spec, channels, points = item
+    # base_err's fields, overridden per point: dataclasses.replace would walk
+    # them again at every point, about 3% of a 4000-step sweep's time
+    fixed = asdict(base_err)
     shapes = functools.lru_cache(maxsize=1)(functools.partial(nominal_pulses, keep=True))
     values: List[float] = []
     try:
-        for spec, err, cfg in tasks:
-            values.append(evaluate_point(spec, err, cfg, shapes))
+        for row in points.tolist():
+            values.append(evaluate_point(spec, ErrorVector(**(fixed | dict(zip(channels, row)))), cfg, shapes))
             if floor is not None and not values[-1] >= floor:
                 break
         return values
@@ -188,8 +201,8 @@ def _eval_chunk(tasks: Iterable[_Task], floor: float | None) -> List[float]:
         shapes.cache_clear()
 
 
-def _resolve_workers(workers: int, tasks: int) -> int:
-    """Worker count to use: a non-empty ``PULSE_WORKERS`` or ``workers``, at most one per task and CPU."""
+def _resolve_workers(workers: int, points: int) -> int:
+    """Worker count to use: a non-empty ``PULSE_WORKERS`` or ``workers``, at most one per point and CPU."""
     env = os.environ.get("PULSE_WORKERS")
     if env:
         try:
@@ -198,25 +211,30 @@ def _resolve_workers(workers: int, tasks: int) -> int:
             raise InvalidParameter(f"PULSE_WORKERS must be an integer, got {env!r}") from exc
     if workers < 1:
         raise InvalidParameter(f"worker count must be >= 1, got {workers}")
-    return max(1, min(workers, tasks, os.cpu_count() or 1))
+    return max(1, min(workers, points, os.cpu_count() or 1))
 
 
-def _run_grid(tasks: List[_Task], workers: int) -> Tuple[List[float], int]:
-    """Values of ``tasks`` in task order, and the worker count used."""
-    workers = _resolve_workers(workers, len(tasks))
-    first: Dict[tuple, int] = {}
-    keys = [(spec, err.duration_factor, err.centering) for spec, err, _ in tasks]
-    for i, key in enumerate(keys):
-        first.setdefault(key, i)
-    order = sorted(range(len(tasks)), key=lambda i: first[keys[i]])
-    # One chunk here; on a pool many small chunks per worker: a composite point costs
-    # several times a single-pulse one, so a few large chunks leave one worker idle at the end.
-    size = len(tasks) if workers == 1 else max(1, len(tasks) // (workers * 16))
-    chunks = ([tasks[k] for k in order[i : i + size]] for i in range(0, len(tasks), size))
-    values = [0.0] * len(tasks)
+def _run_grid(
+    spec: ProtocolSpec, axes: Sequence[SweepAxis], base_err: ErrorVector, cfg: IntegratorConfig, workers: int
+) -> Tuple[List[float], int]:
+    """P at every grid point of ``axes`` in :func:`_grid_points` order, and the worker count used."""
+    check_grid_size(axes)
+    channels = tuple(ax.channel for ax in axes)
+    grid = np.array(_grid_points(axes))
+    order = np.arange(len(grid))
+    if "duration_factor" in channels:  # each shape's points together, first appearance first
+        _, first, group = np.unique(grid[:, channels.index("duration_factor")], return_index=True, return_inverse=True)
+        order = np.argsort(first[group], kind="stable")
+    points = grid[order]
+    workers = _resolve_workers(workers, len(points))
+    # One item here; on a pool many small items per worker: a composite point costs
+    # several times a single-pulse one, so a few large items leave one worker idle at the end.
+    size = len(points) if workers == 1 else max(1, len(points) // (workers * 16))
+    items = ((spec, channels, points[i : i + size]) for i in range(0, len(points), size))
+    evaluate = functools.partial(_eval_item, base_err=base_err, cfg=cfg, floor=None)
+    values = [0.0] * len(points)
     with _mapping(workers) as map_:
-        results = itertools.chain.from_iterable(map_(functools.partial(_eval_chunk, floor=None), chunks))
-        for k, p in zip(order, results):
+        for k, p in zip(order.tolist(), itertools.chain.from_iterable(map_(evaluate, items))):
             values[k] = p
     return values, workers
 
@@ -254,18 +272,6 @@ def check_grid_size(axes: Sequence[SweepAxis]) -> None:
         raise InvalidParameter(f"a sweep grid has at most {MAX_GRID_POINTS} points, got {shape} = {total}")
 
 
-def _grid_tasks(
-    spec: ProtocolSpec, axes: Sequence[SweepAxis], base_err: ErrorVector, cfg: IntegratorConfig
-) -> List[_Task]:
-    """One task per grid point of ``axes``, in :func:`_grid_points` order."""
-    check_grid_size(axes)
-    channels = [ax.channel for ax in axes]
-    return [
-        (spec, replace(base_err, **dict(zip(channels, point))), cfg)
-        for point in _grid_points(axes)
-    ]
-
-
 def _grid_points(axes: Sequence[SweepAxis]) -> List[Tuple[float, ...]]:
     """Every grid point of ``axes``, row-major (the first axis indexes rows)."""
     return [tuple(map(float, point)) for point in itertools.product(*(ax.values() for ax in axes))]
@@ -279,7 +285,7 @@ def sweep1d(
     workers: int = 1,
 ) -> SweepResult:
     """Scan one channel; the other channels are held at ``base_err``."""
-    values, used = _run_grid(_grid_tasks(spec, (axis,), base_err, cfg), workers)
+    values, used = _run_grid(spec, (axis,), base_err, cfg, workers)
     return SweepResult((axis,), spec, tuple(values), _meta(cfg, base_err, used))
 
 
@@ -294,7 +300,7 @@ def sweep2d(
     """Scan two channels over their Cartesian grid, row-major in axis_a."""
     if axis_a.channel == axis_b.channel:
         raise InvalidParameter("the two sweep axes must use different channels")
-    values, used = _run_grid(_grid_tasks(spec, (axis_a, axis_b), base_err, cfg), workers)
+    values, used = _run_grid(spec, (axis_a, axis_b), base_err, cfg, workers)
     return SweepResult((axis_a, axis_b), spec, tuple(values), _meta(cfg, base_err, used))
 
 
@@ -349,19 +355,6 @@ DEFAULT_PROBES: Dict[str, SweepAxis] = {
 }
 
 
-_Side = Tuple[ProtocolSpec, str, np.ndarray]  # (spec, channel, values in walk order)
-
-
-def _eval_side(side: _Side, base_err: ErrorVector, cfg: IntegratorConfig, floor: float) -> List[float]:
-    """:func:`_eval_chunk` of ``spec`` with ``channel`` set to each of ``values`` in turn.
-
-    Each point's task is built when the chunk reaches it, so a side's tasks
-    never all exist at once, and those past its floor are never built.
-    """
-    spec, channel, values = side
-    return _eval_chunk(((spec, replace(base_err, **{channel: float(v)}), cfg) for v in values), floor)
-
-
 def _walk_out(
     sweeps: List[Tuple[ProtocolSpec, SweepAxis, float]],
     thresholds: Sequence[float],
@@ -373,33 +366,33 @@ def _walk_out(
 
     Two maps on one pool, sized once over the full probe count, evaluate
     them.  The first evaluates every sweep's nominal point, the one
-    :func:`half_width` starts from, once per distinct task: a technique's
+    :func:`half_width` starts from, once per distinct point: a technique's
     sweeps share it whenever ``base_err`` holds every probed channel at its
     probe's nominal value (the default table evaluates 6 nominal points, not
     30).  The second evaluates each side of every sweep whose nominal point is
     at or above the lowest threshold as one item, from the nominal point's
-    neighbour out to the grid edge.  A side stops at its first point below
-    every threshold: the worker returns right after that point, and the
-    side's later points stay NaN (not evaluated).  :func:`half_width` stops at
-    the same point, so it never needs a NaN one.  A failing nominal point ends
-    the first map, so the second never starts.
+    neighbour out to the grid edge.  Both maps ship one-channel items.  A side
+    stops at its first point below every threshold: the worker returns right
+    after that point, and the side's later points stay NaN (not evaluated).
+    :func:`half_width` stops at the same point, so it never needs a NaN one.
+    A failing nominal point ends the first map, so the second never starts.
     """
     grids = [axis.values() for _, axis, _ in sweeps]
     probs = [np.full(len(grid), np.nan) for grid in grids]
     centres = [int(np.argmin(np.abs(grid - nominal))) for grid, (_, _, nominal) in zip(grids, sweeps)]
     floor = min(thresholds)
 
-    # Each distinct nominal task -> (its one-point side, the sweeps it seeds).  The
-    # key is the task's repr, which tells every two floats apart (also -0.0 and 0.0).
-    nominals: Dict[str, Tuple[_Side, List[int]]] = {}
+    # Each distinct nominal point -> (its one-point item, the sweeps it seeds).  The
+    # key is the point's repr, which tells every two floats apart (also -0.0 and 0.0).
+    nominals: Dict[str, Tuple[_Item, List[int]]] = {}
     for s, ((spec, axis, _), grid, j) in enumerate(zip(sweeps, grids, centres)):
         key = repr((spec, replace(base_err, **{axis.channel: float(grid[j])})))
-        nominals.setdefault(key, ((spec, axis.channel, grid[j : j + 1]), []))[1].append(s)
+        nominals.setdefault(key, ((spec, (axis.channel,), grid[j : j + 1, None]), []))[1].append(s)
 
-    evaluate = functools.partial(_eval_side, base_err=base_err, cfg=cfg, floor=floor)
+    evaluate = functools.partial(_eval_item, base_err=base_err, cfg=cfg, floor=floor)
     with _mapping(_resolve_workers(workers, sum(len(grid) for grid in grids))) as map_:
-        nominal_sides = [side for side, _ in nominals.values()]
-        for (_, seeded), (p,) in zip(nominals.values(), map_(evaluate, nominal_sides)):
+        nominal_items = [item for item, _ in nominals.values()]
+        for (_, seeded), (p,) in zip(nominals.values(), map_(evaluate, nominal_items)):
             for s in seeded:
                 probs[s][centres[s]] = p
         sides = [
@@ -409,7 +402,7 @@ def _walk_out(
             for run in (np.arange(j - 1, -1, -1), np.arange(j + 1, len(grid)))
             if len(run)
         ]
-        items = ((sweeps[s][0], sweeps[s][1].channel, grids[s][run]) for s, run in sides)
+        items = ((sweeps[s][0], (sweeps[s][1].channel,), grids[s][run, None]) for s, run in sides)
         for (s, run), values in zip(sides, map_(evaluate, items)):
             probs[s][run[: len(values)]] = values
     return probs

@@ -112,6 +112,27 @@ def test_sweep_rejects_gnuplot_with_json_before_any_point(given_in, tmp_path, ca
     assert list(tmp_path.glob("out*")) == []
 
 
+@pytest.mark.parametrize("output", (None, "flag", "config", "empty-in-config"))
+def test_sweep_rejects_gnuplot_with_stdout_output_before_any_point(output, tmp_path, capsys, monkeypatch):
+    # no --output, --output -, output = - and an empty output in a config file all mean stdout
+    monkeypatch.setattr(cli, "sweep1d", lambda *args, **kwargs: pytest.fail("a point was evaluated"))
+    argv = ["sweep", "--protocol", "RE", *_SWEEP_FLAGS, "--steps-per-pulse", "400"]
+    if output == "flag":
+        argv += ["--output", "-"]
+    elif output is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("output = -\n" if output == "config" else "output =\n")
+        argv += ["--config", str(cfg)]
+    script = tmp_path / "out.gp"
+    assert main([*argv, "--gnuplot", str(script)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "configuration error: --gnuplot plots the output file, so it needs an output path, not stdout\n"
+    )
+    assert not script.exists()
+
+
 def test_empty_output_in_a_sweep_config_means_stdout(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -562,21 +583,21 @@ def test_check_lines_report_wall_time(capsys, monkeypatch):
 
 
 def test_no_command_loads_scipy_in_the_cli_or_its_pool_workers():
-    # the table's workers are forked, so they run the wrapped chunk evaluator
-    # and raise (a traceback, exit 1) if a chunk left scipy loaded
+    # the table's workers are forked, so they run the wrapped item evaluator
+    # and raise (a traceback, exit 1) if an item left scipy loaded
     out = run_python(
         "import contextlib, io, sys\n"
         "from pulselab import sweep\n"
         "from pulselab.cli import main\n"
         "def scipy_loaded():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "chunk = sweep._eval_chunk\n"
-        "def checked_chunk(tasks, floor):\n"
-        "    values = chunk(tasks, floor)\n"
+        "evaluate = sweep._eval_item\n"
+        "def checked_item(item, base_err, cfg, floor):\n"
+        "    values = evaluate(item, base_err, cfg, floor)\n"
         "    if scipy_loaded():\n"
         "        raise RuntimeError(f'a pool worker loaded {scipy_loaded()}')\n"
         "    return values\n"
-        "sweep._eval_chunk = checked_chunk\n"
+        "sweep._eval_item = checked_item\n"
         "small = ['--steps-per-pulse', '200']\n"
         "axis = ['--sweep-channel', 'alpha', '--sweep-lo', '0.9', '--sweep-hi', '1.1', '--sweep-points', '3']\n"
         "for argv in (\n"

@@ -120,21 +120,32 @@ def test_bench_pairs_summarizes_each_metric_by_quartiles_and_pairs_won():
     rate, p50 = bench_pairs.summarize(SYNTHETIC_METRICS, runs)
     assert rate == (
         "points_per_s [1/s, higher is better]: parent median 120 (quartiles 110, 130);"
-        " change median 160 (quartiles 150, 170); parent IQR 20; change +33.3%; change better in 4/5 pairs; within its 25% bound"
+        " change median 160 (quartiles 150, 170); parent IQR 20; change +33.3%; change better in 4/5 pairs; within its 25% bound;"
+        " no gain claimable: better in under 9/10 of the pairs"
     )
     # lower is better: pair 2 is a tie and pair 3 a loss
     assert p50 == (
         "point_ms_p50 [ms, lower is better]: parent median 3 (quartiles 2, 3);"
-        " change median 2.5 (quartiles 2, 3); parent IQR 1; change -16.7%; change better in 3/5 pairs; within its 25% bound"
+        " change median 2.5 (quartiles 2, 3); parent IQR 1; change -16.7%; change better in 3/5 pairs; within its 25% bound;"
+        " no gain claimable: better in under 9/10 of the pairs"
     )
     # the sides swapped: a rate 25% lower is inside a 25% bound and outside a 20% one,
     # and a median 20% higher where lower is better is outside a 10% one
     swapped = {"parent": runs["change"], "change": runs["parent"]}
     bounds = [{**SYNTHETIC_METRICS[0], "bound": 0.25}, {**SYNTHETIC_METRICS[0], "bound": 0.2}]
     bounds.append({**SYNTHETIC_METRICS[1], "bound": 0.1})
-    assert [line.rsplit("; ", 1)[1] for line in bench_pairs.summarize(bounds, swapped)] == [
+    assert [line.split("; ")[-2] for line in bench_pairs.summarize(bounds, swapped)] == [
         "within its 25% bound", "worse than its 20% bound", "worse than its 10% bound"
     ]
+    # a gain needs the change better in 9/10 of the pairs and the medians apart by more than the parent IQR
+    parent = [synthetic_run(v, 3.0) for v in (100, 110, 120, 130, 140)]
+    for change, claim in (
+        ((150, 160, 170, 180, 190), "gain claimable"),  # 5/5 pairs, medians 50 apart, IQR 20
+        ((150, 160, 170, 180, 139), "no gain claimable: better in under 9/10 of the pairs"),  # 4/5 pairs
+        ((101, 111, 121, 131, 141), "no gain claimable: the medians differ by no more than the parent IQR"),
+    ):
+        runs = {"parent": parent, "change": [synthetic_run(v, 3.0) for v in change]}
+        assert bench_pairs.summarize(SYNTHETIC_METRICS[:1], runs)[0].rsplit("; ", 1)[1] == claim
 
 
 def test_bench_pairs_alternates_the_order_and_seeds_by_pair(tmp_path, monkeypatch, capsys):

@@ -480,23 +480,27 @@ def synthetic_point(spec, err, cfg, shapes=None, shape=SYNTHETIC_SHAPE):
     return max(level - k * d * d, 0.0)
 
 
-def submission_log(monkeypatch, key=len):
+def points_in(item):
+    """A sweep item's key: its point count."""
+    return len(item[2])
+
+
+def side_of(item):
+    """A table item's key: (technique, channel, direction) of its side, or None for a nominal point."""
+    spec, (channel,), points = item
+    direction = int(np.sign(points[0, 0] - CHANNEL_NOMINALS[channel]))
+    return (spec.kind, channel, direction) if direction else None
+
+
+def submission_log(monkeypatch, key):
     """Events in the parent, in order: ("submit", key) per item handed to a map and ("result", key) when its value is read.
 
-    A sweep's item is a chunk of tasks, keyed ``key(tasks)``.  A table's item
-    is a side (spec, channel, values), keyed (technique, channel, direction),
-    or None for a nominal point.  A result that raises is logged as
-    ("raised", key).
+    Every item is (spec, channels, points), keyed ``key(item)``: by
+    :func:`points_in` for a sweep's, by :func:`side_of` for a table's.  A
+    result that raises is logged as ("raised", key).
     """
     events = []
     mapping = sweep_module._mapping
-
-    def item_key(item):
-        if isinstance(item, list):
-            return key(item)
-        spec, channel, values = item
-        direction = int(np.sign(values[0] - CHANNEL_NOMINALS[channel]))
-        return (spec.kind, channel, direction) if direction else None
 
     def read(results, keys):
         for n in itertools.count():
@@ -519,7 +523,7 @@ def submission_log(monkeypatch, key=len):
 
                 def submitted():
                     for item in items:
-                        keys.append(item_key(item))
+                        keys.append(key(item))
                         events.append(("submit", keys[-1]))
                         yield item
 
@@ -542,7 +546,7 @@ def test_the_pool_walk_evaluates_exactly_the_in_process_point_set(workers, monke
     sweeps = [(spec, axis, CHANNEL_NOMINALS[c]) for spec in specs for c, axis in SYNTHETIC_PROBES.items()]
     cfg = IntegratorConfig(steps_per_pulse=100)
     in_process = sweep_module._walk_out(sweeps, SYNTHETIC_THRESHOLDS, ErrorVector(), cfg, 1)
-    events = submission_log(monkeypatch)
+    events = submission_log(monkeypatch, side_of)
     walked = sweep_module._walk_out(sweeps, SYNTHETIC_THRESHOLDS, ErrorVector(), cfg, workers)
     for got, want in zip(walked, in_process):
         np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
@@ -612,7 +616,7 @@ def test_a_failing_point_ends_the_walk(workers, monkeypatch, capsys):
     monkeypatch.delenv("PULSE_WORKERS", raising=False)
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(sweep_module, "evaluate_point", failing_on_the_upper_re_alpha_side)
-    events = submission_log(monkeypatch)
+    events = submission_log(monkeypatch, side_of)
     specs = [nominal_spec(kind) for kind in SYNTHETIC_SHAPE]
     cfg = IntegratorConfig(steps_per_pulse=100)
     with pytest.raises(NonConvergent, match="alpha >= 1.3"):
@@ -642,20 +646,20 @@ def test_a_failing_point_ends_a_sweep_through_the_same_loop(workers, monkeypatch
             evaluated.value += 1
         if err.alpha == 0.0:
             raise NonConvergent("synthetic failure at alpha = 0")
-        time.sleep(0.001)  # the other chunks are still queued when the failure returns
+        time.sleep(0.001)  # the other items are still queued when the failure returns
         return 1.0
 
     monkeypatch.setattr(sweep_module, "evaluate_point", failing_at_the_first_point)
-    events = submission_log(monkeypatch)
+    events = submission_log(monkeypatch, points_in)
     points = 400
     with pytest.raises(NonConvergent, match="alpha = 0"):
         sweep1d(RE, SweepAxis("alpha", 0.0, 2.0, points), cfg=IntegratorConfig(steps_per_pulse=100), workers=workers)
-    # every chunk is submitted up front: one in process, 400 // 32 tasks each on 2 workers
+    # every item is submitted up front: one in process, 400 // 32 points each on 2 workers
     size = points if workers == 1 else points // 32
     assert [n for event, n in events if event == "submit"] == [min(size, points - i) for i in range(0, points, size)]
     kinds = [event for event, _ in events]
     assert kinds.count("raised") == 1 and "submit" not in kinds[kinds.index("raised"):]
-    assert evaluated.value < points, evaluated.value  # the chunks not yet started were cancelled
+    assert evaluated.value < points, evaluated.value  # the items not yet started were cancelled
     assert multiprocessing.active_children() == []
 
     axis = ["--sweep-channel", "alpha", "--sweep-lo", "0", "--sweep-hi", "2", "--sweep-points", str(points)]
@@ -685,7 +689,7 @@ def test_of_two_failing_points_the_error_names_the_first_submitted(workers, monk
     monkeypatch.setattr(sweep_module, "evaluate_point", failing_twice)
     small = ["--steps-per-pulse", "100", "--workers", str(workers)]
 
-    # a sweep's first chunk and its last
+    # a sweep's first item and its last
     failing.update({("RE", 0.0, 0.0): "first", ("RE", 2.0, 0.0): "second"})
     axis = ["--sweep-channel", "alpha", "--sweep-lo", "0", "--sweep-hi", "2", "--sweep-points", "400"]
     assert main(["sweep", "--protocol", "RE", *axis, *small]) == 3
@@ -816,15 +820,16 @@ def test_memoized_sweep_is_bitwise_standalone(kind):
 
 @pytest.mark.parametrize("workers", (1, 2))
 def test_memoized_2d_with_inner_duration_axis_is_bitwise_standalone(workers, monkeypatch):
-    # 32 x 2 points in two shape groups: one chunk in process, and on 2 workers
-    # 64 // 32 = 2 tasks of one shape per chunk, so both workers reuse shapes too
+    # 32 x 2 points in two shape groups: one item in process, and on 2 workers
+    # 64 // 32 = 2 points of one shape per item, so both workers reuse shapes too
     monkeypatch.delenv("PULSE_WORKERS", raising=False)
     monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
 
-    def tasks_and_shapes(tasks):
-        return len(tasks), len({err.duration_factor for _, err, _ in tasks})
+    def points_and_shapes(item):
+        _, channels, points = item
+        return len(points), len(set(points[:, channels.index("duration_factor")]))
 
-    events = submission_log(monkeypatch, key=tasks_and_shapes)
+    events = submission_log(monkeypatch, points_and_shapes)
     outer, inner = SweepAxis("alpha", 0.5, 1.5, 32), SweepAxis("duration_factor", 0.8, 1.2, 2)
     for kind in ("RE", "AF", "STA", "SP", "CAP", "UCP"):
         spec = nominal_spec(kind)
@@ -835,8 +840,62 @@ def test_memoized_2d_with_inner_duration_axis_is_bitwise_standalone(workers, mon
             for d in inner.values()
         ]
         assert res.values == tuple(alone), kind
-    chunks = [(64, 2)] if workers == 1 else [(2, 1)] * 32
-    assert [block for event, block in events if event == "submit"] == chunks * 6
+    items = [(64, 2)] if workers == 1 else [(2, 1)] * 32
+    assert [key for event, key in events if event == "submit"] == items * 6
+
+
+def test_a_pool_sweep_builds_no_error_vector_in_the_parent(monkeypatch):
+    # the workers build each point's error vector; the parent only ships values
+    monkeypatch.delenv("PULSE_WORKERS", raising=False)
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+    built = []  # forked workers append to their own copies
+    post_init = ErrorVector.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ErrorVector, "__post_init__", counted)
+    axes = (SweepAxis("alpha", 0.5, 1.5, 8), SweepAxis("delta", -0.5, 0.5, 4))
+    cfg = IntegratorConfig(steps_per_pulse=100)
+    in_process = sweep2d(RE, *axes, cfg=cfg, workers=1)
+    assert len(built) == 32  # one per point, so the counter sees every build
+    built.clear()
+    pooled = sweep2d(RE, *axes, cfg=cfg, workers=2)
+    assert pooled.meta["workers"] == 2 and pooled.values == in_process.values
+    assert built == []
+
+
+@pytest.mark.parametrize("duration_first", (True, False), ids=("duration-outer", "duration-inner"))
+def test_each_duration_value_builds_its_shape_once(duration_first, monkeypatch):
+    # 32 durations x 3 alphas: one item in process, and on 2 workers 96 // 32 = 3
+    # points per item, one duration's points in each whichever axis duration is
+    monkeypatch.delenv("PULSE_WORKERS", raising=False)
+    monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+    duration, alpha = SweepAxis("duration_factor", 0.6, 1.4, 32), SweepAxis("alpha", 0.9, 1.1, 3)
+    axes = (duration, alpha) if duration_first else (alpha, duration)
+    index = {d: i for i, d in enumerate(duration.values().tolist())}
+    builds = multiprocessing.Array("i", len(index))  # shared with the forked workers
+    nominal_pulses = sweep_module.nominal_pulses
+
+    def counted(spec, duration_factor, centering, keep=False):
+        with builds.get_lock():
+            builds[index[duration_factor]] += 1
+        return nominal_pulses(spec, duration_factor, centering, keep)
+
+    monkeypatch.setattr(sweep_module, "nominal_pulses", counted)
+    spec = nominal_spec("CAP")
+    values = {}
+    for workers in (1, 2):
+        builds[:] = [0] * len(index)
+        res = sweep2d(spec, *axes, cfg=MEMO_CFG, workers=workers)
+        assert res.meta["workers"] == workers
+        assert list(builds) == [1] * len(index), workers
+        values[workers] = res.values
+    channels = [axis.channel for axis in axes]
+    alone = [evaluate_point(spec, ErrorVector(**dict(zip(channels, point))), MEMO_CFG)
+             for point in sweep_module._grid_points(axes)]
+    assert values[2] == values[1] == tuple(alone)
 
 
 def test_sp_shape_is_built_and_validated_once_per_shape(monkeypatch):
@@ -987,10 +1046,10 @@ def test_certified_points_under_the_memo_are_bitwise_standalone(kind, tol, sampl
     spec = nominal_spec(kind)
     strict = IntegratorConfig(steps_per_pulse=400, convergence_tol=tol)
     loose = replace(strict, convergence_tol=1.0)
-    tasks = sweep_module._grid_tasks(spec, CERT_AXES, ErrorVector(), strict)
+    errs = [ErrorVector(duration_factor=d, alpha=a) for d, a in sweep_module._grid_points(CERT_AXES)]
     # a point's certificate: its one shape's estimate, counted once per pulse
     certificates = [sum([convergence_check(apply_errors(spec, err).pulses[0], strict)] * spec.pulse_count)
-                    for _, err, _ in tasks]
+                    for err in errs]
     for cfg in (strict, loose):
         def outcome(err, shapes=None):
             try:
@@ -998,13 +1057,13 @@ def test_certified_points_under_the_memo_are_bitwise_standalone(kind, tol, sampl
             except NonConvergent:
                 return "NonConvergent"
 
-        alone = [outcome(err) for _, err, _ in tasks]
+        alone = [outcome(err) for err in errs]
         assert [p == "NonConvergent" for p in alone] == [c > cfg.convergence_tol for c in certificates]
         sampled.clear()
         shapes = functools.lru_cache(maxsize=1)(functools.partial(protocols.nominal_pulses, keep=True))
         memoized = []
         partly_kept = False
-        for _, err, _ in tasks:
+        for err in errs:
             memoized.append(outcome(err, shapes))
             # every pulse is kept at N steps, the first of the shape also at 2N
             half = protocols.WINDOW_HALF_WIDTH * err.duration_factor * spec.T
@@ -1028,7 +1087,7 @@ def test_certified_points_under_the_memo_are_bitwise_standalone(kind, tol, sampl
                        for p in s[s.index("NonConvergent"):])
 
     values = sweep2d(spec, *CERT_AXES, cfg=loose).values
-    assert values == tuple(evaluate_point(spec, err, loose) for _, err, _ in tasks)
+    assert values == tuple(evaluate_point(spec, err, loose) for err in errs)
     with pytest.raises(NonConvergent):
         sweep2d(spec, *CERT_AXES, cfg=strict)
 
