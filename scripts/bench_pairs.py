@@ -14,7 +14,12 @@ whether the change's median is worse than the parent's by no more than the
 metric's ``bound``, a fraction of the parent's median: the gate every change
 must pass.  Each line ends with whether a gain may be claimed: only when the
 change is better in at least nine tenths of the pairs and its median is better
-than the parent's by more than the parent's interquartile range.  A run whose
+than the parent's by more than the parent's interquartile range.  One line per
+op follows, from each run's information line (``op_times_s``): the op's time
+in a run is its median over the run's passes, and the line gives each side's
+median over the runs and the pairs in which the change's op is faster, so a
+claim shows which ops moved.  The ops are fig2..fig7 on ``golden_sweeps``,
+RE..UCP on ``certificate`` and the table on ``robustness_table``.  A run whose
 output is not correct or that failed operations makes the script exit 1 after
 the summary, naming the run on stderr.  The checkouts are only read and run.
 """
@@ -31,17 +36,26 @@ from typing import Dict, List, Sequence
 
 SIDES = ("parent", "change")
 
+# The ops of one pass, in the order perfbench/workloads.py issues them
+OP_NAMES = {
+    "golden_sweeps": ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7"),
+    "robustness_table": ("table",),
+    "certificate": ("RE", "AF", "STA", "SP", "CAP", "UCP"),
+}
+
 
 def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: int) -> Dict[str, object]:
-    """The result line of one benchmark run in ``checkout``, with its wall time as ``wall_s``."""
+    """The result line of one benchmark run in ``checkout``, with its wall time as ``wall_s``
+    and the ``op_times_s`` of its information line, the line before it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     wall = time.perf_counter() - start
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: the benchmark exited {proc.returncode}: {proc.stderr.strip()}")
-    result = json.loads(proc.stdout.splitlines()[-1])
+    info, result = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
     result["wall_s"] = wall
+    result["op_times_s"] = info["op_times_s"]
     return result
 
 
@@ -79,6 +93,29 @@ def summarize(end_to_end: Sequence[dict], runs: Dict[str, List[dict]]) -> List[s
     return lines
 
 
+def summarize_ops(workload: str, runs: Dict[str, List[dict]]) -> List[str]:
+    """One line per op of ``workload``: each side's median op time over the paired ``runs``, and the pairs won."""
+    times = {
+        side: [[statistics.median(samples) for samples in run["op_times_s"]] for run in runs[side]] for side in SIDES
+    }
+    count = len(times["parent"][0])
+    names = OP_NAMES.get(workload, ())
+    if len(names) != count:
+        names = tuple(str(k + 1) for k in range(count))
+    lines = []
+    for k, name in enumerate(names):
+        op = {side: [run[k] for run in times[side]] for side in SIDES}
+        median = {side: statistics.median(op[side]) for side in SIDES}
+        faster = sum(c < p for p, c in zip(op["parent"], op["change"]))
+        change = median["change"] / median["parent"] - 1.0 if median["parent"] else float("nan")
+        lines.append(
+            f"op {name} [reference s, lower is better]: parent median {median['parent']:.6g};"
+            f" change median {median['change']:.6g}; change {change:+.1%};"
+            f" change faster in {faster}/{len(op['parent'])} pairs"
+        )
+    return lines
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=pathlib.Path)
@@ -102,7 +139,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 file=sys.stderr,
             )
     end_to_end = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
-    print("\n".join(summarize(end_to_end, runs)))
+    print("\n".join(summarize(end_to_end, runs) + summarize_ops(args.workload, runs)))
     invalid = [
         f"pair {pair} {side}"
         for pair in range(args.pairs)

@@ -31,7 +31,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .core import InvalidParameter, PulseSequence, Waveform
+from .core import InvalidParameter, PulseSequence, Waveform, _finite
 from .protocols import ProtocolSpec, nominal_pulses
 
 __all__ = ["LengthMismatch", "ErrorVector", "apply_errors"]
@@ -64,13 +64,13 @@ class ErrorVector:
         if not -1.0 < self.sigma < 1.0:
             raise InvalidParameter(f"sigma must lie in (-1, 1), got {self.sigma}")
         for name in ("delta", "eta"):
-            if not np.isfinite(getattr(self, name)):
+            if not _finite(getattr(self, name)):
                 raise InvalidParameter(f"{name} must be finite")
         if self.centering not in CENTERINGS:
             raise InvalidParameter(f"centering must be one of {CENTERINGS}, got {self.centering!r}")
-        object.__setattr__(self, "phase_offsets", tuple(float(p) for p in self.phase_offsets))
-        if not all(np.isfinite(self.phase_offsets)):
+        if not all(map(_finite, self.phase_offsets)):
             raise InvalidParameter("phase_offsets must be finite")
+        object.__setattr__(self, "phase_offsets", tuple(map(float, self.phase_offsets)))
 
 
 def apply_errors(

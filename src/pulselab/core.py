@@ -10,6 +10,7 @@ The transition probability between the two bare states is P = |b|^2.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, List, Tuple
 
@@ -42,6 +43,14 @@ class InvalidParameter(ValueError):
 class InvalidWaveform(ValueError):
     """Raised when control functions produce NaN/Inf inside their window, or
     a window is too wide or too narrow for the area quadrature."""
+
+
+def _finite(x: float) -> bool:
+    """``math.isfinite``, and false for an int too large for a float, which it would raise on."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -90,7 +99,9 @@ class Waveform:
     """One pulse: complex Rabi envelope, real detuning, constant drive phase.
 
     ``rabi`` and ``detuning`` must accept a numpy array of times and return an
-    array (a scalar return is broadcast).  Outside ``window`` both controls are
+    array (a scalar return is broadcast); they must not write into the times,
+    which the integrator shares read-only among the propagations of a
+    one-block window.  Outside ``window`` both controls are
     treated as zero.  A complex ``rabi`` value W(t) enters the Hamiltonian as
     the upper off-diagonal element W(t) * exp(i*phase); real-envelope drives
     are the special case of zero imaginary part.  Controls may overflow
@@ -110,7 +121,7 @@ class Waveform:
 
     def __post_init__(self) -> None:
         t0, t1 = self.window
-        if not (np.isfinite(t0) and np.isfinite(t1)):
+        if not (_finite(t0) and _finite(t1)):
             raise InvalidParameter("waveform window must be finite")
         if not t0 < t1:
             raise InvalidParameter(f"waveform window must satisfy t_start < t_end, got {self.window}")

@@ -265,7 +265,11 @@ def test_error_vector_invariants():
         ErrorVector(alpha=-0.1)
     with pytest.raises(InvalidParameter):
         ErrorVector(duration_factor=0.0)
-    for bad in ({"alpha": np.inf}, {"alpha": np.nan}, {"duration_factor": np.inf}):
+    # an int too large for a float is not finite either
+    for bad in (
+        {"alpha": np.inf}, {"alpha": np.nan}, {"duration_factor": np.inf}, {"delta": 10**400}, {"eta": -(10**400)},
+        {"delta": np.nan}, {"phase_offsets": (0.0, 10**400, 0.0)}, {"phase_offsets": (np.inf,)},
+    ):
         with pytest.raises(InvalidParameter):
             ErrorVector(**bad)
     with pytest.raises(InvalidParameter):

@@ -113,7 +113,7 @@ def test_waveform_rejects_empty_window():
         Waveform(rabi=lambda t: t, detuning=lambda t: t, window=(1.0, 1.0))
     with pytest.raises(InvalidParameter):
         Waveform(rabi=lambda t: t, detuning=lambda t: t, window=(2.0, -2.0))
-    for window in ((0.0, np.inf), (np.nan, 1.0)):
+    for window in ((0.0, np.inf), (np.nan, 1.0), (-(10**400), 1.0)):
         with pytest.raises(InvalidParameter, match="window must be finite"):
             Waveform(rabi=lambda t: t, detuning=lambda t: t, window=window)
 

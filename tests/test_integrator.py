@@ -604,6 +604,105 @@ def test_a_scalar_drive_is_bitwise_the_always_complex_arithmetic(phase):
         assert_bitwise_every_term(w, w.rabi, w.detuning, steps)
 
 
+# ------------------------------------------------------------ resonant blocks
+
+
+def resonant_pulses():
+    """RE's pulse and UCP's two phase-0 pulses (1 and 5): real drives at phase 0 and zero detuning."""
+    ucp = apply_errors(nominal_spec("UCP")).pulses
+    return (apply_errors(nominal_spec("RE")).pulses[0], ucp[0], ucp[4])
+
+
+def complex_product(w, steps):
+    """``w``'s product through ``_pairs`` and ``_reduce`` alone, block by block as ``_propagate_raw`` walks it."""
+    h = (w.window[1] - w.window[0]) / steps
+    blocks = [(j, min(j + integrator._BLOCK, steps)) for j in range(0, steps, integrator._BLOCK)]
+    products = [integrator._reduce(*integrator._pairs(w, h, *integrator._controls(w, h, *block))) for block in blocks]
+    if len(products) == 1:
+        return products[0]
+    return integrator._reduce(np.array([u.a for u in products]), np.array([u.b for u in products]))
+
+
+def p_bits(u):
+    return np.float64(transition_probability(u)).tobytes()
+
+
+# 4001 steps leave an odd factor at the levels of 4001, 2001, 1001, 501, 251
+# and 63; the longest window is three blocks, reduced on threads
+@pytest.mark.parametrize("steps", (4000, 4001, 2 * integrator._BLOCK + 1000))
+def test_the_resonant_kernel_is_bitwise_the_complex_reduce(steps, monkeypatch):
+    kernel, threads = integrator._resonant, []
+    monkeypatch.setattr(integrator, "_resonant", lambda h, rabi: threads.append(threading.get_ident()) or kernel(h, rabi))
+    for w in resonant_pulses():
+        u, want = integrator._propagate_raw(w, steps), complex_product(w, steps)
+        assert bits(u) == bits(want)  # the signs of the zero parts too
+        assert p_bits(u) == p_bits(want)
+    blocks = len(range(0, steps, integrator._BLOCK))
+    assert len(threads) == 3 * blocks
+    if blocks > 1 and (os.cpu_count() or 1) > 1:
+        assert threading.get_ident() not in threads
+
+
+def test_resonant_kernel_keeps_a_b_and_p_bitwise_and_its_zero_parts_positive():
+    # For strong drives the complex reduce can leave a.imag or b.real at -0.0
+    # (177 of fig4's 1681 points, such as alpha 1.25 at duration factor 2);
+    # the kernel leaves +0.0.  P, the certificate (max |du|) and the unitarity
+    # defect read no zero sign, and propagate_sequence's renormalising and
+    # composing carry zeros into zeros only: only a library caller printing
+    # the pair of propagate or propagate_sequence could tell.
+    signs = set()
+    for alpha in np.linspace(0.0, 2.0, 9):
+        for df in np.linspace(0.1, 2.0, 9):
+            w = apply_errors(nominal_spec("RE"), ErrorVector(alpha=alpha, duration_factor=df)).pulses[0]
+            u, want = integrator._propagate_raw(w, 4000), complex_product(w, 4000)
+            assert np.array([u.a.real, u.b.imag]).tobytes() == np.array([want.a.real, want.b.imag]).tobytes()
+            assert p_bits(u) == p_bits(want)
+            assert np.array([u.a.imag, u.b.real]).tobytes() == bytes(16)  # +0.0 twice
+            signs.add((np.signbit(want.a.imag), np.signbit(want.b.real)))
+    assert (True, False) in signs and (False, False) in signs
+
+
+def test_the_resonant_kernel_runs_for_real_phase_0_drives_at_zero_detuning_alone(monkeypatch):
+    ran = []
+    resonant, pairs = integrator._resonant, integrator._pairs
+    monkeypatch.setattr(integrator, "_resonant", lambda *args: ran.append("resonant") or resonant(*args))
+    monkeypatch.setattr(integrator, "_pairs", lambda *args: ran.append("pairs") or pairs(*args))
+
+    def kernels(kind, err=ErrorVector()):
+        ran.clear()
+        for w in apply_errors(nominal_spec(kind), err).pulses:
+            integrator._propagate_raw(w, 4000)
+        return ran[:]
+
+    assert kernels("RE") == kernels("RE", ErrorVector(alpha=0.0)) == ["resonant"]
+    # delta = -0.0 keeps the chirp term (see apply_errors), whose samples are all zeros here
+    assert kernels("RE", ErrorVector(delta=-0.0)) == ["resonant"]
+    assert kernels("RE", ErrorVector(delta=1e-300)) == kernels("RE", ErrorVector(eta=0.1)) == ["pairs"]
+    for kind in ("AF", "STA", "SP", "CAP"):
+        assert set(kernels(kind)) == {"pairs"}, kind
+    assert kernels("UCP") == ["resonant", "pairs", "pairs", "pairs", "resonant"]  # pulses 2-4 carry drive phases
+
+
+def test_one_block_windows_share_one_read_only_grid_and_longer_ones_build_their_own():
+    integrator._shared_midpoints.cache_clear()
+    grids = []
+    w = apply_errors(nominal_spec("RE")).pulses[0]
+    for alpha in (0.5, 1.0, 1.5):  # three points of one shape
+        u = apply_errors(nominal_spec("RE"), ErrorVector(alpha=alpha)).pulses[0]
+        propagate(replace(u, rabi=lambda t, rabi=u.rabi: grids.append(t) or rabi(t)), IntegratorConfig(steps_per_pulse=4000))
+    assert len(grids) == 3 and all(t is grids[0] for t in grids) and not grids[0].flags.writeable
+    h = (w.window[1] - w.window[0]) / 4000
+    assert grids[0].tobytes() == (w.window[0] + (np.arange(4000) + 0.5) * h).tobytes()
+    # a control must not write into its times: the shared grid refuses it
+    with pytest.raises(ValueError, match="read-only"):
+        integrator._propagate_raw(replace(w, detuning=lambda t: t.__imul__(2.0)), 4000)
+    before = integrator._shared_midpoints.cache_info()
+    long = []
+    integrator._propagate_raw(replace(w, rabi=lambda t: long.append(t) or w.rabi(t)), 2 * integrator._BLOCK + 1000)
+    assert integrator._shared_midpoints.cache_info() == before
+    assert len(long) == 3 and all(t.flags.writeable for t in long)
+
+
 def test_tanh_is_sampled_only_off_nominal_sigma_once_per_shape_and_block(monkeypatch):
     sampled = []
     parts_of = protocols._nominal_parts

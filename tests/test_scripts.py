@@ -100,9 +100,10 @@ def load_bench_pairs():
     return bench_pairs
 
 
-def synthetic_run(points_per_s, p50):
+def synthetic_run(points_per_s, p50, op_times_s=((1.0,),)):
     metrics = {"points_per_s": {"value": points_per_s, "unit": "1/s"}, "point_ms_p50": {"value": p50, "unit": "ms"}}
-    return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics, "wall_s": 1.0}
+    run = {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics, "wall_s": 1.0}
+    return {**run, "op_times_s": [list(samples) for samples in op_times_s]}
 
 
 SYNTHETIC_METRICS = [
@@ -165,7 +166,7 @@ def test_bench_pairs_alternates_the_order_and_seeds_by_pair(tmp_path, monkeypatc
     assert {(workload, seconds) for _, workload, _, seconds in calls} == {("certificate", 2)}
     out, err = capsys.readouterr()
     assert [line.split(":")[0] for line in out.splitlines()] == [
-        "points_per_s [1/s, higher is better]", "point_ms_p50 [ms, lower is better]"
+        "points_per_s [1/s, higher is better]", "point_ms_p50 [ms, lower is better]", "op 1 [reference s, lower is better]"
     ]
     assert len(err.splitlines()) == 6 and err.startswith("pair 0 parent: wall 1.0 s, correct True, failed 0/10, points_per_s 101, point_ms_p50 1\n")
 
@@ -185,5 +186,44 @@ def test_bench_pairs_summarizes_and_exits_1_naming_an_invalid_run(fault, tmp_pat
     argv = [str(tmp_path / "p"), str(tmp_path), "--workload", "robustness_table", "--pairs", "2", "--seconds", "2"]
     assert bench_pairs.main(argv) == 1
     out, err = capsys.readouterr()
-    assert len(out.splitlines()) == len(SYNTHETIC_METRICS)  # the summary is still printed
+    assert len(out.splitlines()) == len(SYNTHETIC_METRICS) + 1  # the summary and the table's op are still printed
     assert err.splitlines()[-1] == "invalid runs (incorrect output or failed operations): pair 1 change"
+
+
+def test_bench_pairs_reads_the_op_times_of_the_information_line(tmp_path, monkeypatch):
+    bench_pairs = load_bench_pairs()
+    info = {"passes": 2, "op_times_s": [[0.5, 0.7], [0.2, 0.1]]}
+    result = {"correct": True, "attempted": 12, "failed": 0, "metrics": {}}
+    seen = []
+
+    def fake_subprocess_run(cmd, cwd, capture_output, text):
+        seen.append((cmd[1:], cwd))
+        return subprocess.CompletedProcess(cmd, 0, f"ready\n{json.dumps(info)}\n{json.dumps(result)}\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    run = bench_pairs.run_once(tmp_path, "golden_sweeps", 3, 25)
+    assert seen == [(["perfbench/run.py", "--workload", "golden_sweeps", "--seed", "3", "--seconds", "25"], tmp_path)]
+    assert run["op_times_s"] == info["op_times_s"] and run["attempted"] == 12 and run["wall_s"] >= 0
+
+
+def test_bench_pairs_summarizes_each_op_by_its_median_over_passes_and_runs():
+    bench_pairs = load_bench_pairs()
+    # each op's time in a run is its median over the run's passes: figs 2 and 4 get faster, fig6 does not
+    parent = [[[1.0, 1.2, 0.9], [0.5], [2.0], [0.4], [3.0], [0.3]], [[1.1], [0.5], [2.2], [0.4], [3.1], [0.3]]]
+    change = [[[0.8, 0.9, 5.0], [0.5], [1.8], [0.4], [3.0], [0.3]], [[0.9], [0.5], [1.9], [0.4], [3.2], [0.3]]]
+    runs = {
+        "parent": [synthetic_run(100, 1.0, ops) for ops in parent],
+        "change": [synthetic_run(100, 1.0, ops) for ops in change],
+    }
+    lines = bench_pairs.summarize_ops("golden_sweeps", runs)
+    assert [line.split(" [")[0] for line in lines] == ["op fig2", "op fig3", "op fig4", "op fig5", "op fig6", "op fig7"]
+    assert lines[0] == (
+        "op fig2 [reference s, lower is better]: parent median 1.05; change median 0.9; change -14.3%;"
+        " change faster in 2/2 pairs"
+    )
+    assert lines[2].endswith("change median 1.85; change -11.9%; change faster in 2/2 pairs")
+    assert lines[4].endswith("parent median 3.05; change median 3.1; change +1.6%; change faster in 0/2 pairs")
+    certificate = bench_pairs.summarize_ops("certificate", {side: runs[side][:1] for side in runs})
+    assert [line.split(" [")[0] for line in certificate] == ["op RE", "op AF", "op STA", "op SP", "op CAP", "op UCP"]
+    # a workload without names, or whose op count differs, numbers its ops
+    assert [line.split(" [")[0] for line in bench_pairs.summarize_ops("robustness_table", runs)][:2] == ["op 1", "op 2"]
