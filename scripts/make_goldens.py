@@ -11,7 +11,8 @@ config or the simulation itself changes intentionally.
 
 ``--check`` regenerates into a temporary directory instead and compares:
 it prints every figure whose bytes differ with its max |dP|, and every line
-of the simulate reference that differs.  It also regenerates
+of the simulate reference that differs, then the max |dP| over its ``P =``
+lines.  It also regenerates
 ``table --steps-per-pulse 4000 --workers 2`` and compares it with
 perfbench/reference/table.csv, printing every row that differs.  It exits 1
 if anything differs and never writes to goldens/ or to the reference table,
@@ -95,6 +96,15 @@ def max_dp(new: pathlib.Path, golden: pathlib.Path) -> float:
     return max((abs(float(x[-1]) - float(y[-1])) for x, y in zip(a[1:], b[1:])), default=0.0)
 
 
+def simulate_max_dp(new: pathlib.Path, golden: pathlib.Path) -> float:
+    """Largest |P difference| over the ``P =`` lines of two simulate references; inf if their counts differ."""
+    a, b = ([float(line[4:]) for line in p.read_text(encoding="utf-8").splitlines() if line.startswith("P = ")]
+            for p in (new, golden))
+    if len(a) != len(b):
+        return float("inf")
+    return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+
+
 def differing(new_files: List[pathlib.Path], golden_dir: pathlib.Path) -> List[Tuple[str, float]]:
     """(figure, max |dP|) for every regenerated file whose bytes differ from its golden."""
     out = []
@@ -134,7 +144,10 @@ def run(argv: List[str] | None = None) -> int:
         return 0
     with tempfile.TemporaryDirectory() as tmp:
         diffs = differing(regenerate(pathlib.Path(tmp)), REPO / "goldens")
-        simulate = row_differences(regenerate_simulate(pathlib.Path(tmp)), REPO / "goldens" / "simulate.txt")
+        new_simulate, golden_simulate = regenerate_simulate(pathlib.Path(tmp)), REPO / "goldens" / "simulate.txt"
+        simulate = row_differences(new_simulate, golden_simulate)
+        if simulate:
+            simulate.append(f"max |dP| = {simulate_max_dp(new_simulate, golden_simulate):.3e}")
         table = row_differences(regenerate_table(pathlib.Path(tmp)), TABLE_REFERENCE)
     for name, dp in diffs:
         print(f"{name}: differs from goldens/{name}.csv, max |dP| = {dp:.3e}")

@@ -57,9 +57,9 @@ class ErrorVector:
     sta_alpha_scales_shortcut: bool = True
 
     def __post_init__(self) -> None:
-        if not 0 <= self.alpha < np.inf:
+        if not (_finite(self.alpha) and self.alpha >= 0):
             raise InvalidParameter(f"alpha must be finite and >= 0, got {self.alpha}")
-        if not 0 < self.duration_factor < np.inf:
+        if not (_finite(self.duration_factor) and self.duration_factor > 0):
             raise InvalidParameter(f"duration_factor must be positive and finite, got {self.duration_factor}")
         if not -1.0 < self.sigma < 1.0:
             raise InvalidParameter(f"sigma must lie in (-1, 1), got {self.sigma}")

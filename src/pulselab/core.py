@@ -91,7 +91,7 @@ def compose(second: CKPropagator, first: CKPropagator) -> CKPropagator:
 
 def phase_shifted(u: CKPropagator, phi: float) -> CKPropagator:
     """Imprint a constant drive phase phi: (a, b) -> (a, b * exp(i*phi))."""
-    return CKPropagator(u.a, u.b * np.exp(1j * phi))
+    return CKPropagator(complex(u.a), complex(u.b * np.exp(1j * phi)))
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,13 @@ some complex products differently by array size, so even a tree kept across
 blocks would not be bitwise.  Every result is bitwise the same for any
 thread count.
 
-A block whose drive is real, at phase 0, and whose detuning samples are all
-zero is a product of rotations about one axis: every step has a real a and an
-imaginary b, and so has every product of steps.  Such a block is reduced in
-real arithmetic (:func:`_resonant`).  Each complex product of the general
-reduce has one exactly zero term there, so it rounds as the real product
-does, and a.real, b.imag and P are bitwise the general path's; only the sign
-of the zero parts may differ, which no reported value reads.  Every other
-block takes the general step pairs and reduce.
+A block whose drive is real and whose detuning samples are all zero, at any
+drive phase, is one rotation (:func:`_rotation`): its steps commute, so their
+exact product is the rotation by Theta = (h/2) * sum(W), a = cos(Theta) and
+b = -i*exp(i*phase)*sin(Theta), the midpoint scheme's own value with fewer
+roundings.  A Theta whose square overflows gives a NaN pair, as the step
+pairs do where |W|^2 overflows.  Every other block takes the general step
+pairs and reduce.
 
 A one-block window takes its midpoints from a cache of the 8 most recent
 one-block grids, keyed by the window start, the step and the step range, so
@@ -39,11 +38,12 @@ its time argument.  Longer windows build each block's grid afresh.
 from __future__ import annotations
 
 import functools
+import math
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from .core import (
     PulseSequence,
     Waveform,
     compose,
+    phase_shifted,
     renormalized,
     unitarity_defect,
     _sample,
@@ -148,38 +149,18 @@ def _controls(w: Waveform, h: float, start: int, stop: int, shared: bool = False
     return _sample(tm, w.rabi, w.detuning)
 
 
-def _angle(h: float, W: np.ndarray, D: np.ndarray | None = None) -> Tuple[np.ndarray, np.ndarray]:
-    """th = h*lam/2 and s = sin(th)/lam, with lam = sqrt(|W|^2 + D^2) and D = 0 when None.
-
-    ``s`` is 0.5*h*np.sinc(th/pi), finite at lam = 0, in np.sinc's own
-    operations.  A zero D adds an exact +0 to |W|^2, so leaving it out is
-    bitwise the same.
-    """
-    th = np.abs(W)  # numpy's complex abs (np.hypot is not bitwise the same), |W| when W is real
-    th *= th
-    if D is not None:
-        th += D * D
-    np.sqrt(th, out=th)
-    th *= 0.5 * h
-    y = th / np.pi
-    y *= np.pi
-    y[y == 0] = _EPS
-    s = np.sin(y)
-    s /= y
-    s *= 0.5 * h
-    return th, s
-
-
 def _pairs(w: Waveform, h: float, rabi: np.ndarray, detuning: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per-step CK pairs of the exact exponential at the sampled controls.
 
-    With th and s from :func:`_angle`, the pair is a = cos(th) + i*D*s and
-    b = -i*W*s.  Both are written component by component, in the
-    floating-point operations numpy's complex arithmetic performs on them, so
-    they are bitwise that arithmetic up to the sign of an exact zero.  The
-    controls are finite (:func:`pulselab.core._sample` judged them), but a
-    drive whose square overflows gives a NaN pair, which :func:`propagate`
-    reports as a unitarity violation.
+    With lam = sqrt(|W|^2 + D^2), th = h*lam/2 and s = sin(th)/lam, the pair
+    is a = cos(th) + i*D*s and b = -i*W*s; ``s`` is 0.5*h*np.sinc(th/pi),
+    finite at lam = 0, in np.sinc's own operations.  Both are written
+    component by component, in the floating-point operations numpy's complex
+    arithmetic performs on them, so they are bitwise that arithmetic up to
+    the sign of an exact zero.  The controls are finite
+    (:func:`pulselab.core._sample` judged them), but a drive whose square
+    overflows gives a NaN pair, which :func:`propagate` reports as a
+    unitarity violation.
     """
     # A real drive at phase 0 stays real: times exp(0j) = 1 + 0j it is W + 0j,
     # bit for bit.  A complex one is always multiplied, since (x + iy)(1 + 0i)
@@ -190,7 +171,17 @@ def _pairs(w: Waveform, h: float, rabi: np.ndarray, detuning: np.ndarray) -> Tup
         W = np.asarray(rabi, dtype=float)
     D = np.asarray(detuning, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        th, s = _angle(h, W, D)
+        th = np.abs(W)  # numpy's complex abs (np.hypot is not bitwise the same), |W| when W is real
+        th *= th
+        th += D * D
+        np.sqrt(th, out=th)
+        th *= 0.5 * h
+        y = th / np.pi
+        y *= np.pi
+        y[y == 0] = _EPS
+        s = np.sin(y)
+        s /= y
+        s *= 0.5 * h
         a, b = np.empty(W.shape, complex), np.empty(W.shape, complex)
         np.cos(th, out=a.real)
         np.multiply(D, s, out=a.imag)
@@ -200,56 +191,32 @@ def _pairs(w: Waveform, h: float, rabi: np.ndarray, detuning: np.ndarray) -> Tup
     return a, b
 
 
-def _tree(a: np.ndarray, b: np.ndarray, product: Callable[..., Tuple[np.ndarray, np.ndarray]]) -> Tuple:
-    """Pairwise product of per-step factors, kept in time order.
-
-    ``product(a1, b1, a2, b2)`` is the second factor times the first; an odd
-    factor at the end of a level is carried up unchanged.
-    """
-    while a.size > 1:
-        m = (a.size // 2) * 2
-        na, nb = product(a[0:m:2], b[0:m:2], a[1:m:2], b[1:m:2])
-        if a.size % 2:
-            na = np.concatenate([na, a[-1:]])
-            nb = np.concatenate([nb, b[-1:]])
-        a, b = na, nb
-    return a[0], b[0]
-
-
-def _ck_product(a1: np.ndarray, b1: np.ndarray, a2: np.ndarray, b2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    return a2 * a1 - b2 * np.conj(b1), a2 * b1 + b2 * np.conj(a1)
-
-
-def _rotation_product(c1: np.ndarray, z1: np.ndarray, c2: np.ndarray, z2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    # with X the Pauli x matrix, (c2 - i*z2*X)(c1 - i*z1*X) = (c2*c1 - z2*z1) - i*(c2*z1 + z2*c1)*X
-    return c2 * c1 - z2 * z1, c2 * z1 + z2 * c1
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _reduce(a: np.ndarray, b: np.ndarray) -> CKPropagator:
     """Pairwise product of the per-step propagators, kept in time order.
 
-    Pairs that are far from unitary (a drive whose square underflows against
-    a huge step) can overflow here; :func:`propagate` reports that product.
+    An odd factor at the end of a level is carried up unchanged.  Pairs that
+    are far from unitary (a drive whose square underflows against a huge
+    step) can overflow here; :func:`propagate` reports that product.
     """
-    a, b = _tree(a, b, _ck_product)
-    return CKPropagator(complex(a), complex(b))
+    while a.size > 1:
+        m = (a.size // 2) * 2
+        a1, b1, a2, b2 = a[0:m:2], b[0:m:2], a[1:m:2], b[1:m:2]
+        na, nb = a2 * a1 - b2 * np.conj(b1), a2 * b1 + b2 * np.conj(a1)
+        if a.size % 2:
+            na = np.concatenate([na, a[-1:]])
+            nb = np.concatenate([nb, b[-1:]])
+        a, b = na, nb
+    return CKPropagator(complex(a[0]), complex(b[0]))
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _resonant(h: float, rabi: np.ndarray) -> CKPropagator:
-    """The product of a block with a real drive at phase 0 and zero detuning, in real arithmetic.
-
-    Each step is a rotation about x, a = cos(th) and b = -i*W*s, so a.real,
-    b.imag and P are bitwise :func:`_reduce`'s (see the module docstring).
-    The tree runs on z = W*s, whose products are the exact negations of
-    those of -W*s.  The zero parts (a.imag and b.real) are +0.0, where the
-    complex tree leaves -0.0 for some drives.
-    """
-    W = np.asarray(rabi, dtype=float)
-    th, s = _angle(h, W)
-    c, z = _tree(np.cos(th), W * s, _rotation_product)
-    return CKPropagator(complex(c, 0.0), complex(0.0, 0.0 - z))
+def _rotation(w: Waveform, h: float, rabi: np.ndarray) -> CKPropagator:
+    """The product of a block with a real drive and zero detuning: one rotation (see the module docstring)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = 0.5 * h * float(np.sum(rabi))
+    if not math.isfinite(theta * theta):  # as the step pairs where |W|^2 overflows
+        return CKPropagator(complex(math.nan, math.nan), complex(math.nan, math.nan))
+    return phase_shifted(CKPropagator(complex(math.cos(theta), 0.0), complex(0.0, -math.sin(theta))), w.phase)
 
 
 def _propagate_raw(w: Waveform, steps: int) -> CKPropagator:
@@ -263,8 +230,8 @@ def _propagate_raw(w: Waveform, steps: int) -> CKPropagator:
         rabi, detuning = c
         # cheapest test first; the first sample settles most detuned blocks
         # without the full scan
-        if not np.iscomplexobj(rabi) and not w.phase and not detuning[0] and not detuning.any():
-            return _resonant(h, rabi)
+        if not np.iscomplexobj(rabi) and not detuning[0] and not detuning.any():
+            return _rotation(w, h, rabi)
         return _reduce(*_pairs(w, h, rabi, detuning))
 
     if one or multiprocessing.parent_process() is not None:

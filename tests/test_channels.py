@@ -268,6 +268,7 @@ def test_error_vector_invariants():
     # an int too large for a float is not finite either
     for bad in (
         {"alpha": np.inf}, {"alpha": np.nan}, {"duration_factor": np.inf}, {"delta": 10**400}, {"eta": -(10**400)},
+        {"alpha": 10**400}, {"duration_factor": 10**400},
         {"delta": np.nan}, {"phase_offsets": (0.0, 10**400, 0.0)}, {"phase_offsets": (np.inf,)},
     ):
         with pytest.raises(InvalidParameter):

@@ -78,6 +78,14 @@ def test_phase_shift_zero_and_pi():
     assert v.a == u.a
 
 
+def test_phase_shift_returns_python_complexes_as_compose_does():
+    u = CKPropagator(np.complex128(np.cos(0.7)), np.complex128(-1j * np.sin(0.7)))
+    for v in (phase_shifted(u, 0.3), compose(u, u)):
+        assert type(v.a) is complex and type(v.b) is complex
+        assert type(transition_probability(v)) is float
+    assert phase_shifted(u, 0.3).b == u.b * np.exp(0.3j)
+
+
 @given(unitary_pairs(), ANGLES)
 def test_phase_shift_preserves_probability(u, phi):
     p0 = transition_probability(u)

@@ -1,6 +1,8 @@
 """Integrator oracles: closed-form Rabi physics and convergence behavior."""
 import ast
+import cmath
 import functools
+import math
 import os
 import pathlib
 import threading
@@ -40,6 +42,7 @@ from pulselab.sweep import SweepAxis, sweep1d
 # analytic value of the detuned-Rabi oracle at Omega = delta = 1/T, tau = pi*T:
 # P = (Omega^2/(Omega^2+delta^2)) * sin^2(sqrt(Omega^2+delta^2)*tau/2)
 DETUNED_RABI_REFERENCE = 0.3165638355103539
+EPS = np.finfo(float).eps
 
 
 def rect(omega, delta, tau, phase=0.0):
@@ -552,15 +555,24 @@ def every_term_blocks(rabi, detuning, phase, window, steps):
 
 
 def assert_bitwise_every_term(w, rabi, detuning, steps):
-    """``w``'s controls, pairs and product are bitwise those of ``rabi`` and ``detuning`` in the old arithmetic."""
+    """``w``'s controls, pairs and product are bitwise those of ``rabi`` and ``detuning`` in the old arithmetic.
+
+    A window whose blocks collapse to one rotation each (a real drive at zero
+    detuning) is held to the rotation oracle instead of the stepped product.
+    """
     h = (w.window[1] - w.window[0]) / steps
-    products = []
+    products, collapsed = [], []
     for start, want_controls, want_pairs in every_term_blocks(rabi, detuning, w.phase, w.window, steps):
         got_controls = integrator._controls(w, h, start, min(start + integrator._BLOCK, steps))
         got_pairs = integrator._pairs(w, h, *got_controls)
         for got, want in zip((*got_controls, *got_pairs), (*want_controls, *want_pairs)):
             assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), start
         products.append(integrator._reduce(*want_pairs))
+        collapsed.append(not np.iscomplexobj(want_controls[0]) and not want_controls[1].any())
+    if all(collapsed):
+        assert_one_rotation(w, steps)
+        return
+    assert not any(collapsed)
     if len(products) > 1:
         products = [integrator._reduce(np.array([u.a for u in products]), np.array([u.b for u in products]))]
     assert bits(integrator._propagate_raw(w, steps)) == bits(products[0])
@@ -607,65 +619,74 @@ def test_a_scalar_drive_is_bitwise_the_always_complex_arithmetic(phase):
 # ------------------------------------------------------------ resonant blocks
 
 
-def resonant_pulses():
-    """RE's pulse and UCP's two phase-0 pulses (1 and 5): real drives at phase 0 and zero detuning."""
-    ucp = apply_errors(nominal_spec("UCP")).pulses
-    return (apply_errors(nominal_spec("RE")).pulses[0], ucp[0], ucp[4])
+def assert_one_rotation(w, steps):
+    """``w``'s product is the rotation by Theta = (h/2) * fsum(W) over its window, within a few ulp of Theta.
 
-
-def complex_product(w, steps):
-    """``w``'s product through ``_pairs`` and ``_reduce`` alone, block by block as ``_propagate_raw`` walks it."""
+    Its unitarity defect is at most a few ulp.  A one-block window is its
+    rotation, whose a.imag is +0.0, and at phase 0 so is b.real.
+    """
     h = (w.window[1] - w.window[0]) / steps
-    blocks = [(j, min(j + integrator._BLOCK, steps)) for j in range(0, steps, integrator._BLOCK)]
-    products = [integrator._reduce(*integrator._pairs(w, h, *integrator._controls(w, h, *block))) for block in blocks]
-    if len(products) == 1:
-        return products[0]
-    return integrator._reduce(np.array([u.a for u in products]), np.array([u.b for u in products]))
+    rabi, detuning = integrator._controls(w, h, 0, steps)
+    assert not np.iscomplexobj(rabi) and not detuning.any()
+    theta = 0.5 * h * math.fsum(rabi)
+    u = integrator._propagate_raw(w, steps)
+    tol = 4 * EPS * max(1.0, abs(theta))
+    assert abs(u.a - math.cos(theta)) <= tol
+    assert abs(u.b - complex(0.0, -math.sin(theta)) * cmath.exp(1j * w.phase)) <= tol
+    assert unitarity_defect(u) <= 4 * EPS
+    if steps <= integrator._BLOCK:
+        zeros = (u.a.imag,) if w.phase else (u.a.imag, u.b.real)
+        assert np.array(zeros).tobytes() == bytes(8 * len(zeros))  # +0.0 each
 
 
-def p_bits(u):
-    return np.float64(transition_probability(u)).tobytes()
-
-
-# 4001 steps leave an odd factor at the levels of 4001, 2001, 1001, 501, 251
-# and 63; the longest window is three blocks, reduced on threads
+# an even and an odd step count, and a window of three blocks whose rotations
+# are formed on threads
 @pytest.mark.parametrize("steps", (4000, 4001, 2 * integrator._BLOCK + 1000))
-def test_the_resonant_kernel_is_bitwise_the_complex_reduce(steps, monkeypatch):
-    kernel, threads = integrator._resonant, []
-    monkeypatch.setattr(integrator, "_resonant", lambda h, rabi: threads.append(threading.get_ident()) or kernel(h, rabi))
-    for w in resonant_pulses():
-        u, want = integrator._propagate_raw(w, steps), complex_product(w, steps)
-        assert bits(u) == bits(want)  # the signs of the zero parts too
-        assert p_bits(u) == p_bits(want)
+def test_a_resonant_block_is_one_rotation(steps, monkeypatch):
+    rotation, threads = integrator._rotation, []
+    monkeypatch.setattr(integrator, "_rotation", lambda *args: threads.append(threading.get_ident()) or rotation(*args))
+    pulses = (*apply_errors(nominal_spec("RE")).pulses, *apply_errors(nominal_spec("UCP")).pulses)
+    for w in pulses:
+        assert_one_rotation(w, steps)
     blocks = len(range(0, steps, integrator._BLOCK))
-    assert len(threads) == 3 * blocks
+    assert len(threads) == len(pulses) * blocks
     if blocks > 1 and (os.cpu_count() or 1) > 1:
         assert threading.get_ident() not in threads
 
 
-def test_resonant_kernel_keeps_a_b_and_p_bitwise_and_its_zero_parts_positive():
-    # For strong drives the complex reduce can leave a.imag or b.real at -0.0
-    # (177 of fig4's 1681 points, such as alpha 1.25 at duration factor 2);
-    # the kernel leaves +0.0.  P, the certificate (max |du|) and the unitarity
-    # defect read no zero sign, and propagate_sequence's renormalising and
-    # composing carry zeros into zeros only: only a library caller printing
-    # the pair of propagate or propagate_sequence could tell.
-    signs = set()
+def test_strong_resonant_drives_are_one_rotation_with_positive_zero_parts():
+    # pulse areas up to 4 pi, UCP's phased pulses among them
     for alpha in np.linspace(0.0, 2.0, 9):
         for df in np.linspace(0.1, 2.0, 9):
-            w = apply_errors(nominal_spec("RE"), ErrorVector(alpha=alpha, duration_factor=df)).pulses[0]
-            u, want = integrator._propagate_raw(w, 4000), complex_product(w, 4000)
-            assert np.array([u.a.real, u.b.imag]).tobytes() == np.array([want.a.real, want.b.imag]).tobytes()
-            assert p_bits(u) == p_bits(want)
-            assert np.array([u.a.imag, u.b.real]).tobytes() == bytes(16)  # +0.0 twice
-            signs.add((np.signbit(want.a.imag), np.signbit(want.b.real)))
-    assert (True, False) in signs and (False, False) in signs
+            for kind in ("RE", "UCP"):
+                for w in apply_errors(nominal_spec(kind), ErrorVector(alpha=alpha, duration_factor=df)).pulses:
+                    assert_one_rotation(w, 4000)
 
 
-def test_the_resonant_kernel_runs_for_real_phase_0_drives_at_zero_detuning_alone(monkeypatch):
+def test_a_rotation_angle_whose_square_overflows_gives_a_nan_pair():
+    # every |W|^2 = 1e300 is finite; Theta = 0.5 * h * 4000 * 1e150 is 5e153 at h = 2.5, 5e154 at h = 25
+    w = Waveform(rabi=lambda t: 1e150 + 0.0 * t, detuning=lambda t: 0.0 * t, window=(0.0, 1e4))
+    assert unitarity_defect(integrator._propagate_raw(w, 4000)) <= 4 * EPS
+    w = replace(w, window=(0.0, 1e5))
+    u = integrator._propagate_raw(w, 4000)
+    assert all(math.isnan(x) for x in (u.a.real, u.a.imag, u.b.real, u.b.imag))
+    with pytest.raises(UnitarityViolation, match="nan"):
+        propagate(w, IntegratorConfig(steps_per_pulse=4000))
+
+
+def test_a_vanishing_drive_over_a_huge_window_overflows_in_the_reduce_unless_it_is_one_rotation():
+    # |W|^2 underflows to 0 where the detuning is 0, so those pairs are far from unitary
+    w = Waveform(rabi=lambda t: 1e-170 + 0.0 * t, detuning=lambda t: (t > 0) * 1.0, window=(-1e300, 1e300))
+    with pytest.raises(UnitarityViolation, match="nan"):
+        propagate(w, IntegratorConfig(steps_per_pulse=4000))
+    # at zero detuning throughout, the block is the rotation by Theta = 1e130
+    assert unitarity_defect(integrator._propagate_raw(replace(w, detuning=lambda t: 0.0 * t), 4000)) <= 4 * EPS
+
+
+def test_the_rotation_runs_for_real_drives_at_zero_detuning_alone(monkeypatch):
     ran = []
-    resonant, pairs = integrator._resonant, integrator._pairs
-    monkeypatch.setattr(integrator, "_resonant", lambda *args: ran.append("resonant") or resonant(*args))
+    rotation, pairs = integrator._rotation, integrator._pairs
+    monkeypatch.setattr(integrator, "_rotation", lambda *args: ran.append("rotation") or rotation(*args))
     monkeypatch.setattr(integrator, "_pairs", lambda *args: ran.append("pairs") or pairs(*args))
 
     def kernels(kind, err=ErrorVector()):
@@ -674,13 +695,13 @@ def test_the_resonant_kernel_runs_for_real_phase_0_drives_at_zero_detuning_alone
             integrator._propagate_raw(w, 4000)
         return ran[:]
 
-    assert kernels("RE") == kernels("RE", ErrorVector(alpha=0.0)) == ["resonant"]
+    assert kernels("RE") == kernels("RE", ErrorVector(alpha=0.0)) == ["rotation"]
     # delta = -0.0 keeps the chirp term (see apply_errors), whose samples are all zeros here
-    assert kernels("RE", ErrorVector(delta=-0.0)) == ["resonant"]
+    assert kernels("RE", ErrorVector(delta=-0.0)) == ["rotation"]
     assert kernels("RE", ErrorVector(delta=1e-300)) == kernels("RE", ErrorVector(eta=0.1)) == ["pairs"]
     for kind in ("AF", "STA", "SP", "CAP"):
         assert set(kernels(kind)) == {"pairs"}, kind
-    assert kernels("UCP") == ["resonant", "pairs", "pairs", "pairs", "resonant"]  # pulses 2-4 carry drive phases
+    assert kernels("UCP") == ["rotation"] * 5  # at any drive phase
 
 
 def test_one_block_windows_share_one_read_only_grid_and_longer_ones_build_their_own():

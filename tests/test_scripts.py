@@ -78,6 +78,27 @@ def test_make_goldens_check_reports_differences_and_never_writes(tmp_path, regen
     assert diff[0] == "fig2" and diff[1] == pytest.approx(1e-9, rel=1e-3)
 
 
+def test_make_goldens_check_prints_the_max_dp_of_the_simulate_p_lines(tmp_path, monkeypatch, capsys):
+    make_goldens = load_make_goldens()
+    golden = REPO / "goldens" / "simulate.txt"
+    lines = golden.read_text(encoding="utf-8").splitlines(keepends=True)
+    k = next(i for i, line in enumerate(lines) if line.startswith("P = "))
+    lines[k] = f"P = {float(lines[k][4:]) - 1e-9!r}\n"
+    nudged = tmp_path / "nudged.txt"
+    nudged.write_text("".join(lines), encoding="utf-8", newline="")
+    assert make_goldens.simulate_max_dp(golden, golden) == 0.0
+    assert make_goldens.simulate_max_dp(nudged, golden) == pytest.approx(1e-9, rel=1e-3)
+    dropped = tmp_path / "dropped.txt"
+    dropped.write_text("".join(lines[:k] + lines[k + 1:]), encoding="utf-8", newline="")
+    assert make_goldens.simulate_max_dp(dropped, golden) == float("inf")
+
+    monkeypatch.setattr(make_goldens, "regenerate", lambda outdir: [])
+    monkeypatch.setattr(make_goldens, "regenerate_simulate", lambda outdir: nudged)
+    monkeypatch.setattr(make_goldens, "regenerate_table", lambda outdir: make_goldens.TABLE_REFERENCE)
+    assert make_goldens.run(["--check"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith("simulate: max |dP| = 1.000e-09")
+
+
 def test_make_goldens_check_prints_the_table_rows_that_differ(tmp_path):
     make_goldens = load_make_goldens()
     reference = make_goldens.TABLE_REFERENCE
